@@ -68,6 +68,9 @@ class AlphaPlan:
     m_base: int
     stages: list
     _certs: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # (key, SubstitutionMap) of the latest standard_substitution; the key
+    # holds the stage count because appending a stage changes the alpha image
+    _sub: tuple = dc_field(default=None, repr=False, compare=False)
 
     # -- stage arithmetic ---------------------------------------------------
 
@@ -219,12 +222,21 @@ def assemble_alpha(plan: AlphaPlan, field: ResidueField) -> TruncatedSeries:
 
 
 def standard_substitution(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> SubstitutionMap:
-    """Generator images: x1 -> x, x2 -> c x^{-1}, x3 -> the staged sum."""
+    """Generator images: x1 -> x, x2 -> c x^{-1}, x3 -> the staged sum.
+
+    The map and its power memos are kept on the plan until a stage is
+    appended, so every caller working on one plan shares them.
+    """
     if ring.nvars != 3:
         raise StageUnavailableError("the construction lives in three variables")
+    key = (len(plan.stages), field.profile, ring.profile)
+    if plan._sub is not None and plan._sub[0] == key:
+        return plan._sub[1]
     x_img = field.x_power(1)
     cx_inv = field.monomial(1, plan.v_c, -1)
-    return SubstitutionMap(ring, field, (x_img, cx_inv, assemble_alpha(plan, field)))
+    sub = SubstitutionMap(ring, field, (x_img, cx_inv, assemble_alpha(plan, field)))
+    plan._sub = (key, sub)
+    return sub
 
 
 # -- adapted certificates -----------------------------------------------------

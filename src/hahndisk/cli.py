@@ -21,7 +21,7 @@ from . import builder, division, verify
 from .config import CONFIG_ENV, InstanceConfig
 from .errors import ConfigError, FormatError, HahndiskError
 from .fields import classify_disk_point
-from .series import render_series
+from .series import random_series, render_series
 from .tate import save_substitution
 from .valgroup import EXACT, as_fraction, is_in_zp
 
@@ -210,8 +210,8 @@ def cmd_selftest(args) -> int:
     def series_laws():
         profile = field.profile
         for _ in range(100):
-            f = _random_series(rng, profile)
-            g = _random_series(rng, profile)
+            f = random_series(rng, profile, max_terms=8, max_num=12, max_k=2)
+            g = random_series(rng, profile, max_terms=8, max_num=12, max_k=2)
             fg = f * g
             vf, vg = f.val_lower(), g.val_lower()
             if f.terms and g.terms:
@@ -248,21 +248,6 @@ def cmd_selftest(args) -> int:
         return EXIT_CONTRACT
     print("PASS: selftest")
     return EXIT_OK
-
-
-def _random_series(rng, profile, max_terms=8, max_k=2):
-    from .series import TruncatedSeries
-
-    p = profile.p
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(
-            Fraction(rng.randint(-12, 12), p ** rng.randint(0, max_k))
-            for _ in range(profile.dim)
-        )
-        terms[exps] = rng.randint(1, p - 1)
-    precision = EXACT if rng.random() < 0.5 else Fraction(rng.randint(8, 20))
-    return TruncatedSeries(profile, terms, precision)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -22,13 +22,11 @@ from fractions import Fraction
 from .builder import (
     AlphaPlan,
     certificate_for_exponent,
-    plan_from_doc,
     plan_to_doc,
     standard_substitution,
 )
 from .errors import (
     ContractViolationError,
-    FormatError,
     InsufficientPrecisionError,
     UnresolvedError,
 )
@@ -158,7 +156,8 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
             raise ContractViolationError(
                 f"step {m}: approximant moved by valuation {step_gap} < {m}"
             )
-        _check_consistency(plan, field, ring, a_next, beta_next, beta, m)
+        sub = standard_substitution(plan, field, ring)
+        _check_consistency(sub.apply(e_m, cfg.work_prec) - f_e, f"step {m}")
         records.append(
             DivisionStep(
                 m=m,
@@ -172,6 +171,8 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         )
         beta_m, a = beta_next, a_next
     final_val = _certified_val(beta_m, steps + v_s, "final residual bound")
+    sub = standard_substitution(plan, field, ring)
+    _check_consistency(sub.apply(a, cfg.work_prec) + beta_m - beta, "final")
     return DivisionTrace(
         plan=plan,
         target=beta,
@@ -183,16 +184,21 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
     )
 
 
-def _check_consistency(plan, field, ring, a_m, beta_m, beta, m):
+def _check_consistency(diff: TruncatedSeries, where: str):
     """The generic substitution route must agree with the certificate route
-    on every term it can resolve: apply(a_m) + beta_m - beta has no stored
-    term below its propagated precision."""
-    sub = standard_substitution(plan, field, ring)
-    diff = sub.apply(a_m, plan.config.work_prec) + beta_m - beta
+    on every term it can resolve: `diff` has no stored term below its
+    propagated precision.
+
+    Each step checks apply(e_m) - (beta_m - beta_{m+1}); the ring map is
+    additive, so the increments add up to the whole.  The run ends with one
+    whole check, apply(a) + beta_M - beta: terms of the increments can cancel
+    in a, and then apply(a) resolves terms that every increment check left
+    beyond its propagated precision.
+    """
     if diff.terms:
         w, exps = min((diff.profile.weight(e), e) for e in diff.terms)
         raise ContractViolationError(
-            f"step {m}: substitution route disagrees at weight {w} "
+            f"{where}: substitution route disagrees at weight {w} "
             f"(exponents {exps}, coefficient {diff.terms[exps]})"
         )
 
@@ -233,9 +239,3 @@ def trace_to_doc(trace: DivisionTrace, normalize_k: int = 0) -> dict:
                          else str(trace.final_val_lower),
         },
     }
-
-
-def trace_plan(doc: dict) -> AlphaPlan:
-    if doc.get("kind") != "trace":
-        raise FormatError("not a division trace")
-    return plan_from_doc(doc["plan"])

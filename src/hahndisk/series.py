@@ -135,6 +135,24 @@ class TruncatedSeries:
     def one(cls, profile):
         return cls.monomial(profile, 1, (0,) * profile.dim)
 
+    @classmethod
+    def _trusted(cls, profile, terms: dict, precision):
+        """Wrap terms produced by a closed operation without re-validation.
+
+        The caller guarantees what `__init__` checks: exponent tuples of the
+        profile's dimension with entries in Z[1/p], coefficients reduced
+        mod p and nonzero, and a Fraction or EXACT precision.  Only the
+        precision filter runs, since it depends on the result's own bound.
+        """
+        if precision is not EXACT:
+            weight = profile.weight
+            terms = {e: c for e, c in terms.items() if weight(e) < precision}
+        out = object.__new__(cls)
+        out.profile = profile
+        out.terms = terms
+        out.precision = precision
+        return out
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -193,11 +211,11 @@ class TruncatedSeries:
                 acc[exps] = s
             else:
                 acc.pop(exps, None)
-        return TruncatedSeries(self.profile, acc, prec)
+        return TruncatedSeries._trusted(self.profile, acc, prec)
 
     def __neg__(self):
         p = self.profile.p
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.profile, {e: p - c for e, c in self.terms.items()}, self.precision
         )
 
@@ -220,7 +238,7 @@ class TruncatedSeries:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return TruncatedSeries(self.profile, acc, prec)
+        return TruncatedSeries._trusted(self.profile, acc, prec)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -317,6 +335,32 @@ class TruncatedSeries:
         return f"<series {body}>"
 
 
+def random_series(rng, profile: WeightProfile, max_terms=12, max_prec=20,
+                  max_num=27, max_k=3, nonzero=True) -> TruncatedSeries:
+    """Seeded random series for smoke tests.
+
+    Exponents are i / p^k with |i| <= max_num and k <= max_k; the precision
+    is EXACT with probability 0.4, else an integer in [max_prec // 2,
+    max_prec].  With `nonzero` the draw repeats until a term survives.
+    """
+    p = profile.p
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exps = tuple(
+                Fraction(rng.randint(-max_num, max_num), p ** rng.randint(0, max_k))
+                for _ in range(profile.dim)
+            )
+            terms[exps] = rng.randint(1, p - 1)
+        if rng.random() < 0.4:
+            precision = EXACT
+        else:
+            precision = Fraction(rng.randint(max_prec // 2, max_prec))
+        f = TruncatedSeries(profile, terms, precision)
+        if f.terms or not nonzero:
+            return f
+
+
 def _clip(f: TruncatedSeries, prec):
     if f.precision is EXACT or f.precision > prec:
         return f.truncate(prec)
@@ -345,6 +389,8 @@ def render_series(f: TruncatedSeries) -> str:
 
 
 def parse_series(profile: WeightProfile, text: str) -> TruncatedSeries:
+    if not isinstance(text, str):
+        raise FormatError(f"series text must be a string, not {type(text).__name__}")
     terms = {}
     precision = "missing"
     for raw in text.splitlines():

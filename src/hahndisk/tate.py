@@ -20,7 +20,14 @@ from .errors import (
     UnresolvedError,
 )
 from .fields import GroundField, ResidueField
-from .series import TruncatedSeries, WeightProfile, parse_series, render_series
+from .series import (
+    TruncatedSeries,
+    WeightProfile,
+    min_precision,
+    parse_series,
+    render_series,
+    shift_precision,
+)
 from .valgroup import EXACT, as_fraction, is_in_zp, padic_denominator_exponent
 
 
@@ -202,6 +209,8 @@ class SubstitutionMap:
         self.field = field
         self.images = images
         self._roots = {}
+        self._powers = {}
+        self._x_parts = {}
 
     def _root(self, i: int, k: int) -> TruncatedSeries:
         key = (i, k)
@@ -210,6 +219,9 @@ class SubstitutionMap:
         return self._roots[key]
 
     def _image_power(self, i: int, q: Fraction, work_prec) -> TruncatedSeries:
+        key = (i, q, work_prec)
+        if key in self._powers:
+            return self._powers[key]
         k = padic_denominator_exponent(q, self.ring.ground.p)
         u = int(q * self.ring.ground.p ** k)
         if u < 0:
@@ -221,6 +233,19 @@ class SubstitutionMap:
             and out.precision > work_prec
         ):
             out = out.truncate(work_prec)
+        self._powers[key] = out
+        return out
+
+    def _x_part(self, qs: tuple, work_prec) -> TruncatedSeries:
+        """Image of the monomial x1^q1 ... xn^qn, multiplied left to right."""
+        key = (qs, work_prec)
+        if key in self._x_parts:
+            return self._x_parts[key]
+        out = self.field.one()
+        for i, q in enumerate(qs):
+            if q:
+                out = out * self._image_power(i, q, work_prec)
+        self._x_parts[key] = out
         return out
 
     def apply(self, f: TruncatedSeries, work_prec=None) -> TruncatedSeries:
@@ -229,26 +254,32 @@ class SubstitutionMap:
         The result keeps exact precision when everything in sight is exact;
         finite propagated precisions are capped at work_prec.  The tail of f
         beyond its own precision maps into valuation >= that precision.
+
+        A term c t^a x^q maps to c t^a times the memoized image of x^q, which
+        only shifts that image by a.  The shifted images are summed into one
+        dict and filtered once at the end: precision only falls as terms are
+        added, so this keeps exactly the terms a running sum would keep.
         """
         self.ring.check_element(f)
         if work_prec is not None:
             work_prec = as_fraction(work_prec)
-        out = self.field.zero(precision=EXACT)
-        for exps, coeff in f.terms_sorted():
-            term = self.field.monomial(coeff, exps[0], 0)
-            for i, q in enumerate(exps[1:]):
-                if q:
-                    term = term * self._image_power(i, q, work_prec)
-            out = out + term
-        if f.precision is not EXACT:
-            out = out + self.field.zero(precision=f.precision)
-        if (
-            work_prec is not None
-            and out.precision is not EXACT
-            and out.precision > work_prec
-        ):
-            out = out.truncate(work_prec)
-        return out
+        p = self.field.profile.p
+        acc = {}
+        prec = f.precision
+        for exps, coeff in f.terms.items():
+            a = exps[0]
+            part = self._x_part(exps[1:], work_prec)
+            prec = min_precision(prec, shift_precision(part.precision, a))
+            for (e0, *rest), c in part.terms.items():
+                key = (e0 + a, *rest)
+                s = (acc.get(key, 0) + coeff * c) % p
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        if work_prec is not None and prec is not EXACT and prec > work_prec:
+            prec = work_prec
+        return TruncatedSeries._trusted(self.field.profile, acc, prec)
 
 
 # A substitution map serializes as an ordered list of residue-element files,

@@ -33,11 +33,6 @@ def as_fraction(value) -> Fraction:
     raise FormatError(f"not a rational: {value!r}")
 
 
-def format_fraction(q: Fraction) -> str:
-    """Render 'num/den', omitting the denominator when it is 1."""
-    return str(q)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -38,9 +38,6 @@ class Report:
     def fail(self, where: str, message: str):
         self.findings.append(Finding(False, where, message))
 
-    def note(self, where: str, message: str):
-        self.findings.append(Finding(True, where, message))
-
     @property
     def ok(self) -> bool:
         return all(f.ok for f in self.findings)
@@ -60,6 +57,11 @@ class Report:
 
 
 # -- raw transcript access ----------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON true/false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -188,7 +190,7 @@ def _adapted_facts(image: TruncatedSeries, row: _Row, v_s: Fraction, rep: Report
 
 def verify_plan(doc: dict, report: Report | None = None) -> Report:
     rep = report if report is not None else Report()
-    if doc.get("kind") != "plan":
+    if not isinstance(doc, dict) or doc.get("kind") != "plan":
         rep.fail("plan", "document kind is not 'plan'")
         return rep
     try:
@@ -369,29 +371,43 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
     except (KeyError, TypeError, HahndiskError) as exc:
         rep.fail("trace", f"malformed trace: {exc}")
         return rep
+    if not isinstance(steps, list):
+        rep.fail("trace", f"steps is a {type(steps).__name__}, not a list")
+        return rep
     rep.check(
         doc.get("target_sha256") == hashlib.sha256(target_text.encode()).hexdigest(),
         "trace", "target digest matches")
+    requested = doc.get("steps_requested")
+    rep.check(_is_int(requested) and requested == len(steps), "trace",
+              f"steps_requested {requested!r} equals the {len(steps)} recorded steps")
+    shift = doc.get("normalize_k")
+    rep.check(_is_int(shift) and shift >= 0, "trace",
+              f"normalize_k {shift!r} is a nonnegative integer")
     val0 = target.val_lower()
     rep.check(val0 is None or val0 >= v_s, "trace",
               f"target valuation {val0} is normalized to >= {v_s}")
 
     beta = target
     a = ring.zero()
-    for rec in steps:
-        m = int(rec["m"])
+    for m, rec in enumerate(steps):
         where = f"step {m}"
-        if not rep.check(as_fraction(rec["bound"]) == m + v_s, where,
-                         "recorded bound is the band floor"):
+        if not isinstance(rec, dict):
+            rep.fail(where, f"step record is a {type(rec).__name__}, not an object")
+            return rep
+        if not rep.check(_is_int(rec.get("m")) and rec["m"] == m, where,
+                         f"recorded index {rec.get('m')!r} is the position {m}"):
             return rep
         try:
+            bound = as_fraction(rec["bound"])
             rec_beta = field.parse(rec["beta"])
             rec_band = field.parse(rec["band"])
             rec_e = ring.parse(rec["e"])
             rec_a = ring.parse(rec["a_after"])
             rec_next = field.parse(rec["beta_after"])
-        except HahndiskError as exc:
+        except (KeyError, HahndiskError) as exc:
             rep.fail(where, f"malformed step record: {exc}")
+            return rep
+        if not rep.check(bound == m + v_s, where, "recorded bound is the band floor"):
             return rep
         if not rep.check(rec_beta == beta, where,
                          "recorded residual matches the replayed chain"):
@@ -451,15 +467,18 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
                   f"contracted residual valuation {val_next} >= {m + 1 + v_s}")
         beta, a = beta_next, a_next
 
-    final = doc.get("final", {})
+    final = doc.get("final")
+    if not isinstance(final, dict):
+        rep.fail("final", f"final record is a {type(final).__name__}, not an object")
+        return rep
     try:
         rec_final = field.parse(final["residual"])
+        final_bound = as_fraction(final.get("bound", "0"))
     except (KeyError, HahndiskError) as exc:
         rep.fail("final", f"malformed final record: {exc}")
         return rep
     rep.check(rec_final == beta, "final", "recorded final residual matches")
-    rep.check(as_fraction(final.get("bound", "0")) == len(steps) + v_s, "final",
-              "final bound is steps + v_s")
+    rep.check(final_bound == len(steps) + v_s, "final", "final bound is steps + v_s")
     val = beta.val_lower()
     rep.check(val is None or val >= len(steps) + v_s, "final",
               f"final residual valuation {val} >= {len(steps) + v_s}")
@@ -479,6 +498,10 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
 
 
 def verify_document(doc: dict) -> Report:
+    if not isinstance(doc, dict):
+        rep = Report()
+        rep.fail("document", f"a transcript is an object, not a {type(doc).__name__}")
+        return rep
     kind = doc.get("kind")
     if kind == "plan":
         return verify_plan(doc)

@@ -39,37 +39,14 @@ def plan_fresh(cfg):
     return build_plan(cfg)
 
 
-def rand_padic(rng, p=3, max_num=27, max_k=3):
-    return Fraction(rng.randint(-max_num, max_num), p ** rng.randint(0, max_k))
-
-
-def rand_series(rng, profile, max_terms=12, max_prec=20, max_num=27, max_k=3,
-                nonzero=True):
-    """Seeded random series; precision mixes EXACT with rationals <= max_prec."""
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, max_terms)):
-            exps = tuple(
-                rand_padic(rng, profile.p, max_num, max_k)
-                for _ in range(profile.dim)
-            )
-            terms[exps] = rng.randint(1, profile.p - 1)
-        if rng.random() < 0.4:
-            precision = None
-        else:
-            precision = Fraction(rng.randint(max_prec // 2, max_prec))
-        f = TruncatedSeries(profile, terms, precision)
-        if f.terms or not nonzero:
-            return f
-
-
 def rand_normalized_target(rng, field, v_s, max_terms=8):
     """Random exact residue element with every term weight >= v_s."""
+    p = field.ground.p
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        q = Fraction(rng.randint(-8, 8), 3 ** rng.randint(0, 2))
-        t_exp = Fraction(rng.randint(-18, 18), 3 ** rng.randint(0, 2))
+        q = Fraction(rng.randint(-8, 8), p ** rng.randint(0, 2))
+        t_exp = Fraction(rng.randint(-18, 18), p ** rng.randint(0, 2))
         w = t_exp + q * field.gamma_x
         shift = max(0, math.ceil(v_s - w))
-        terms[(t_exp + shift, q)] = rng.randint(1, field.ground.p - 1)
+        terms[(t_exp + shift, q)] = rng.randint(1, p - 1)
     return TruncatedSeries(field.profile, terms, None)

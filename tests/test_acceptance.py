@@ -25,11 +25,11 @@ from hahndisk.builder import (
 )
 from hahndisk.cli import main as cli_main
 from hahndisk.division import run_division, trace_to_doc
-from hahndisk.series import TruncatedSeries
+from hahndisk.series import TruncatedSeries, random_series
 from hahndisk.tate import TateRing, disk_seminorm, type_ii_lower_bound
 from hahndisk.verify import verify_plan, verify_trace
 
-from conftest import rand_normalized_target, rand_series
+from conftest import rand_normalized_target
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,8 +74,8 @@ def test_criterion_1_series_engine_laws(cfg, residue):
         rng = random.Random(cfg.seed + 1)
         profile = residue.profile
         for _ in range(1000):
-            f = rand_series(rng, profile, max_terms=12, max_prec=20)
-            g = rand_series(rng, profile, max_terms=12, max_prec=20)
+            f = random_series(rng, profile, max_terms=12, max_prec=20)
+            g = random_series(rng, profile, max_terms=12, max_prec=20)
             fg = f * g
             assert fg == schoolbook_mul(f, g)
             assert fg.val_lower() == f.val_lower() + g.val_lower()
@@ -87,15 +87,15 @@ def test_criterion_1_series_engine_laws(cfg, residue):
                 assert vs == min(f.val_lower(), g.val_lower())
         # distributivity spot-check on triples from the same stream
         for _ in range(200):
-            f = rand_series(rng, profile, max_terms=6, max_prec=20)
-            g = rand_series(rng, profile, max_terms=6, max_prec=20)
-            h = rand_series(rng, profile, max_terms=6, max_prec=20)
+            f = random_series(rng, profile, max_terms=6, max_prec=20)
+            g = random_series(rng, profile, max_terms=6, max_prec=20)
+            h = random_series(rng, profile, max_terms=6, max_prec=20)
             assert f * (g + h) == f * g + f * h
         # inversion round-trips within the contracted precision
         done = 0
         while done < 1000:
-            f = rand_series(rng, profile, max_terms=12, max_prec=20, max_k=1,
-                            max_num=9)
+            f = random_series(rng, profile, max_terms=12, max_prec=20, max_k=1,
+                              max_num=9)
             v = f.val_lower()
             target = v + 2
             if f.precision is not None and f.precision - 2 * v < target:
@@ -118,8 +118,8 @@ def test_criterion_2_frobenius_perfectness(cfg, residue):
         rng = random.Random(cfg.seed + 2)
         profile = residue.profile
         for _ in range(1000):
-            f = rand_series(rng, profile, max_terms=10, max_prec=20)
-            g = rand_series(rng, profile, max_terms=10, max_prec=20)
+            f = random_series(rng, profile, max_terms=10, max_prec=20)
+            g = random_series(rng, profile, max_terms=10, max_prec=20)
             assert f.frobenius(1).frobenius(-1) == f
             assert f.frobenius(-1).frobenius(1) == f
             assert (f * g).frobenius(1) == f.frobenius(1) * g.frobenius(1)

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -121,6 +122,42 @@ class TestVerifyCommand:
         bad = tmp_path / "empty.json"
         bad.write_text("")
         assert run("verify", str(bad)) == 2
+
+
+@pytest.fixture(scope="module")
+def trace_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trace")
+    beta = out / "beta.txt"
+    beta.write_text("1 t^10/9\n2 t^2 x1^1/3\nO(EXACT)\n")
+    assert run("divide", str(beta), "3", "--out", str(out)) == 0
+    return json.loads((out / "trace.json").read_text())
+
+
+class TestVerifyMalformedTrace:
+    """Malformed trace fields give a located FAIL (exit 1), never a traceback."""
+
+    @pytest.mark.parametrize("where,mutate", [
+        ("step 1", lambda d: d["steps"][1].pop("m")),
+        ("step 1", lambda d: d["steps"][1].__setitem__("m", "one")),
+        ("step 2", lambda d: d["steps"][2].__setitem__("m", 2.5)),
+        ("trace", lambda d: d.__setitem__("steps", {"0": d["steps"][0]})),
+        ("final", lambda d: d.__setitem__("final", ["residual"])),
+        ("trace", lambda d: d.__setitem__("steps_requested", 99)),
+        ("trace", lambda d: d.__setitem__("normalize_k", -5)),
+    ], ids=["missing-m", "string-m", "float-m", "steps-not-list", "final-not-object",
+            "steps-requested", "negative-normalize-k"])
+    def test_located_failure(self, where, mutate, trace_doc, tmp_path, capsys):
+        doc = copy.deepcopy(trace_doc)
+        mutate(doc)
+        bad = tmp_path / "trace.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad)) == 1
+        assert f"FAIL [{where}]" in capsys.readouterr().out
+
+    def test_honest_trace_passes(self, trace_doc, tmp_path):
+        good = tmp_path / "trace.json"
+        good.write_text(json.dumps(trace_doc))
+        assert run("verify", str(good)) == 0
 
 
 class TestConfigHandling:

@@ -11,9 +11,9 @@ from hahndisk.fields import (
     choose_c,
     classify_disk_point,
 )
+from hahndisk.series import random_series
 from hahndisk.valgroup import is_in_zp
 
-from conftest import rand_series
 
 
 class TestGroundField:
@@ -30,14 +30,14 @@ class TestGroundField:
     def test_valuations_live_in_group(self, ground):
         rng = random.Random(2)
         for _ in range(200):
-            f = rand_series(rng, ground.profile)
+            f = random_series(rng, ground.profile)
             assert ground.contains_value(f.val_lower())
 
     def test_division_round_trip(self, ground):
         rng = random.Random(8)
         for _ in range(100):
-            f = rand_series(rng, ground.profile, max_terms=5, max_k=1, max_num=9)
-            g = rand_series(rng, ground.profile, max_terms=5, max_k=1, max_num=9)
+            f = random_series(rng, ground.profile, max_terms=5, max_k=1, max_num=9)
+            g = random_series(rng, ground.profile, max_terms=5, max_k=1, max_num=9)
             target = g.val_lower() + 2
             if g.precision is not None and g.precision - 2 * g.val_lower() < target:
                 continue
@@ -71,8 +71,8 @@ class TestResidueField:
     def test_norm_multiplicative(self, residue):
         rng = random.Random(31)
         for _ in range(200):
-            f = rand_series(rng, residue.profile)
-            g = rand_series(rng, residue.profile)
+            f = random_series(rng, residue.profile)
+            g = random_series(rng, residue.profile)
             assert (f * g).val_lower() == f.val_lower() + g.val_lower()
 
     def test_collision_characterization(self, residue):

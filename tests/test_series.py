@@ -18,10 +18,9 @@ from hahndisk.series import (
     TruncatedSeries,
     WeightProfile,
     parse_series,
+    random_series,
     render_series,
 )
-
-from conftest import rand_series
 
 P3 = WeightProfile(3, (1,), generic_radius=True)
 RES = WeightProfile(3, (1, Fraction(1, 2)), generic_radius=True)
@@ -93,8 +92,8 @@ class TestMul:
     def test_matches_schoolbook_on_randoms(self):
         rng = random.Random(23)
         for _ in range(200):
-            f = rand_series(rng, RES, nonzero=False)
-            g = rand_series(rng, RES, nonzero=False)
+            f = random_series(rng, RES, nonzero=False)
+            g = random_series(rng, RES, nonzero=False)
             assert f * g == schoolbook_mul(f, g)
 
     def test_zero_propagates_precision(self):
@@ -156,7 +155,7 @@ class TestInvert:
     def test_round_trip_on_randoms(self):
         rng = random.Random(41)
         for _ in range(100):
-            f = rand_series(rng, RES, max_terms=6, max_k=1, max_num=9)
+            f = random_series(rng, RES, max_terms=6, max_k=1, max_num=9)
             v = f.val_lower()
             target = v + Fraction(3, 2)
             if f.precision is not None and f.precision - 2 * v < target:
@@ -194,14 +193,14 @@ class TestFrobenius:
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(50):
-            f = rand_series(rng, RES)
+            f = random_series(rng, RES)
             assert f.frobenius(-2).frobenius(2) == f
 
     def test_ring_map(self):
         rng = random.Random(17)
         for _ in range(100):
-            f = rand_series(rng, RES, nonzero=False)
-            g = rand_series(rng, RES, nonzero=False)
+            f = random_series(rng, RES, nonzero=False)
+            g = random_series(rng, RES, nonzero=False)
             assert (f * g).frobenius(1) == f.frobenius(1) * g.frobenius(1)
             assert (f + g).frobenius(1) == f.frobenius(1) + g.frobenius(1)
 
@@ -230,15 +229,15 @@ class TestUltrametric:
     def test_multiplicative_exact(self):
         rng = random.Random(99)
         for _ in range(300):
-            f = rand_series(rng, RES)
-            g = rand_series(rng, RES)
+            f = random_series(rng, RES)
+            g = random_series(rng, RES)
             assert (f * g).val_lower() == f.val_lower() + g.val_lower()
 
     def test_additive_bound_and_equality(self):
         rng = random.Random(100)
         for _ in range(300):
-            f = rand_series(rng, RES)
-            g = rand_series(rng, RES)
+            f = random_series(rng, RES)
+            g = random_series(rng, RES)
             s = f + g
             vs, vf, vg = s.val_lower(), f.val_lower(), g.val_lower()
             if vs is not None:
@@ -268,6 +267,13 @@ def test_ring_laws_to_precision(f, g, h):
     assert (f + g) + h == f + (g + h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=small_series(), g=small_series())
+def test_closed_operations_match_validating_constructor(f, g):
+    for got in (f * g, f + g, -f):
+        assert TruncatedSeries(got.profile, dict(got.terms), got.precision) == got
+
+
 class TestTextFormat:
     def test_documented_shape(self):
         f = mono(RES, 1, Fraction(1, 9), 0) + mono(RES, 1, -9, 27, prec=13)
@@ -277,7 +283,7 @@ class TestTextFormat:
     def test_round_trip_randoms(self):
         rng = random.Random(55)
         for _ in range(100):
-            f = rand_series(rng, RES, nonzero=False)
+            f = random_series(rng, RES, nonzero=False)
             assert parse_series(RES, render_series(f)) == f
 
     def test_exact_sentinel(self):
@@ -301,8 +307,8 @@ def test_exponents_must_be_padic():
 def test_precision_monotonicity_no_stored_term_at_bound():
     rng = random.Random(77)
     for _ in range(200):
-        f = rand_series(rng, RES, nonzero=False)
-        g = rand_series(rng, RES, nonzero=False)
+        f = random_series(rng, RES, nonzero=False)
+        g = random_series(rng, RES, nonzero=False)
         for h in (f + g, f * g, f.frobenius(1), -f):
             if h.precision is not None:
                 assert all(
