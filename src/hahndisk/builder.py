@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .config import InstanceConfig
+from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import (
     AdaptednessFailedError,
     ContractViolationError,
@@ -45,10 +45,6 @@ from .fields import ResidueField, choose_c
 from .series import TruncatedSeries, render_series
 from .tate import SubstitutionMap, TateRing, is_integral
 from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point
-
-#: Search ceiling for a single Frobenius exponent; hitting it means the
-#: requested stage is not resolvable (it never triggers for sane configs).
-_MAX_B_SEARCH = 4000
 
 
 @dataclass
@@ -116,28 +112,25 @@ class AlphaPlan:
 
 
 def _minimal_b(plan: AlphaPlan, m: int, w: Fraction, v_eps: Fraction, base: bool) -> int:
+    """Least b meeting growth, window and separation against every stage.
+
+    Since 0 < w < v_s, the separation gap p^(b - b_j) * w is smallest
+    against the stage with the largest b_j, so that stage alone decides
+    separation; at b <= b_j the gap is at most w < 1 + v_s, so the scan
+    starts at b_j + 1.
+    """
     cfg = plan.config
-    sep_floor = 1 + cfg.v_s
-    b = 0
-    while b <= _MAX_B_SEARCH:
+    top_b = max(st.b for st in plan.stages)
+    b = top_b + 1
+    while b <= MAX_B_SEARCH:
         scale = cfg.p ** b
-        ok = scale * w > m
-        if ok and not v_eps / scale < cfg.v_s - w:
-            ok = False
-        if ok:
-            for st in plan.stages:
-                gap = cfg.p ** (b - st.b) * w
-                if not gap > sep_floor:
-                    ok = False
-                    break
-                if not base and not gap > plan.tail_guard:
-                    ok = False
-                    break
-        if ok:
+        gap = cfg.p ** (b - top_b) * w
+        if (scale * w > m and v_eps / scale < cfg.v_s - w and gap > 1 + cfg.v_s
+                and (base or gap > plan.tail_guard)):
             return b
         b += 1
     raise StageUnavailableError(
-        f"no Frobenius exponent below {_MAX_B_SEARCH} resolves stage {m}"
+        f"no Frobenius exponent below {MAX_B_SEARCH} resolves stage {m}"
     )
 
 
@@ -151,7 +144,13 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> PlanStage:
     lo = -q * cfg.gamma_x
     v_e = smallest_zp_point(lo, lo + cfg.v_s, cfg.p)
     w = v_e + q * cfg.gamma_x
-    v_eps = max([Fraction(0)] + [plan.d_requirement(st) for st in plan.stages])
+    # the demand is a running maximum: the last stage's v_eps already
+    # covers every stage before it
+    if plan.stages:
+        last = plan.stages[-1]
+        v_eps = max(last.v_eps, plan.d_requirement(last))
+    else:
+        v_eps = Fraction(0)
     if m == 1:
         b = 0  # the opening stage is pinned; its term is the leading term
     else:

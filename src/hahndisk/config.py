@@ -15,6 +15,11 @@ from .valgroup import as_fraction, is_in_zp, is_prime
 #: Environment variable naming a JSON config file used for defaults.
 CONFIG_ENV = "HAHNDISK_CONFIG"
 
+#: Search ceiling for a single Frobenius exponent.  The builder gives up on
+#: a stage past it (it never triggers for sane configs), and the verifier
+#: rejects a larger recorded exponent before computing any p ** b.
+MAX_B_SEARCH = 4000
+
 
 @dataclass(frozen=True)
 class InstanceConfig:

@@ -59,7 +59,7 @@ class WeightProfile:
     arbitrarily.
     """
 
-    __slots__ = ("p", "weights", "generic_radius")
+    __slots__ = ("p", "weights", "generic_radius", "_slots")
 
     def __init__(self, p: int, weights, generic_radius: bool = False):
         weights = tuple(as_fraction(w) for w in weights)
@@ -70,13 +70,19 @@ class WeightProfile:
         self.p = p
         self.weights = weights
         self.generic_radius = generic_radius
+        # (index, weight) of the variable slots that weigh anything: slot 0
+        # always weighs 1, and a Tate-ring variable weighs 0
+        self._slots = tuple((i, w) for i, w in enumerate(weights) if i and w)
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
     def weight(self, exponents) -> Fraction:
-        return sum((w * e for w, e in zip(self.weights, exponents)), Fraction(0))
+        total = exponents[0]
+        for i, w in self._slots:
+            total += w * exponents[i]
+        return total
 
     def __eq__(self, other):
         return (

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import InstanceConfig
+from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import HahndiskError
 from .fields import GroundField, ResidueField
 from .series import TruncatedSeries
@@ -66,7 +66,7 @@ def _is_int(value) -> bool:
 
 @dataclass
 class _Row:
-    m: int
+    m: int  # as recorded: verify_plan checks m and b are JSON integers
     omega: Fraction
     v_e: Fraction
     b: int
@@ -78,10 +78,10 @@ def _rows(doc) -> list:
     for raw in doc["stages"]:
         rows.append(
             _Row(
-                m=int(raw["m"]),
+                m=raw["m"],
                 omega=as_fraction(raw["omega"]),
                 v_e=as_fraction(raw["v_e"]),
-                b=int(raw["b"]),
+                b=raw["b"],
                 v_eps=as_fraction(raw["v_eps"]),
             )
         )
@@ -106,22 +106,26 @@ def _d_requirement(row, p, gamma_x, v_c) -> Fraction:
     return _fw_weight(row, p, gamma_x, v_c) - _stage_weight(row, p, gamma_x)
 
 
-def _constraints_hold(rows, idx, b, p, gamma_x, v_s, guard, guarded) -> bool:
-    """The exact stage inequalities at Frobenius exponent b (index 0-based)."""
-    row = rows[idx]
+def _constraints_hold(row, idx, b, top_b, p, gamma_x, v_s, guard, guarded) -> bool:
+    """The exact stage inequalities for the stage at index idx (0-based) at
+    Frobenius exponent b >= 0; top_b is the largest b of the earlier stages
+    (None if there are none).
+
+    Growth forces w > 0, so the separation gap p^(b - b_j) * w is smallest
+    against the earlier stage with the largest b_j, and checking that one
+    checks them all.  b may lie below top_b, so the power is an exact
+    Fraction.
+    """
     w = _w(row, gamma_x)
     scale = p ** b
     if not scale * w > idx + 1:
         return False
     if not row.v_eps / scale < v_s - w:
         return False
-    for prev in rows[:idx]:
-        gap = p ** (b - prev.b) * w
-        if not gap > 1 + v_s:
-            return False
-        if guarded and not gap > guard:
-            return False
-    return True
+    if top_b is None:
+        return True
+    gap = Fraction(p) ** (b - top_b) * w
+    return gap > 1 + v_s and (not guarded or gap > guard)
 
 
 # -- formula-level reconstruction ----------------------------------------------
@@ -198,9 +202,12 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
         rows = _rows(doc)
         v_c = as_fraction(doc["v_c"])
         guard = as_fraction(doc["tail_guard"])
-        m_base = int(doc["m_base"])
+        m_base = doc["m_base"]
     except (KeyError, TypeError, ValueError, HahndiskError) as exc:
         rep.fail("plan", f"malformed transcript: {exc}")
+        return rep
+    if not _is_int(m_base):
+        rep.fail("plan", f"base length {m_base!r} is not an integer")
         return rep
     p, gamma_x, v_s = config.p, config.gamma_x, config.v_s
     field = ResidueField(GroundField(p), gamma_x)
@@ -212,18 +219,31 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
               f"tail guard {guard} equals work_prec {config.work_prec}")
     rep.check(1 <= m_base <= len(rows) and m_base == config.stages, "plan",
               f"base length {m_base} consistent with {len(rows)} committed stages")
-    rep.check([r.m for r in rows] == list(range(1, len(rows) + 1)), "plan",
+    rep.check(all(_is_int(r.m) for r in rows)
+              and [r.m for r in rows] == list(range(1, len(rows) + 1)), "plan",
               "stage indices are contiguous from 1")
     rep.check(len({r.omega for r in rows}) == len(rows), "plan",
               "stage exponents are pairwise distinct")
 
+    # the divisibility demand and the largest b of all earlier stages
+    demand, top_b = Fraction(0), None
     for idx, row in enumerate(rows):
-        where = f"stage {row.m}"
+        where = f"stage {idx + 1}"
+        if idx:
+            prev = rows[idx - 1]
+            demand = max(demand, _d_requirement(prev, p, gamma_x, v_c))
+            top_b = prev.b if top_b is None else max(top_b, prev.b)
         ok_member = rep.check(
             is_in_zp(row.omega, p) and is_in_zp(row.v_e, p) and is_in_zp(row.v_eps, p),
             where, "omega, v_e, v_eps lie in Z[1/p]")
-        rep.check(isinstance(row.b, int) and row.b >= 0, where,
-                  "Frobenius exponent is a nonnegative integer")
+        # No p ** b is computed before this check.  A later stage's demand
+        # and separation need this b, so a bad one ends the stage checks.
+        if not rep.check(
+                _is_int(row.m) and row.m >= 1
+                and _is_int(row.b) and 0 <= row.b <= MAX_B_SEARCH, where,
+                f"index {row.m!r} is a positive integer and Frobenius exponent "
+                f"{row.b!r} an integer in [0, {MAX_B_SEARCH}]"):
+            break
         if not ok_member:
             continue
         if row.m <= m_base:
@@ -232,11 +252,8 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
         lo = -row.omega * gamma_x
         rep.check(row.v_e == smallest_zp_point(lo, lo + v_s, p), where,
                   f"v_e = {row.v_e} is the canonical point of ({lo}, {lo + v_s})")
-        want_eps = max(
-            [Fraction(0)] + [_d_requirement(r, p, gamma_x, v_c) for r in rows[:idx]]
-        )
-        rep.check(row.v_eps == want_eps, where,
-                  f"v_eps = {row.v_eps} equals the divisibility demand {want_eps}")
+        rep.check(row.v_eps == demand, where,
+                  f"v_eps = {row.v_eps} equals the divisibility demand {demand}")
         w = _w(row, gamma_x)
         rep.check(0 < w < v_s, where, f"stage weight seed {w} inside (0, {v_s})")
         if row.m == 1:
@@ -244,12 +261,14 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
             continue
         guarded = row.m > m_base
         rep.check(
-            _constraints_hold(rows, idx, row.b, p, gamma_x, v_s, guard, guarded),
+            _constraints_hold(row, idx, row.b, top_b, p, gamma_x, v_s, guard, guarded),
             where, f"growth, window and separation hold at b = {row.b}")
-        minimal = all(
-            not _constraints_hold(rows, idx, bb, p, gamma_x, v_s, guard, guarded)
-            for bb in range(row.b)
-        )
+        # Growth, window and separation each only get easier as b grows once
+        # w > 0 and v_eps >= 0, which this stage checks above.  A failure at
+        # b - 1 is then a failure at every smaller b, so b - 1 alone decides
+        # minimality; where w or v_eps is off, this stage has already failed.
+        minimal = row.b == 0 or not _constraints_hold(
+            row, idx, row.b - 1, top_b, p, gamma_x, v_s, guard, guarded)
         rep.check(minimal, where, f"b = {row.b} is minimal")
 
     if rep.ok:
@@ -299,7 +318,7 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
     field = ResidueField(GroundField(p), config.gamma_x)
     ring = TateRing(GroundField(p), 3)
     try:
-        m = int(doc["m"])
+        m = doc["m"]
         q = as_fraction(doc["q"])
         recorded_pre = ring.parse(doc["preimage"])
         recorded_img = field.parse(doc["image"])
@@ -307,7 +326,8 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
         rep.fail("certificate", f"malformed certificate: {exc}")
         return rep
     where = f"certificate stage {m}"
-    if not rep.check(1 <= m <= len(rows), where, "stage index is committed"):
+    if not rep.check(_is_int(m) and 1 <= m <= len(rows), where,
+                     "stage index is committed"):
         return rep
     row = rows[m - 1]
     rep.check(q == row.omega, where, f"exponent {q} matches stage exponent")
@@ -363,6 +383,7 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
     field = ResidueField(ground, config.gamma_x)
     ring = TateRing(ground, 3)
     by_exponent = {row.omega: idx for idx, row in enumerate(rows)}
+    stage_series = {}  # stage index -> (image, preimage), built on first use
 
     try:
         target_text = doc["target"]
@@ -434,8 +455,11 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
                 rep.fail(where, f"no committed stage for exponent {q}")
                 ok_groups = False
                 break
-            image = _image_series(rows, idx, p, config.gamma_x, v_c, guard, field)
-            preimage = _preimage_series(rows, idx, p, v_c, ring)
+            if idx not in stage_series:
+                stage_series[idx] = (
+                    _image_series(rows, idx, p, config.gamma_x, v_c, guard, field),
+                    _preimage_series(rows, idx, p, v_c, ring))
+            image, preimage = stage_series[idx]
             w0, lexps, lcoeff = image.leading()
             part = TruncatedSeries(field.profile, groups[q], EXACT)
             d = part * (field.monomial(lcoeff, *lexps) * t_m_res).invert()

@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 
 from hahndisk import InstanceConfig
-from hahndisk.builder import build_plan
+from hahndisk.builder import build_plan, ensure_stage
 from hahndisk.series import TruncatedSeries
+
+#: (p, gamma_x, v_s) of the benchmark's four instances.
+INSTANCES = [
+    (3, Fraction(1, 2), Fraction(1, 4)),
+    (5, Fraction(1, 3), Fraction(1, 2)),
+    (7, Fraction(1, 2), Fraction(1, 8)),
+    (3, Fraction(1, 2), Fraction(1, 100)),
+]
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +45,21 @@ def plan(cfg):
 @pytest.fixture
 def plan_fresh(cfg):
     return build_plan(cfg)
+
+
+@pytest.fixture(scope="session")
+def extended_plans():
+    """Read-only plans for every instance of INSTANCES at 12 and 24 stages,
+    each extended by three guarded stages off the enumeration."""
+    plans = []
+    for p, gamma_x, v_s in INSTANCES:
+        for stages in (12, 24):
+            plan = build_plan(InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s, stages=stages))
+            for q in (Fraction(5, p ** 3), Fraction(-101, p ** 2), Fraction(97)):
+                ensure_stage(plan, q)
+            assert len(plan.stages) == stages + 3
+            plans.append(plan)
+    return plans
 
 
 def rand_normalized_target(rng, field, v_s, max_terms=8):

@@ -90,14 +90,22 @@ class TestBuildPlan:
                 for prev in plan.stages[:idx]:
                     assert Fraction(p) ** (st.b - prev.b) * w > 1 + v_s
 
-    def test_minimality_via_oracle(self, cfg, plan):
-        gamma = cfg.gamma_x
-        for idx, st in enumerate(plan.stages):
-            if st.m == 1:
-                continue
-            prior = [s.b for s in plan.stages[:idx]]
-            w = st.v_e + st.omega * gamma
-            assert st.b == minimal_b_oracle(prior, w, st.v_eps, st.m, cfg.v_s)
+    def test_minimality_via_oracle(self, extended_plans):
+        # the builder starts its search above every earlier b and keeps the
+        # demand as a running maximum; the scan from b = 0 against the
+        # demand of every earlier stage must choose the same stages
+        for plan in extended_plans:
+            cfg = plan.config
+            for idx, st in enumerate(plan.stages):
+                prior = plan.stages[:idx]
+                assert st.v_eps == max([F(0)] + [plan.d_requirement(s) for s in prior])
+                if st.m == 1:
+                    continue
+                w = st.v_e + st.omega * cfg.gamma_x
+                guard = plan.tail_guard if st.m > plan.m_base else None
+                assert st.b == minimal_b_oracle(
+                    [s.b for s in prior], w, st.v_eps, st.m, cfg.v_s,
+                    guard=guard, p=cfg.p), (cfg, st.m)
 
     def test_work_prec_floor(self):
         from hahndisk.errors import ConfigError

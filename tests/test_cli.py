@@ -1,12 +1,20 @@
 import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from hahndisk import InstanceConfig
 from hahndisk.cli import main
+from hahndisk.series import render_series
+
+from conftest import rand_normalized_target
 
 GOLDEN = Path(__file__).parent / "golden"
+# Transcripts beside the default build; tests/golden holds exactly the
+# files a default build writes.
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -81,6 +89,30 @@ class TestDivide:
 
     def test_missing_file(self, tmp_path):
         assert run("divide", str(tmp_path / "nope.txt"), "2") == 2
+
+
+class TestRecordedTranscripts:
+    """Certificates and a trace recorded by an earlier version, before the
+    plan verifier, the stage search and the term weights were made
+    incremental; every later version must write them byte for byte."""
+
+    @pytest.mark.parametrize("q,name", [
+        ("-1/3", "adapted_minus1_3.json"),  # stage 9 of the enumeration
+        ("-5/9", "adapted_minus5_9.json"),  # appends stage 13
+    ])
+    def test_adapted(self, q, name, tmp_path, capsys):
+        assert run("adapted", "--out", str(tmp_path), "--", q) == 0
+        path = capsys.readouterr().out.split("\n", 1)[0].removeprefix("certificate: ")
+        assert Path(path).read_bytes() == (DATA / name).read_bytes()
+
+    def test_divide(self, tmp_path, capsys):
+        cfg = InstanceConfig()
+        target = rand_normalized_target(random.Random(11), cfg.residue(), cfg.v_s)
+        (tmp_path / "target.txt").write_text(render_series(target))
+        out = tmp_path / "out"
+        assert run("divide", "--out", str(out), str(tmp_path / "target.txt"), "4") == 0
+        assert ((out / "trace.json").read_bytes()
+                == (DATA / "divide_seed11_steps4.json").read_bytes())
 
 
 class TestClassify:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hahndisk.errors import (
     AmbiguousLeadingError,
@@ -17,6 +17,7 @@ from hahndisk.errors import (
 from hahndisk.series import (
     TruncatedSeries,
     WeightProfile,
+    min_precision,
     parse_series,
     random_series,
     render_series,
@@ -258,13 +259,49 @@ def small_series(draw):
     return TruncatedSeries(RES, terms, prec)
 
 
+def agree_to_precision(a, b):
+    """a and b are equal once both are truncated to the smaller precision."""
+    prec = min_precision(a.precision, b.precision)
+    if prec is None:
+        return a == b
+    return a.truncate(prec) == b.truncate(prec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(f=small_series(), g=small_series(), h=small_series())
+# Cancellation in g + h lifts the precision of f * (g + h): here it is
+# 1 + O(5) while f * g + f * h is 1 + O(14/3).  Both are sound, so
+# distributivity holds only to the smaller precision.
+@example(f=mono(RES, 1, 0, 0, prec=5),
+         g=mono(RES, 2, Fraction(-1, 3), 0) + mono(RES, 1, 0, 0),
+         h=mono(RES, 1, Fraction(-1, 3), 0))
 def test_ring_laws_to_precision(f, g, h):
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
+    assert agree_to_precision(f * (g + h), f * g + f * h)
     assert (f + g) + h == f + (g + h)
+
+
+@st.composite
+def profile_and_exponents(draw):
+    """A ground, residue-field or Tate-ring profile and an exponent vector."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    den = draw(st.sampled_from([2, 4, 11]))
+    gamma_x = Fraction(draw(st.integers(0, 20)) * den + 1, den)
+    weights = draw(st.sampled_from([
+        (1,), (1, gamma_x), (1,) + (0,) * draw(st.integers(1, 4))]))
+    exps = tuple(Fraction(draw(st.integers(-50, 50)), p ** draw(st.integers(0, 3)))
+                 for _ in weights)
+    return WeightProfile(p, weights), exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=profile_and_exponents())
+def test_weight_is_the_full_dot_product(case):
+    profile, exps = case
+    want = sum((w * e for w, e in zip(profile.weights, exps)), Fraction(0))
+    got = profile.weight(exps)
+    assert got == want and isinstance(got, Fraction)
 
 
 @settings(max_examples=60, deadline=None)

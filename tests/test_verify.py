@@ -3,8 +3,10 @@ single tampered field."""
 
 import copy
 import random
+import re
 from fractions import Fraction
 
+from hahndisk import InstanceConfig
 from hahndisk.builder import (
     build_adapted,
     build_plan,
@@ -12,6 +14,7 @@ from hahndisk.builder import (
     plan_summary,
     plan_to_doc,
 )
+from hahndisk.config import MAX_B_SEARCH
 from hahndisk.division import run_division, trace_to_doc
 from hahndisk.verify import verify_certificate, verify_document, verify_plan, verify_trace
 
@@ -22,6 +25,44 @@ F = Fraction
 
 def full_plan_doc(plan, residue, ring3):
     return plan_to_doc(plan, summary=plan_summary(plan, residue, ring3))
+
+
+def scanned_verdicts(doc, start):
+    """{stage m: (the constraints hold at b, no b' < b meets them)} from
+    stage index `start` on: separation against every earlier stage, and
+    minimality by scanning every b'."""
+    cfg = InstanceConfig.from_dict(doc["instance"])
+    p, gamma_x, v_s = cfg.p, cfg.gamma_x, cfg.v_s
+    guard = Fraction(doc["tail_guard"])
+    stages = [(st["m"], st["b"], Fraction(st["v_e"]) + Fraction(st["omega"]) * gamma_x,
+               Fraction(st["v_eps"])) for st in doc["stages"]]
+
+    def hold(idx, b):
+        m, _, w, v_eps = stages[idx]
+        if not (p ** b * w > idx + 1 and v_eps / p ** b < v_s - w):
+            return False
+        for _, b_j, _, _ in stages[:idx]:
+            gap = Fraction(p) ** (b - b_j) * w
+            if not gap > 1 + v_s or (m > doc["m_base"] and not gap > guard):
+                return False
+        return True
+
+    return {m: (hold(idx, b), not any(hold(idx, bb) for bb in range(b)))
+            for idx, (m, b, _, _) in enumerate(stages[start:], start=start)}
+
+
+def reported_verdicts(doc, start):
+    """{stage m: the verifier's verdicts that the constraints hold at b and
+    that b is minimal} from stage index `start` on."""
+    report = verify_plan(doc)
+    verdicts = {}
+    for row in doc["stages"][start:]:
+        (holds, minimal) = [
+            f.ok for f in report.findings if f.where == f"stage {row['m']}" and f.message in (
+                f"growth, window and separation hold at b = {row['b']}",
+                f"b = {row['b']} is minimal")]
+        verdicts[row["m"]] = (holds, minimal)
+    return verdicts
 
 
 class TestPlanVerification:
@@ -38,10 +79,18 @@ class TestPlanVerification:
         mutations = [
             ("stage 5", lambda d: d["stages"][4].__setitem__("b", 10)),
             ("stage 5", lambda d: d["stages"][4].__setitem__("b", 12)),
+            # JSON types int() would coerce to the recorded b = 3 and m = 1
+            ("stage 2", lambda d: d["stages"][1].__setitem__("b", 3.5)),
+            ("stage 2", lambda d: d["stages"][1].__setitem__("b", "3")),
+            ("stage 1", lambda d: d["stages"][0].__setitem__("m", True)),
+            ("stage 3", lambda d: d["stages"][2].__setitem__("m", -5)),
+            ("stage 12", lambda d: d["stages"][11].__setitem__("b", MAX_B_SEARCH + 1)),
             ("stage 7", lambda d: d["stages"][6].__setitem__("v_eps", "2125765")),
             ("stage 1", lambda d: d["stages"][0].__setitem__("v_e", "2/9")),
             ("stage 3", lambda d: d["stages"][2].__setitem__("omega", "5")),
             ("plan", lambda d: d.__setitem__("v_c", "7/9")),
+            ("plan", lambda d: d.__setitem__("m_base", 12.5)),
+            ("plan", lambda d: d.__setitem__("m_base", "12")),
             ("summary", lambda d: d["summary"].__setitem__("alpha_valuation", "2/9")),
         ]
         for where, mutate in mutations:
@@ -51,6 +100,38 @@ class TestPlanVerification:
             assert not report.ok
             assert any(f.where == where for f in report.failures()), (
                 where, report.text())
+
+    def test_constraint_verdicts_match_full_scan(self, extended_plans):
+        # the verifier separates against the largest earlier b only and
+        # decides minimality at b - 1 only
+        for plan in extended_plans:
+            doc = plan_to_doc(plan)
+            verdicts = reported_verdicts(doc, 1)
+            assert verdicts == scanned_verdicts(doc, 1)
+            assert all(holds and minimal for holds, minimal in verdicts.values())
+            # move b at one early, one middle, the last base and the last
+            # appended stage; the stages before it keep the honest verdicts
+            n = len(doc["stages"])
+            for k in sorted({1, n // 2, plan.m_base - 1, n - 1}):
+                b = doc["stages"][k]["b"]
+                for moved in (b - 1, b + 1, 0):
+                    tampered = copy.deepcopy(doc)
+                    tampered["stages"][k]["b"] = moved
+                    assert (reported_verdicts(tampered, k)
+                            == scanned_verdicts(tampered, k)), (plan.config, k, moved)
+
+    def test_negative_or_decreasing_b_stays_exact(self, plan):
+        # b below zero or below the previous stage's b: a located FAIL, and
+        # no message carries float text
+        float_text = re.compile(r"\d\.\d|\d[eE][-+]?\d|\binf\b|\bnan\b")
+        doc = plan_to_doc(plan)
+        for m, b in [(2, -3), (5, -1), (5, 2), (8, 17), (12, 0)]:
+            tampered = copy.deepcopy(doc)
+            tampered["stages"][m - 1]["b"] = b
+            report = verify_plan(tampered)
+            assert any(f.where == f"stage {m}" for f in report.failures()), (m, b)
+            assert not [f.message for f in report.findings
+                        if float_text.search(f.message)], (m, b, report.text())
 
 
 class TestCertificateVerification:
