@@ -37,7 +37,6 @@ from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import (
     AdaptednessFailedError,
     ContractViolationError,
-    FormatError,
     PrecisionExhaustedError,
     StageUnavailableError,
 )
@@ -382,26 +381,6 @@ def certificate_for_exponent(plan: AlphaPlan, q, field: ResidueField, ring: Tate
     return build_adapted(plan, st.m, field, ring)
 
 
-def image_consistency_diff(plan: AlphaPlan, cert: AdaptedCertificate,
-                           field: ResidueField, ring: TateRing) -> TruncatedSeries:
-    """Difference between the generic substitution route and the staged
-    identity route for a certificate, both raised back by p^b.
-
-    Both routes compute the same element at different precisions; any
-    resolved term surviving in the difference is an inconsistency.
-    """
-    st = plan.stages[cert.m - 1]
-    sub = standard_substitution(plan, field, ring)
-    generic = sub.apply(cert.preimage, plan.config.work_prec).frobenius(st.b)
-    tail = field.zero(precision=min(plan.config.work_prec,
-                                    Fraction(len(plan.stages) + 1)))
-    for prev in plan.stages[cert.m - 1:]:
-        t_exp, x_exp = plan.alpha_term_exps(prev)
-        tail = tail + field.monomial(1, t_exp, x_exp)
-    identity_route = field.monomial(1, st.v_eps, 0) * tail
-    return generic - identity_route
-
-
 def kernel_witness(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> dict:
     """The two exact facts separating the kernel from every evaluation ideal.
 
@@ -464,32 +443,6 @@ def plan_summary(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> dict:
         "witness_in_value_group": witness["witness_in_value_group"],
         "relation_maps_to_zero": witness["relation_maps_to_zero"],
     }
-
-
-def plan_from_doc(doc: dict) -> AlphaPlan:
-    if doc.get("kind") != "plan":
-        raise FormatError("not a plan transcript")
-    try:
-        config = InstanceConfig.from_dict(doc["instance"])
-        stages = [
-            PlanStage(
-                m=int(row["m"]),
-                omega=as_fraction(row["omega"]),
-                v_e=as_fraction(row["v_e"]),
-                b=int(row["b"]),
-                v_eps=as_fraction(row["v_eps"]),
-            )
-            for row in doc["stages"]
-        ]
-        return AlphaPlan(
-            config=config,
-            v_c=as_fraction(doc["v_c"]),
-            tail_guard=as_fraction(doc["tail_guard"]),
-            m_base=int(doc["m_base"]),
-            stages=stages,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed plan transcript: {exc}") from exc
 
 
 def certificate_to_doc(plan: AlphaPlan, cert: AdaptedCertificate) -> dict:

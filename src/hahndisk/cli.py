@@ -265,7 +265,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_adapted = sub.add_parser("adapted", parents=[common],
                                help="emit the adapted certificate for an exponent")
-    p_adapted.add_argument("q", help="leading exponent, a rational in Z[1/p]")
+    p_adapted.add_argument("q", help="leading exponent, a rational in Z[1/p]; "
+                                     "put a negative one after --, as in "
+                                     "'hahndisk adapted -- -1/3'")
     p_adapted.set_defaults(fn=cmd_adapted)
 
     p_divide = sub.add_parser("divide", parents=[common],

@@ -67,10 +67,9 @@ def slice_band(beta: TruncatedSeries, m: int, v_s: Fraction) -> TruncatedSeries:
 class DivisionStep:
     m: int
     bound: Fraction          # certified: valuation(beta_m) >= bound
-    beta: TruncatedSeries    # residual entering the step
     band: TruncatedSeries    # the consumed slice of beta_m
     e: TruncatedSeries       # correction added to the approximant
-    a_after: TruncatedSeries
+    a_after: TruncatedSeries  # not serialized: the running sum of every e
     beta_after: TruncatedSeries
 
 
@@ -162,7 +161,6 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
             DivisionStep(
                 m=m,
                 bound=m + v_s,
-                beta=beta_m,
                 band=band,
                 e=e_m,
                 a_after=a_next,
@@ -211,10 +209,13 @@ def target_digest(text: str) -> str:
 
 
 def trace_to_doc(trace: DivisionTrace, normalize_k: int = 0) -> dict:
+    """Trace format 2.  A step records each fact once: the residual entering
+    step m is the previous step's `beta_after` (the target for step 0), and
+    the approximant is the sum of the recorded `e`."""
     target_text = render_series(trace.target)
     return {
         "kind": "trace",
-        "format": 1,
+        "format": 2,
         "plan": plan_to_doc(trace.plan),
         "target": target_text,
         "target_sha256": target_digest(target_text),
@@ -224,10 +225,8 @@ def trace_to_doc(trace: DivisionTrace, normalize_k: int = 0) -> dict:
             {
                 "m": s.m,
                 "bound": str(s.bound),
-                "beta": render_series(s.beta),
                 "band": render_series(s.band),
                 "e": render_series(s.e),
-                "a_after": render_series(s.a_after),
                 "beta_after": render_series(s.beta_after),
             }
             for s in trace.steps

@@ -19,6 +19,7 @@ direction flipped.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -378,7 +379,11 @@ def _clip(f: TruncatedSeries, prec):
 # One term per line, `<coeff> t^<rat> [x1^<rat> ...]`, closed by the
 # precision sentinel `O(<rat>)` (or `O(EXACT)`).  Terms are ordered by
 # (weight, exponent vector) so rendering is deterministic, and
-# parse(render(f)) == f exactly.
+# parse(render(f)) == f exactly.  A coefficient is `-?[0-9]+`, a rational
+# follows `valgroup.RATIONAL_TEXT`.
+
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_VARIABLE_TEXT = re.compile(r"x[0-9]+")
 
 
 def render_series(f: TruncatedSeries) -> str:
@@ -412,10 +417,9 @@ def parse_series(profile: WeightProfile, text: str) -> TruncatedSeries:
         tokens = line.split()
         if len(tokens) < 2:
             raise FormatError(f"malformed term line: {line!r}")
-        try:
-            coeff = int(tokens[0])
-        except ValueError as exc:
-            raise FormatError(f"malformed coefficient in: {line!r}") from exc
+        if not _INTEGER_TEXT.fullmatch(tokens[0]):
+            raise FormatError(f"malformed coefficient in: {line!r}")
+        coeff = int(tokens[0])
         exps = [Fraction(0)] * profile.dim
         for tok in tokens[1:]:
             name, sep, val = tok.partition("^")
@@ -423,7 +427,7 @@ def parse_series(profile: WeightProfile, text: str) -> TruncatedSeries:
                 raise FormatError(f"malformed factor {tok!r} in: {line!r}")
             if name == "t":
                 idx = 0
-            elif name.startswith("x") and name[1:].isdigit():
+            elif _VARIABLE_TEXT.fullmatch(name):
                 idx = int(name[1:])
             else:
                 raise FormatError(f"unknown variable {name!r} in: {line!r}")

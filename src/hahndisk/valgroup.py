@@ -9,12 +9,19 @@ exact integer comparison after cross-multiplication.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import ConfigError, FormatError
 
 #: Precision sentinel: a series with precision EXACT is known completely.
 EXACT = None
+
+
+#: The one text form of a rational: ASCII digits, an optional leading minus
+#: and an optional denominator.  `Fraction` alone would also take `1e6`,
+#: `0.5`, `1_000` and `+2/3`, and e-notation builds 10^k before any bound.
+RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(value) -> Fraction:
@@ -25,10 +32,10 @@ def as_fraction(value) -> Fraction:
         raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and RATIONAL_TEXT.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise FormatError(f"not a rational: {value!r}") from exc
     raise FormatError(f"not a rational: {value!r}")
 

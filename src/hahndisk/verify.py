@@ -64,6 +64,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _format_is(doc: dict, want: int, rep: Report, where: str) -> bool:
+    """The document's `format` is the JSON integer `want`: a document of
+    another format may carry fields this checker would leave unread."""
+    got = doc.get("format")
+    return rep.check(_is_int(got) and got == want, where,
+                     f"format {got!r} is {want}")
+
+
+#: The fields of a format-2 trace step, each checked against the replay.
+_STEP_FIELDS = frozenset({"m", "bound", "band", "e", "beta_after"})
+
+
 @dataclass
 class _Row:
     m: int  # as recorded: verify_plan checks m and b are JSON integers
@@ -197,6 +209,8 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
     if not isinstance(doc, dict) or doc.get("kind") != "plan":
         rep.fail("plan", "document kind is not 'plan'")
         return rep
+    if not _format_is(doc, 1, rep, "plan"):
+        return rep
     try:
         config = InstanceConfig.from_dict(doc["instance"])
         rows = _rows(doc)
@@ -307,6 +321,8 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
     if doc.get("kind") != "certificate":
         rep.fail("certificate", "document kind is not 'certificate'")
         return rep
+    if not _format_is(doc, 1, rep, "certificate"):
+        return rep
     verify_plan(doc.get("plan", {}), rep)
     if not rep.ok:
         return rep
@@ -320,6 +336,7 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
     try:
         m = doc["m"]
         q = as_fraction(doc["q"])
+        v_s = as_fraction(doc["v_s"])
         recorded_pre = ring.parse(doc["preimage"])
         recorded_img = field.parse(doc["image"])
     except (KeyError, TypeError, ValueError, HahndiskError) as exc:
@@ -331,7 +348,7 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
         return rep
     row = rows[m - 1]
     rep.check(q == row.omega, where, f"exponent {q} matches stage exponent")
-    rep.check(as_fraction(doc["v_s"]) == config.v_s, where, "v_s matches the instance")
+    rep.check(v_s == config.v_s, where, "v_s matches the instance")
     image = _image_series(rows, m - 1, p, config.gamma_x, v_c, guard, field)
     preimage = _preimage_series(rows, m - 1, p, v_c, ring)
     rep.check(recorded_img == image, where,
@@ -341,17 +358,20 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
     rep.check(all(exps[0] >= 0 for exps in preimage.terms), where,
               "preimage lies in the unit-ball subring")
     _adapted_facts(image, row, config.v_s, rep, where)
-    lead = doc.get("leading", {})
+    lead = doc.get("leading")
     got = image.leading()
     if got is not None:
         w0, exps, coeff = got
         rep.check(
-            lead.get("t_exp") == str(exps[0])
+            isinstance(lead, dict)
+            and lead.get("t_exp") == str(exps[0])
             and lead.get("x_exp") == str(exps[1])
             and lead.get("coeff") == coeff,
             where, "recorded leading monomial matches")
-    rep.check(all(c.get("ok") is True for c in doc.get("checks", [])), where,
-              "recorded checks all passed")
+    checks = doc.get("checks")
+    rep.check(isinstance(checks, list)
+              and all(isinstance(c, dict) and c.get("ok") is True for c in checks),
+              where, "recorded checks all passed")
     return rep
 
 
@@ -368,6 +388,8 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
     rep = report if report is not None else Report()
     if doc.get("kind") != "trace":
         rep.fail("trace", "document kind is not 'trace'")
+        return rep
+    if not _format_is(doc, 2, rep, "trace"):
         return rep
     verify_plan(doc.get("plan", {}), rep)
     if not rep.ok:
@@ -418,21 +440,20 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
         if not rep.check(_is_int(rec.get("m")) and rec["m"] == m, where,
                          f"recorded index {rec.get('m')!r} is the position {m}"):
             return rep
+        if not rep.check(rec.keys() == _STEP_FIELDS, where,
+                         f"step fields {sorted(rec)} are {sorted(_STEP_FIELDS)}"):
+            return rep
         try:
             bound = as_fraction(rec["bound"])
-            rec_beta = field.parse(rec["beta"])
             rec_band = field.parse(rec["band"])
             rec_e = ring.parse(rec["e"])
-            rec_a = ring.parse(rec["a_after"])
             rec_next = field.parse(rec["beta_after"])
-        except (KeyError, HahndiskError) as exc:
+        except HahndiskError as exc:
             rep.fail(where, f"malformed step record: {exc}")
             return rep
         if not rep.check(bound == m + v_s, where, "recorded bound is the band floor"):
             return rep
-        if not rep.check(rec_beta == beta, where,
-                         "recorded residual matches the replayed chain"):
-            return rep
+        # beta is replayed from the target, never read from the record
         val = beta.val_lower()
         rep.check(val is None or val >= m + v_s, where,
                   f"residual valuation {val} >= {m + v_s}")
@@ -478,10 +499,8 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
         if not ok_groups:
             return rep
         beta_next = beta - f_e
-        a_next = a + e_m
         if not rep.check(rec_e == e_m, where, "recorded correction matches"):
             return rep
-        rep.check(rec_a == a_next, where, "recorded approximant matches")
         rep.check(rec_next == beta_next, where, "recorded next residual matches")
         gap = e_m.val_lower()
         rep.check(gap is None or gap >= m, where,
@@ -489,7 +508,7 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
         val_next = beta_next.val_lower()
         rep.check(val_next is None or val_next >= m + 1 + v_s, where,
                   f"contracted residual valuation {val_next} >= {m + 1 + v_s}")
-        beta, a = beta_next, a_next
+        beta, a = beta_next, a + e_m
 
     final = doc.get("final")
     if not isinstance(final, dict):

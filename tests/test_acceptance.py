@@ -253,9 +253,9 @@ def test_criterion_7_determinism_and_verification(cfg, residue, ring3, tmp_path)
             if choice == 0:
                 doc["steps"][k]["bound"] = "1/8"
             elif choice == 1:
-                text = doc["steps"][k]["beta"]
+                text = doc["steps"][k]["beta_after"]
                 # inject a low-weight term that survives the precision filter
-                doc["steps"][k]["beta"] = text.replace("O(", "1 t^-20\nO(", 1)
+                doc["steps"][k]["beta_after"] = text.replace("O(", "1 t^-20\nO(", 1)
             else:
                 doc["steps"][k]["e"] = "1 t^0\nO(EXACT)\n"
                 return f"step {k}", verify_trace

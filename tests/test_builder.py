@@ -17,10 +17,9 @@ from hahndisk.builder import (
     build_plan,
     certificate_for_exponent,
     ensure_stage,
-    image_consistency_diff,
     kernel_witness,
-    plan_from_doc,
     plan_to_doc,
+    standard_substitution,
 )
 from hahndisk.errors import PrecisionExhaustedError, StageUnavailableError
 from hahndisk.tate import is_integral
@@ -128,11 +127,6 @@ class TestBuildPlan:
         again = build_plan(cfg)
         assert plan_to_doc(again) == plan_to_doc(plan)
 
-    def test_doc_round_trip(self, plan):
-        doc = plan_to_doc(plan)
-        back = plan_from_doc(doc)
-        assert plan_to_doc(back) == doc
-
 
 class TestAssembleAlpha:
     def test_single_stage_is_one_monomial(self):
@@ -188,11 +182,13 @@ class TestAdaptedCertificates:
             for prev in plan.stages[:idx]:
                 assert st.v_eps + plan.stage_weight(prev) >= plan.weight_fw(prev)
 
-    def test_image_consistency_with_substitution_route(self, plan, residue, ring3):
+    def test_image_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
+        # the generic route evaluates the preimage through the map; the
+        # recorded image must agree on every term both sides resolve
+        sub = standard_substitution(plan, residue, ring3)
         for m in range(1, len(plan.stages) + 1):
             cert = build_adapted(plan, m, residue, ring3)
-            diff = image_consistency_diff(plan, cert, residue, ring3)
-            assert not diff.terms
+            assert not (sub.apply(cert.preimage, cfg.work_prec) - cert.image).terms
 
     def test_image_precision_covers_division_depth(self, cfg, plan, residue, ring3):
         for m in range(1, len(plan.stages) + 1):

@@ -41,6 +41,10 @@ class TestBuild:
     def test_invalid_gamma_is_usage_error(self, tmp_path):
         assert run("build", "--gamma-x", "1/3", "--out", str(tmp_path)) == 2
 
+    def test_decimal_gamma_is_usage_error(self, tmp_path):
+        # rationals are written num/den; 0.5 is not read as 1/2
+        assert run("build", "--gamma-x", "0.5", "--out", str(tmp_path)) == 2
+
     def test_minimal_instance(self, tmp_path, capsys):
         assert run("build", "--stages", "1", "--out", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "plan.json").read_text())
@@ -92,9 +96,10 @@ class TestDivide:
 
 
 class TestRecordedTranscripts:
-    """Certificates and a trace recorded by an earlier version, before the
-    plan verifier, the stage search and the term weights were made
-    incremental; every later version must write them byte for byte."""
+    """Certificates recorded by an earlier version, before the plan
+    verifier, the stage search and the term weights were made incremental,
+    and a trace recorded when traces moved to format 2; every later version
+    must write them byte for byte."""
 
     @pytest.mark.parametrize("q,name", [
         ("-1/3", "adapted_minus1_3.json"),  # stage 9 of the enumeration
@@ -176,8 +181,10 @@ class TestVerifyMalformedTrace:
         ("final", lambda d: d.__setitem__("final", ["residual"])),
         ("trace", lambda d: d.__setitem__("steps_requested", 99)),
         ("trace", lambda d: d.__setitem__("normalize_k", -5)),
+        ("trace", lambda d: d.__setitem__("format", 1)),
+        ("step 1", lambda d: d["steps"][1].__setitem__("a_after", "O(EXACT)\n")),
     ], ids=["missing-m", "string-m", "float-m", "steps-not-list", "final-not-object",
-            "steps-requested", "negative-normalize-k"])
+            "steps-requested", "negative-normalize-k", "format-1", "extra-a-after"])
     def test_located_failure(self, where, mutate, trace_doc, tmp_path, capsys):
         doc = copy.deepcopy(trace_doc)
         mutate(doc)

@@ -6,11 +6,10 @@ import pytest
 
 from hahndisk import InstanceConfig, division
 from hahndisk.builder import (
+    AlphaPlan,
     assemble_alpha,
     build_adapted,
     build_plan,
-    plan_from_doc,
-    plan_to_doc,
     standard_substitution,
 )
 from hahndisk.division import (
@@ -162,8 +161,11 @@ class TestTraceSerialization:
         trace = run_division(plan_fresh, residue, ring3, beta, 2)
         doc = trace_to_doc(trace, normalize_k=0)
         assert doc["kind"] == "trace"
+        assert doc["format"] == 2
         assert doc["steps_requested"] == 2
         assert len(doc["steps"]) == 2
+        for step in doc["steps"]:
+            assert set(step) == {"m", "bound", "band", "e", "beta_after"}
         assert doc["plan"]["kind"] == "plan"
         assert set(doc["final"]) == {"bound", "residual", "val_lower"}
 
@@ -257,7 +259,9 @@ class TestConsistencyCheck:
         trace = run_division(plan_fresh, residue, ring3, beta, 4)
         cached = standard_substitution(plan_fresh, residue, ring3)
         assert standard_substitution(plan_fresh, residue, ring3) is cached
-        twin = plan_from_doc(plan_to_doc(plan_fresh))
+        twin = AlphaPlan(config=plan_fresh.config, v_c=plan_fresh.v_c,
+                         tail_guard=plan_fresh.tail_guard, m_base=plan_fresh.m_base,
+                         stages=list(plan_fresh.stages))
         fresh = standard_substitution(twin, residue, ring3)
         assert fresh is not cached
         x1, x3 = ring3.var(1), ring3.var(3)

@@ -335,6 +335,18 @@ class TestTextFormat:
             with pytest.raises(FormatError):
                 parse_series(RES, bad)
 
+    def test_rejects_non_canonical_numbers(self):
+        from hahndisk.errors import FormatError
+
+        # rationals follow -?[0-9]+(/[0-9]+)? and coefficients -?[0-9]+;
+        # small exponents only, since e-notation builds 10^k first
+        for bad in ["1 t^1e3\nO(EXACT)", "O(1e3)", "1 t^0.5\nO(EXACT)",
+                    "1 t^1_0\nO(EXACT)", "1 t^+2/3\nO(EXACT)", "1 t^٣\nO(EXACT)",
+                    "+1 t^1\nO(EXACT)", "1_0 t^1\nO(EXACT)", "١ t^1\nO(EXACT)",
+                    "1 t^0 x²^1\nO(EXACT)", "1 t^0 x1^1/0\nO(EXACT)"]:
+            with pytest.raises(FormatError):
+                parse_series(RES, bad)
+
 
 def test_exponents_must_be_padic():
     with pytest.raises(ExponentError):

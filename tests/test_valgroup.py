@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hahndisk.errors import ConfigError
+from hahndisk.errors import ConfigError, FormatError
 from hahndisk.valgroup import (
+    as_fraction,
     is_in_zp,
     is_prime,
     omega,
@@ -112,6 +113,25 @@ class TestSmallestZpPoint:
     def test_empty_interval_rejected(self):
         with pytest.raises(ConfigError):
             smallest_zp_point(Fraction(1), Fraction(1), 3)
+
+
+class TestAsFraction:
+    def test_accepts_the_one_text_form(self):
+        for text, want in [("0", 0), ("-7", -7), ("2/3", Fraction(2, 3)),
+                           ("-1/3", Fraction(-1, 3)), ("12/4", 3)]:
+            assert as_fraction(text) == want
+
+    def test_rejects_every_other_spelling(self):
+        # small exponents only: e-notation would build 10^k first
+        for bad in ["1e3", "1E3", "0.5", ".5", "1_000", "+2/3", " 1/2", "1/2 ",
+                    "1/2\n", "٣", "1/-2", "1//2", "1/0", "", "-", "/3", "inf", "nan"]:
+            with pytest.raises(FormatError):
+                as_fraction(bad)
+
+    def test_rejects_non_rational_json_values(self):
+        for bad in [True, 0.5, None, [1], {"num": 1}]:
+            with pytest.raises(FormatError):
+                as_fraction(bad)
 
 
 def test_is_prime_small():

@@ -91,6 +91,12 @@ class TestPlanVerification:
             ("plan", lambda d: d.__setitem__("v_c", "7/9")),
             ("plan", lambda d: d.__setitem__("m_base", 12.5)),
             ("plan", lambda d: d.__setitem__("m_base", "12")),
+            ("plan", lambda d: d.__setitem__("format", "banana")),
+            ("plan", lambda d: d.__setitem__("format", 2)),
+            ("plan", lambda d: d.__setitem__("format", True)),
+            ("plan", lambda d: d.pop("format")),
+            # e-notation is not rational text
+            ("plan", lambda d: d["stages"][2].__setitem__("omega", "1e3")),
             ("summary", lambda d: d["summary"].__setitem__("alpha_valuation", "2/9")),
         ]
         for where, mutate in mutations:
@@ -156,6 +162,25 @@ class TestCertificateVerification:
         report = verify_certificate(doc)
         assert not report.ok
 
+    def test_malformed_fields_are_located(self, plan, residue, ring3):
+        # a located FAIL, never a KeyError or AttributeError
+        cert = build_adapted(plan, 2, residue, ring3)
+        for where, mutate in [
+            ("certificate", lambda d: d.__setitem__("format", "banana")),
+            ("certificate", lambda d: d.__setitem__("format", 2)),
+            ("plan", lambda d: d["plan"].__setitem__("format", "banana")),
+            ("certificate", lambda d: d.pop("v_s")),
+            ("certificate", lambda d: d.__setitem__("v_s", "1e3")),
+            ("certificate stage 2", lambda d: d.__setitem__("leading", [1])),
+            ("certificate stage 2", lambda d: d.__setitem__("checks", "ok")),
+            ("certificate stage 2", lambda d: d.__setitem__("checks", [1])),
+            ("certificate stage 2", lambda d: d.pop("checks")),
+        ]:
+            doc = certificate_to_doc(plan, cert)
+            mutate(doc)
+            report = verify_certificate(doc)
+            assert [f.where for f in report.failures()] == [where], report.text()
+
 
 class TestTraceVerification:
     def make_trace_doc(self, cfg, residue, ring3, seed=29, steps=5):
@@ -185,13 +210,19 @@ class TestTraceVerification:
 
         mutations = [
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "beta", bump_coeff(d["steps"][step]["beta"]))),
+                "beta_after", bump_coeff(d["steps"][step]["beta_after"]))),
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "e", bump_coeff(d["steps"][step]["e"]))),
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "bound", "1/8")),
             ("final", lambda d: d["final"].__setitem__("val_lower", "99")),
             ("trace", lambda d: d.__setitem__("target_sha256", "0" * 64)),
+            # format 2 only: no other format, no extra or missing step field
+            ("trace", lambda d: d.__setitem__("format", 1)),
+            ("trace", lambda d: d.__setitem__("format", "2")),
+            (f"step {step}", lambda d: d["steps"][step].__setitem__(
+                "a_after", d["steps"][step]["e"])),
+            (f"step {step}", lambda d: d["steps"][step].pop("band")),
         ]
         for where, mutate in mutations:
             tampered = copy.deepcopy(doc)
