@@ -430,9 +430,13 @@ def plan_to_doc(plan: AlphaPlan, summary: dict | None = None) -> dict:
 
 def plan_summary(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> dict:
     """Verification summary for a transcript: certificate count plus the
-    kernel witness facts, all recomputed exactly."""
-    for m in range(1, len(plan.stages) + 1):
-        build_adapted(plan, m, field, ring)
+    kernel witness facts, the latter recomputed exactly.
+
+    No certificate is built here.  The count is of the stages whose three
+    adapted facts the independent `verify_plan` checks in closed form: it
+    ran on the fresh plan inside `build_plan`, and it runs again on every
+    document that carries this summary.
+    """
     alpha = assemble_alpha(plan, field)
     witness = kernel_witness(plan, field, ring)
     return {

@@ -20,6 +20,11 @@ CONFIG_ENV = "HAHNDISK_CONFIG"
 #: rejects a larger recorded exponent before computing any p ** b.
 MAX_B_SEARCH = 4000
 
+#: Ceiling for the prime p, checked before the trial-division primality
+#: test, whose cost grows with the square root of p (about a thousand
+#: divisions at this ceiling).
+MAX_P = 10 ** 6
+
 
 @dataclass(frozen=True)
 class InstanceConfig:
@@ -39,7 +44,9 @@ class InstanceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p) or self.p == 2:
+        if not isinstance(self.p, int) or not 2 < self.p <= MAX_P:
+            raise ConfigError(f"p must be an odd prime at most {MAX_P}, got {self.p!r}")
+        if not is_prime(self.p):
             raise ConfigError(f"p must be an odd prime, got {self.p!r}")
         object.__setattr__(self, "gamma_x", as_fraction(self.gamma_x))
         object.__setattr__(self, "v_s", as_fraction(self.v_s))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import HahndiskError
@@ -143,7 +144,7 @@ def _constraints_hold(row, idx, b, top_b, p, gamma_x, v_s, guard, guarded) -> bo
 # -- formula-level reconstruction ----------------------------------------------
 
 
-def _image_series(rows, idx, p, gamma_x, v_c, guard, field: ResidueField) -> TruncatedSeries:
+def _image_series(rows, idx, p, guard, field: ResidueField) -> TruncatedSeries:
     """The certificate image of stage idx+1, straight from the transcript:
     scaled committed stage terms from this stage on, bounded below by the
     tail guard for everything not committed."""
@@ -186,19 +187,59 @@ def _alpha_series(rows, p, work_prec, field: ResidueField) -> TruncatedSeries:
     return TruncatedSeries(field.profile, terms, prec)
 
 
-def _adapted_facts(image: TruncatedSeries, row: _Row, v_s: Fraction, rep: Report, where: str):
+def _fact_records(w0, x_exp, res_val, row: _Row, v_s: Fraction, rep: Report,
+                  where: str) -> list:
+    """Report the three adapted facts of a stage image, given its leading
+    weight and x-exponent and the valuation of the rest, and return them as
+    the check records a certificate carries."""
+    records = [
+        ("value_window", w0, "in [0, v_s)", v_s, 0 <= w0 < v_s,
+         f"leading value {w0} inside [0, {v_s})"),
+        ("leading_exponent", x_exp, "==", row.omega, x_exp == row.omega,
+         f"leading exponent {x_exp} matches stage exponent {row.omega}"),
+        ("tail_gap", "EXACT" if res_val is None else res_val, ">", 1 + v_s,
+         res_val is None or res_val > 1 + v_s,
+         f"residual valuation {res_val} beyond {1 + v_s}"),
+    ]
+    for _, _, _, _, ok, message in records:
+        rep.check(ok, where, message)
+    return [{"name": name, "lhs": str(lhs), "op": op, "rhs": str(rhs), "ok": ok}
+            for name, lhs, op, rhs, ok, _ in records]
+
+
+def _adapted_facts(image: TruncatedSeries, row: _Row, v_s: Fraction, rep: Report,
+                   where: str):
+    """The adapted facts read off a built image: its check records, or None
+    when it has no leading term."""
     lead = image.leading()
     if lead is None:
         rep.fail(where, "image has no resolved leading term")
-        return
+        return None
     w0, exps, coeff = lead
-    rep.check(0 <= w0 < v_s, where, f"leading value {w0} inside [0, {v_s})")
-    rep.check(exps[1] == row.omega, where,
-              f"leading exponent {exps[1]} matches stage exponent {row.omega}")
     residual = image - TruncatedSeries.monomial(image.profile, coeff, exps)
-    res_val = residual.val_lower()
-    rep.check(res_val is None or res_val > 1 + v_s, where,
-              f"residual valuation {res_val} beyond {1 + v_s}")
+    return _fact_records(w0, exps[1], residual.val_lower(), row, v_s, rep, where)
+
+
+def _image_facts_closed_form(rows, p, v_s, guard, field: ResidueField, rep: Report):
+    """The adapted facts of every stage image without building the images.
+
+    Image term l >= idx of stage idx weighs v_eps/p^b + p^(b_l - b) * w_l.
+    Separation puts every l > idx past 1 + v_s > w, so the stage's own
+    term leads and no two terms share a key; the rest of the image then
+    has valuation v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
+    Only call this once the stage checks, separation included, all hold.
+    """
+    # one pass from the last stage: min over l > idx of p^(b_l) * w_l
+    later = [_stage_weight(row, p, field.gamma_x) for row in reversed(rows[1:])]
+    later_min = list(accumulate(later, min))[::-1] + [None]
+    for row, low in zip(rows, later_min):
+        # the stage's own term, by the formulas of _image_series
+        scale = p ** row.b
+        t_exp = (row.v_eps + scale * row.v_e) / scale
+        x_exp = Fraction(row.omega * scale, scale)
+        rest = guard if low is None else min(guard, low / scale)
+        _fact_records(field.profile.weight((t_exp, x_exp)), x_exp,
+                      row.v_eps / scale + rest, row, v_s, rep, f"stage {row.m} image")
 
 
 # -- plan verification ----------------------------------------------------------
@@ -225,19 +266,23 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
         return rep
     p, gamma_x, v_s = config.p, config.gamma_x, config.v_s
     field = ResidueField(GroundField(p), gamma_x)
-    ring = TateRing(GroundField(p), 3)
 
     rep.check(v_c == smallest_zp_point(gamma_x, gamma_x + v_s, p), "plan",
               f"v_c = {v_c} is the canonical point of ({gamma_x}, {gamma_x + v_s})")
     rep.check(guard == config.work_prec, "plan",
               f"tail guard {guard} equals work_prec {config.work_prec}")
-    rep.check(1 <= m_base <= len(rows) and m_base == config.stages, "plan",
+    base_in_range = 1 <= m_base <= len(rows)
+    rep.check(base_in_range and m_base == config.stages, "plan",
               f"base length {m_base} consistent with {len(rows)} committed stages")
     rep.check(all(_is_int(r.m) for r in rows)
               and [r.m for r in rows] == list(range(1, len(rows) + 1)), "plan",
               "stage indices are contiguous from 1")
     rep.check(len({r.omega for r in rows}) == len(rows), "plan",
               "stage exponents are pairwise distinct")
+    # omega(m) computes the enumeration up to m: m_base within the stages
+    # here, and each m at its position below, keep every index in range
+    if not base_in_range:
+        return rep
 
     # the divisibility demand and the largest b of all earlier stages
     demand, top_b = Fraction(0), None
@@ -250,11 +295,14 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
         ok_member = rep.check(
             is_in_zp(row.omega, p) and is_in_zp(row.v_e, p) and is_in_zp(row.v_eps, p),
             where, "omega, v_e, v_eps lie in Z[1/p]")
-        # No p ** b is computed before this check.  A later stage's demand
-        # and separation need this b, so a bad one ends the stage checks.
+        # No omega(m) and no p ** b is computed before these two checks.  A
+        # later stage's demand and separation need this m and b, so a bad one
+        # ends the stage checks.
+        if not (_is_int(row.m) and row.m == idx + 1):
+            rep.fail(where, f"index {row.m!r} is the stage position {idx + 1}")
+            break
         if not rep.check(
-                _is_int(row.m) and row.m >= 1
-                and _is_int(row.b) and 0 <= row.b <= MAX_B_SEARCH, where,
+                _is_int(row.b) and 0 <= row.b <= MAX_B_SEARCH, where,
                 f"index {row.m!r} is a positive integer and Frobenius exponent "
                 f"{row.b!r} an integer in [0, {MAX_B_SEARCH}]"):
             break
@@ -286,9 +334,7 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
         rep.check(minimal, where, f"b = {row.b} is minimal")
 
     if rep.ok:
-        for idx, row in enumerate(rows):
-            image = _image_series(rows, idx, p, gamma_x, v_c, guard, field)
-            _adapted_facts(image, row, v_s, rep, f"stage {row.m} image")
+        _image_facts_closed_form(rows, p, v_s, guard, field, rep)
 
     summary = doc.get("summary")
     if summary is not None and rep.ok:
@@ -349,7 +395,7 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
     row = rows[m - 1]
     rep.check(q == row.omega, where, f"exponent {q} matches stage exponent")
     rep.check(v_s == config.v_s, where, "v_s matches the instance")
-    image = _image_series(rows, m - 1, p, config.gamma_x, v_c, guard, field)
+    image = _image_series(rows, m - 1, p, guard, field)
     preimage = _preimage_series(rows, m - 1, p, v_c, ring)
     rep.check(recorded_img == image, where,
               "recorded image equals the transcript-derived image")
@@ -357,7 +403,7 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
               "recorded preimage equals the transcript-derived preimage")
     rep.check(all(exps[0] >= 0 for exps in preimage.terms), where,
               "preimage lies in the unit-ball subring")
-    _adapted_facts(image, row, config.v_s, rep, where)
+    expected = _adapted_facts(image, row, config.v_s, rep, where)
     lead = doc.get("leading")
     got = image.leading()
     if got is not None:
@@ -366,11 +412,12 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
             isinstance(lead, dict)
             and lead.get("t_exp") == str(exps[0])
             and lead.get("x_exp") == str(exps[1])
-            and lead.get("coeff") == coeff,
+            and _is_int(lead.get("coeff")) and lead.get("coeff") == coeff,
             where, "recorded leading monomial matches")
+    # every recorded field is compared; `is True` because 1 == True
     checks = doc.get("checks")
-    rep.check(isinstance(checks, list)
-              and all(isinstance(c, dict) and c.get("ok") is True for c in checks),
+    rep.check(expected is not None and checks == expected
+              and all(c["ok"] is True for c in checks),
               where, "recorded checks all passed")
     return rep
 
@@ -478,7 +525,7 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
                 break
             if idx not in stage_series:
                 stage_series[idx] = (
-                    _image_series(rows, idx, p, config.gamma_x, v_c, guard, field),
+                    _image_series(rows, idx, p, guard, field),
                     _preimage_series(rows, idx, p, v_c, ring))
             image, preimage = stage_series[idx]
             w0, lexps, lcoeff = image.leading()

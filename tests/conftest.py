@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import hahndisk.config
 from hahndisk import InstanceConfig
 from hahndisk.builder import build_plan, ensure_stage
 from hahndisk.series import TruncatedSeries
@@ -60,6 +61,18 @@ def extended_plans():
             assert len(plan.stages) == stages + 3
             plans.append(plan)
     return plans
+
+
+@pytest.fixture
+def primality_capped(monkeypatch):
+    """Make config.is_prime fail the test when asked about a p above MAX_P."""
+    real_is_prime = hahndisk.config.is_prime
+
+    def capped_is_prime(n):
+        assert n <= hahndisk.config.MAX_P, f"primality test run on {n}"
+        return real_is_prime(n)
+
+    monkeypatch.setattr(hahndisk.config, "is_prime", capped_is_prime)
 
 
 def rand_normalized_target(rng, field, v_s, max_terms=8):

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+from hahndisk import InstanceConfig
 from hahndisk.errors import AmbiguousLeadingError
 from hahndisk.builder import (
     build_adapted,
@@ -29,7 +30,7 @@ from hahndisk.series import TruncatedSeries, random_series
 from hahndisk.tate import TateRing, disk_seminorm, type_ii_lower_bound
 from hahndisk.verify import verify_plan, verify_trace
 
-from conftest import rand_normalized_target
+from conftest import INSTANCES, rand_normalized_target
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,23 +127,27 @@ def test_criterion_2_frobenius_perfectness(cfg, residue):
             assert (f + g).frobenius(1) == f.frobenius(1) + g.frobenius(1)
 
 
-def test_criterion_3_counterexample_construction(cfg, residue, ring3):
+def test_criterion_3_counterexample_construction(cfg):
     with criterion(3, "12-stage construction with verified certificates", 60):
         assert (cfg.p, cfg.gamma_x, cfg.v_s, cfg.stages, cfg.work_prec) == (
             3, F(1, 2), F(1, 4), 12, F(26))
-        plan = build_plan(cfg)
-        report = verify_plan(plan_to_doc(plan, summary=plan_summary(plan, residue, ring3)))
-        assert report.ok, report.text()
-        for m in range(1, 13):
-            cert = build_adapted(plan, m, residue, ring3)
-            assert cert.ok
-            lead_w = residue.profile.weight(cert.leading_exps)
-            assert 0 <= lead_w < cfg.v_s
-            assert cert.leading_exps[1] == plan.stages[m - 1].omega
-            residual = cert.image - residue.monomial(
-                cert.leading_coeff, *cert.leading_exps)
-            rv = residual.val_lower()
-            assert rv is None or rv > 1 + cfg.v_s
+        for p, gamma_x, v_s in INSTANCES:
+            inst = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
+            residue, ring3 = inst.residue(), inst.tate(3)
+            plan = build_plan(inst)
+            report = verify_plan(
+                plan_to_doc(plan, summary=plan_summary(plan, residue, ring3)))
+            assert report.ok, report.text()
+            for m in range(1, 13):
+                cert = build_adapted(plan, m, residue, ring3)
+                assert cert.ok
+                lead_w = residue.profile.weight(cert.leading_exps)
+                assert 0 <= lead_w < v_s
+                assert cert.leading_exps[1] == plan.stages[m - 1].omega
+                residual = cert.image - residue.monomial(
+                    cert.leading_coeff, *cert.leading_exps)
+                rv = residual.val_lower()
+                assert rv is None or rv > 1 + v_s
 
 
 def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
@@ -219,61 +224,71 @@ def test_criterion_6_type_ii_lower_bound(cfg, ground):
                 assert disk_seminorm(f, (rho,)) <= bound
 
 
-def test_criterion_7_determinism_and_verification(cfg, residue, ring3, tmp_path):
+def test_criterion_7_determinism_and_verification(tmp_path):
     with criterion(7, "byte-identical builds; 10 located mutation failures", 30):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli_main(["build", "--out", str(out_a)]) == 0
-        assert cli_main(["build", "--out", str(out_b)]) == 0
-        for name in ("plan.json", "alpha.txt"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for p, gamma_x, v_s in INSTANCES:
+            check_determinism_and_mutations(
+                InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s), tmp_path / f"{p}-{v_s}")
+
+
+def check_determinism_and_mutations(cfg, out):
+    flags = ["--p", str(cfg.p), "--gamma-x", str(cfg.gamma_x), "--v-s", str(cfg.v_s)]
+    out_a, out_b = out / "a", out / "b"
+    assert cli_main(["build", "--out", str(out_a)] + flags) == 0
+    assert cli_main(["build", "--out", str(out_b)] + flags) == 0
+    for name in ("plan.json", "alpha.txt"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        if cfg == InstanceConfig():
             assert (out_a / name).read_bytes() == (GOLDEN / name).read_bytes()
-        assert cli_main(["verify", str(GOLDEN / "plan.json")]) == 0
+    assert cli_main(["verify", str(out_a / "plan.json")]) == 0
 
-        plan_doc = json.loads((GOLDEN / "plan.json").read_text())
-        plan = build_plan(cfg)
-        rng = random.Random(cfg.seed + 7)
-        beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace_doc = trace_to_doc(run_division(plan, residue, ring3, beta, 5))
-        assert verify_trace(trace_doc).ok
+    residue, ring3 = cfg.residue(), cfg.tate(3)
+    plan_doc = json.loads((out_a / "plan.json").read_text())
+    plan = build_plan(cfg)
+    rng = random.Random(cfg.seed + 7)
+    beta = rand_normalized_target(rng, residue, cfg.v_s)
+    trace_doc = trace_to_doc(run_division(plan, residue, ring3, beta, 5))
+    assert verify_trace(trace_doc).ok
 
-        def plan_mut(doc, rng):
-            i = rng.randint(1, 11)
-            field_name, value = rng.choice([
-                ("b", doc["stages"][i]["b"] - 1),
-                ("b", doc["stages"][i]["b"] + 1),
-                ("v_eps", str(Fraction(doc["stages"][i]["v_eps"]) + 1)),
-                ("v_e", str(Fraction(doc["stages"][i]["v_e"]) + 1)),
-            ])
-            doc["stages"][i][field_name] = value
-            return f"stage {i + 1}", verify_plan
+    def plan_mut(doc, rng):
+        i = rng.randint(1, 11)
+        field_name, value = rng.choice([
+            ("b", doc["stages"][i]["b"] - 1),
+            ("b", doc["stages"][i]["b"] + 1),
+            ("v_eps", str(Fraction(doc["stages"][i]["v_eps"]) + 1)),
+            ("v_e", str(Fraction(doc["stages"][i]["v_e"]) + 1)),
+        ])
+        doc["stages"][i][field_name] = value
+        return f"stage {i + 1}", verify_plan
 
-        def trace_mut(doc, rng):
-            k = rng.randrange(len(doc["steps"]))
-            choice = rng.randrange(3)
-            if choice == 0:
-                doc["steps"][k]["bound"] = "1/8"
-            elif choice == 1:
-                text = doc["steps"][k]["beta_after"]
-                # inject a low-weight term that survives the precision filter
-                doc["steps"][k]["beta_after"] = text.replace("O(", "1 t^-20\nO(", 1)
-            else:
-                doc["steps"][k]["e"] = "1 t^0\nO(EXACT)\n"
-                return f"step {k}", verify_trace
+    def trace_mut(doc, rng):
+        k = rng.randrange(len(doc["steps"]))
+        choice = rng.randrange(3)
+        if choice == 0:
+            # the band floor is k + v_s, so 1/8 is off unless k = 0, v_s = 1/8
+            doc["steps"][k]["bound"] = "1/8" if k + cfg.v_s != F(1, 8) else "1/4"
+        elif choice == 1:
+            text = doc["steps"][k]["beta_after"]
+            # inject a low-weight term that survives the precision filter
+            doc["steps"][k]["beta_after"] = text.replace("O(", "1 t^-20\nO(", 1)
+        else:
+            doc["steps"][k]["e"] = "1 t^0\nO(EXACT)\n"
             return f"step {k}", verify_trace
+        return f"step {k}", verify_trace
 
-        detected = 0
-        for i in range(10):
-            mut_rng = random.Random(1000 + i)
-            if i % 2 == 0:
-                tampered = copy.deepcopy(plan_doc)
-                where, checker = plan_mut(tampered, mut_rng)
-            else:
-                tampered = copy.deepcopy(trace_doc)
-                where, checker = trace_mut(tampered, mut_rng)
-            report = checker(tampered)
-            assert not report.ok, f"mutation {i} at {where} was missed"
-            assert any(f.where == where for f in report.failures()), (
-                f"mutation {i}: expected failure at {where}, "
-                f"got {[f.where for f in report.failures()]}")
-            detected += 1
-        assert detected == 10
+    detected = 0
+    for i in range(10):
+        mut_rng = random.Random(1000 + i)
+        if i % 2 == 0:
+            tampered = copy.deepcopy(plan_doc)
+            where, checker = plan_mut(tampered, mut_rng)
+        else:
+            tampered = copy.deepcopy(trace_doc)
+            where, checker = trace_mut(tampered, mut_rng)
+        report = checker(tampered)
+        assert not report.ok, f"{cfg}: mutation {i} at {where} was missed"
+        assert any(f.where == where for f in report.failures()), (
+            f"{cfg}: mutation {i}: expected failure at {where}, "
+            f"got {[f.where for f in report.failures()]}")
+        detected += 1
+    assert detected == 10

@@ -7,6 +7,7 @@ import pytest
 
 from hahndisk import InstanceConfig
 from hahndisk.cli import main
+from hahndisk.config import MAX_P
 from hahndisk.series import render_series
 
 from conftest import rand_normalized_target
@@ -44,6 +45,9 @@ class TestBuild:
     def test_decimal_gamma_is_usage_error(self, tmp_path):
         # rationals are written num/den; 0.5 is not read as 1/2
         assert run("build", "--gamma-x", "0.5", "--out", str(tmp_path)) == 2
+
+    def test_prime_above_ceiling_is_usage_error(self, tmp_path, primality_capped):
+        assert run("build", "--out", str(tmp_path), "--p", str(MAX_P + 2)) == 2
 
     def test_minimal_instance(self, tmp_path, capsys):
         assert run("build", "--stages", "1", "--out", str(tmp_path)) == 0
@@ -109,6 +113,17 @@ class TestRecordedTranscripts:
         assert run("adapted", "--out", str(tmp_path), "--", q) == 0
         path = capsys.readouterr().out.split("\n", 1)[0].removeprefix("certificate: ")
         assert Path(path).read_bytes() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("source,name", [
+        (GOLDEN / "plan.json", "verify_golden_plan.txt"),
+        (DATA / "adapted_minus1_3.json", "verify_adapted_minus1_3.txt"),
+        (DATA / "adapted_minus5_9.json", "verify_adapted_minus5_9.txt"),
+    ])
+    def test_verify_verbose(self, source, name, capsys):
+        # recorded before plan verification moved to closed form: every
+        # finding, its location and its message stay byte for byte
+        assert run("verify", "--verbose", str(source)) == 0
+        assert capsys.readouterr().out == (DATA / name).read_text()
 
     def test_divide(self, tmp_path, capsys):
         cfg = InstanceConfig()
