@@ -277,6 +277,17 @@ def _tail_series(plan: AlphaPlan, m: int, field: ResidueField) -> TruncatedSerie
     return total
 
 
+def _quotient_exps(plan: AlphaPlan, st: PlanStage, prev: PlanStage):
+    """(t-exponent, x-exponent) of eps_st * (stage term of prev) / f(W_prev).
+
+    All three factors are monomials with coefficient 1, so the quotient is
+    the coefficient-1 monomial whose exponents are their sum and difference.
+    """
+    t_alpha, x_alpha = plan.alpha_term_exps(prev)
+    t_fw, x_fw = plan.fw_image_exps(prev)
+    return st.v_eps + t_alpha - t_fw, x_alpha - x_fw
+
+
 def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) -> AdaptedCertificate:
     """Build and exactly check the certificate for committed stage m.
 
@@ -296,27 +307,21 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
 
     cancellers = []
     for prev in plan.stages[: m - 1]:
-        t_exp, x_exp = plan.alpha_term_exps(prev)
-        alpha_term = field.monomial(1, t_exp, x_exp)
-        fw = field.monomial(1, *plan.fw_image_exps(prev))
-        d = eps_res * alpha_term * fw.invert()
-        ((d_exps, d_coeff),) = d.terms.items()
-        if d_exps[1] != 0:
+        d_t, d_x = _quotient_exps(plan, st, prev)
+        if d_x != 0:
             raise AdaptednessFailedError(
-                f"divisor quotient for stage {prev.m} kept x-exponent {d_exps[1]}"
+                f"divisor quotient for stage {prev.m} kept x-exponent {d_x}"
             )
-        if d_exps[0] < 0:
+        if d_t < 0:
             raise AdaptednessFailedError(
                 f"divisor quotient for stage {prev.m} has valuation "
-                f"{d_exps[0]} < 0; eps is not divisible enough"
+                f"{d_t} < 0; eps is not divisible enough"
             )
         if prev.omega >= 0:
             w_exps = (Fraction(0), prev.omega * cfg.p ** prev.b, Fraction(0), Fraction(0))
         else:
             w_exps = (Fraction(0), Fraction(0), -prev.omega * cfg.p ** prev.b, Fraction(0))
-        cancellers.append(
-            ring.monomial(d_coeff, d_exps[0], w_exps[1:])
-        )
+        cancellers.append(ring.monomial(1, d_t, w_exps[1:]))
 
     head = ring.monomial(1, st.v_eps, (0, 0, 1))
     for piece in cancellers:

@@ -23,7 +23,7 @@ from .errors import ConfigError, FormatError, HahndiskError
 from .fields import classify_disk_point
 from .series import random_series, render_series
 from .tate import save_substitution
-from .valgroup import EXACT, as_fraction, is_in_zp
+from .valgroup import EXACT, as_fraction, is_in_zp, too_many_digits
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -186,6 +186,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"cannot read {args.file}: {exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{args.file} is not valid JSON: {exc}")
+    except ValueError as exc:  # a JSON integer past the digit limit
+        raise too_many_digits(f"an integer in {args.file}")
     report = verify.verify_document(doc)
     print(report.text(verbose=args.verbose))
     return EXIT_OK if report.ok else EXIT_CONTRACT

@@ -10,7 +10,7 @@ from pathlib import Path
 from .errors import ConfigError, FormatError
 from .fields import GroundField, ResidueField
 from .tate import TateRing
-from .valgroup import as_fraction, is_in_zp, is_prime
+from .valgroup import as_fraction, is_in_zp, is_prime, too_many_digits
 
 #: Environment variable naming a JSON config file used for defaults.
 CONFIG_ENV = "HAHNDISK_CONFIG"
@@ -120,4 +120,6 @@ class InstanceConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # a JSON integer past the digit limit
+            raise too_many_digits(f"an integer in config file {path}") from exc
         return cls.from_dict(data)

@@ -31,7 +31,7 @@ from .errors import (
     PrecisionIncreaseError,
     ProfileMismatchError,
 )
-from .valgroup import EXACT, as_fraction, is_in_zp
+from .valgroup import EXACT, as_fraction, is_in_zp, too_many_digits
 
 
 def min_precision(a, b):
@@ -250,14 +250,17 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self._monomial_inverse() ** (-n)
-        result = TruncatedSeries.one(self.profile)
+        if n == 0:
+            return TruncatedSeries.one(self.profile)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base2 = base * base if n > 1 else base
-            base, n = base2, n >> 1
-        return result
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def _monomial_inverse(self):
         if len(self.terms) != 1:
@@ -277,7 +280,7 @@ class TruncatedSeries:
             raise PrecisionIncreaseError(
                 f"cannot raise precision from {self.precision} to {new_prec}"
             )
-        return TruncatedSeries(self.profile, self.terms, new_prec)
+        return TruncatedSeries._trusted(self.profile, self.terms, new_prec)
 
     def frobenius(self, k: int):
         """Scale exponents and precision by p^k; p-th powers/roots of F_p
@@ -286,7 +289,7 @@ class TruncatedSeries:
         scale = Fraction(self.profile.p) ** k
         terms = {tuple(e * scale for e in exps): c for exps, c in self.terms.items()}
         prec = None if self.precision is None else self.precision * scale
-        return TruncatedSeries(self.profile, terms, prec)
+        return TruncatedSeries._trusted(self.profile, terms, prec)
 
     def invert(self, target_prec=None):
         """Multiplicative inverse.
@@ -386,6 +389,14 @@ _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _VARIABLE_TEXT = re.compile(r"x[0-9]+")
 
 
+def _int_text(text: str) -> int:
+    """int() of text that already matched a digit pattern."""
+    try:
+        return int(text)
+    except ValueError as exc:  # only the digit limit is left
+        raise too_many_digits(f"an integer of {len(text)} characters") from exc
+
+
 def render_series(f: TruncatedSeries) -> str:
     lines = []
     for exps, coeff in f.terms_sorted():
@@ -419,7 +430,7 @@ def parse_series(profile: WeightProfile, text: str) -> TruncatedSeries:
             raise FormatError(f"malformed term line: {line!r}")
         if not _INTEGER_TEXT.fullmatch(tokens[0]):
             raise FormatError(f"malformed coefficient in: {line!r}")
-        coeff = int(tokens[0])
+        coeff = _int_text(tokens[0])
         exps = [Fraction(0)] * profile.dim
         for tok in tokens[1:]:
             name, sep, val = tok.partition("^")
@@ -428,7 +439,7 @@ def parse_series(profile: WeightProfile, text: str) -> TruncatedSeries:
             if name == "t":
                 idx = 0
             elif _VARIABLE_TEXT.fullmatch(name):
-                idx = int(name[1:])
+                idx = _int_text(name[1:])
             else:
                 raise FormatError(f"unknown variable {name!r} in: {line!r}")
             if not 0 <= idx < profile.dim:

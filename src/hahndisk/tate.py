@@ -188,9 +188,10 @@ class SubstitutionMap:
 
     Every image must have valuation >= 0, so the unit-ball subring lands in
     the residue-field unit ball and the unresolved tail of an argument only
-    contributes beyond its own precision.  Monomials evaluate through
-    p-power roots (Frobenius) of the images followed by integer powers; the
-    root towers are memoized because staged exponents reuse them heavily.
+    contributes beyond its own precision.  A single-term image is raised to
+    a p-adic power by exponent arithmetic; any other image goes through its
+    p-power root (Frobenius) followed by an integer power.  Roots and powers
+    are memoized because staged exponents reuse them heavily.
     """
 
     def __init__(self, ring: TateRing, field: ResidueField, images):
@@ -210,7 +211,6 @@ class SubstitutionMap:
         self.images = images
         self._roots = {}
         self._powers = {}
-        self._x_parts = {}
 
     def _root(self, i: int, k: int) -> TruncatedSeries:
         key = (i, k)
@@ -219,14 +219,32 @@ class SubstitutionMap:
         return self._roots[key]
 
     def _image_power(self, i: int, q: Fraction, work_prec) -> TruncatedSeries:
+        """Image of x_{i+1}^q, memoized per (i, q, work_prec).
+
+        For q = u/p^k a single-term image c t^a x^e raises in closed form to
+        c^u t^(q a) x^(q e): the Frobenius root of an F_p coefficient is the
+        coefficient.  A finite precision P at term weight w becomes
+        P/p^k + (u-1) w/p^k, exactly what the root followed by repeated
+        squaring gives.  Any other image takes that root-and-power route.
+        """
         key = (i, q, work_prec)
         if key in self._powers:
             return self._powers[key]
-        k = padic_denominator_exponent(q, self.ring.ground.p)
-        u = int(q * self.ring.ground.p ** k)
+        p = self.ring.ground.p
+        k = padic_denominator_exponent(q, p)
+        u = int(q * p ** k)
         if u < 0:
             raise ExponentError("negative variable exponent reached substitution")
-        out = self._root(i, k) ** u
+        image = self.images[i]
+        if len(image.terms) == 1 and u:
+            ((exps, c),) = image.terms.items()
+            prec = image.precision
+            if prec is not EXACT:
+                prec = (prec + (u - 1) * image.profile.weight(exps)) / p ** k
+            out = TruncatedSeries._trusted(
+                image.profile, {tuple(q * e for e in exps): pow(c, u, p)}, prec)
+        else:
+            out = self._root(i, k) ** u
         if (
             work_prec is not None
             and out.precision is not EXACT
@@ -238,15 +256,12 @@ class SubstitutionMap:
 
     def _x_part(self, qs: tuple, work_prec) -> TruncatedSeries:
         """Image of the monomial x1^q1 ... xn^qn, multiplied left to right."""
-        key = (qs, work_prec)
-        if key in self._x_parts:
-            return self._x_parts[key]
-        out = self.field.one()
+        out = None
         for i, q in enumerate(qs):
             if q:
-                out = out * self._image_power(i, q, work_prec)
-        self._x_parts[key] = out
-        return out
+                power = self._image_power(i, q, work_prec)
+                out = power if out is None else out * power
+        return self.field.one() if out is None else out
 
     def apply(self, f: TruncatedSeries, work_prec=None) -> TruncatedSeries:
         """Evaluate f term by term.
@@ -255,8 +270,9 @@ class SubstitutionMap:
         finite propagated precisions are capped at work_prec.  The tail of f
         beyond its own precision maps into valuation >= that precision.
 
-        A term c t^a x^q maps to c t^a times the memoized image of x^q, which
-        only shifts that image by a.  The shifted images are summed into one
+        A term c t^a x^q maps to c t^a times the image of x^q, which only
+        shifts that image by a; when one variable appears, that image is a
+        memoized power, used as it is.  The shifted images are summed into one
         dict and filtered once at the end: precision only falls as terms are
         added, so this keeps exactly the terms a running sum would keep.
         """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ConfigError, FormatError
@@ -22,6 +23,13 @@ EXACT = None
 #: and an optional denominator.  `Fraction` alone would also take `1e6`,
 #: `0.5`, `1_000` and `+2/3`, and e-notation builds 10^k before any bound.
 RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def too_many_digits(what: str) -> FormatError:
+    """The error for numeric text longer than Python converts to an int."""
+    return FormatError(
+        f"{what} exceeds the {sys.get_int_max_str_digits()}-digit integer "
+        "conversion limit")
 
 
 def as_fraction(value) -> Fraction:
@@ -37,6 +45,8 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError as exc:
             raise FormatError(f"not a rational: {value!r}") from exc
+        except ValueError as exc:  # the text matched, so only the digit limit
+            raise too_many_digits(f"a rational of {len(value)} characters") from exc
     raise FormatError(f"not a rational: {value!r}")
 
 

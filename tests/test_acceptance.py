@@ -151,12 +151,21 @@ def test_criterion_3_counterexample_construction(cfg):
 
 
 def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
-    with criterion(4, "kernel witness: valuation 1/2 outside Z[1/3], relation to 0", 1):
+    with criterion(4, "kernel witness: valuation gamma_x outside Z[1/p], relation to 0", 1):
         facts = kernel_witness(plan, residue, ring3)
         assert facts["witness_valuation"] == F(1, 2)
         assert facts["witness_in_value_group"] is False
         assert not residue.ground.contains_value(F(1, 2))
         assert facts["relation_maps_to_zero"] is True
+        # x1*x2 - c takes the two-variable x-part of the map at every prime
+        for p, gamma_x, v_s in INSTANCES:
+            inst = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
+            field = inst.residue()
+            facts = kernel_witness(build_plan(inst), field, inst.tate(3))
+            assert facts["witness_valuation"] == gamma_x
+            assert facts["witness_in_value_group"] is False
+            assert not field.ground.contains_value(gamma_x)
+            assert facts["relation_maps_to_zero"] is True
 
 
 def test_criterion_5_division_contraction(cfg, residue, ring3):

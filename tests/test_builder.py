@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from hahndisk.builder import (
+    _quotient_exps,
     assemble_alpha,
     build_adapted,
     build_plan,
@@ -181,6 +182,20 @@ class TestAdaptedCertificates:
         for idx, st in enumerate(plan.stages):
             for prev in plan.stages[:idx]:
                 assert st.v_eps + plan.stage_weight(prev) >= plan.weight_fw(prev)
+
+    def test_quotients_match_series_product(self, extended_plans):
+        # the canceller quotient of every earlier stage, in closed form and
+        # as the series product eps * (stage term) * f(W)^-1
+        for plan in extended_plans:
+            field = plan.config.residue()
+            for idx, st in enumerate(plan.stages):
+                eps_res = field.monomial(1, st.v_eps, 0)
+                for prev in plan.stages[:idx]:
+                    alpha_term = field.monomial(1, *plan.alpha_term_exps(prev))
+                    fw = field.monomial(1, *plan.fw_image_exps(prev))
+                    want = eps_res * alpha_term * fw.invert()
+                    got = field.monomial(1, *_quotient_exps(plan, st, prev))
+                    assert got == want
 
     def test_image_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
         # the generic route evaluates the preimage through the map; the

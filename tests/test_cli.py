@@ -185,6 +185,41 @@ def trace_doc(tmp_path_factory):
     return json.loads((out / "trace.json").read_text())
 
 
+BIG = "1" + "0" * 5000  # past the int-conversion digit limit
+
+
+class TestOverLongNumerals:
+    """Numerals past the int-conversion digit limit are format errors."""
+
+    def test_verify_plan_with_huge_b_exits_2(self, tmp_path, capsys):
+        text = (GOLDEN / "plan.json").read_text()
+        assert '"b": 0,' in text
+        bad = tmp_path / "plan.json"
+        bad.write_text(text.replace('"b": 0,', f'"b": {BIG},', 1))
+        assert run("verify", str(bad)) == 2
+        assert "digit" in capsys.readouterr().err
+
+    def test_trace_target_with_huge_exponent_fails_at_trace(self, trace_doc, tmp_path, capsys):
+        doc = copy.deepcopy(trace_doc)
+        doc["target"] = f"1 t^{BIG}\nO(EXACT)\n"
+        bad = tmp_path / "trace.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad)) == 1
+        assert "FAIL [trace]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [f"1 t^{BIG}\nO(EXACT)\n", f"{BIG} t^1\nO(EXACT)\n"],
+                             ids=["exponent", "coefficient"])
+    def test_divide_target_exits_2(self, text, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text(text)
+        assert run("divide", str(target), "--out", str(tmp_path / "out")) == 2
+
+    def test_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"stages": {BIG}}}')
+        assert run("build", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+
+
 class TestVerifyMalformedTrace:
     """Malformed trace fields give a located FAIL (exit 1), never a traceback."""
 

@@ -311,6 +311,25 @@ def test_closed_operations_match_validating_constructor(f, g):
         assert TruncatedSeries(got.profile, dict(got.terms), got.precision) == got
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=small_series(), k=st.integers(-2, 2), cut=st.integers(-6, 12))
+def test_frobenius_and_truncate_match_validating_constructor(f, k, cut):
+    outs = [f.frobenius(k)]
+    if f.precision is None or cut <= f.precision:
+        outs.append(f.truncate(cut))
+    for got in outs:
+        assert TruncatedSeries(got.profile, dict(got.terms), got.precision) == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=small_series())
+def test_power_is_the_repeated_product(f):
+    product = TruncatedSeries.one(RES)
+    for n in range(7):
+        assert f ** n == product
+        product = f if n == 0 else product * f
+
+
 class TestTextFormat:
     def test_documented_shape(self):
         f = mono(RES, 1, Fraction(1, 9), 0) + mono(RES, 1, -9, 27, prec=13)
@@ -346,6 +365,16 @@ class TestTextFormat:
                     "1 t^0 x²^1\nO(EXACT)", "1 t^0 x1^1/0\nO(EXACT)"]:
             with pytest.raises(FormatError):
                 parse_series(RES, bad)
+
+
+def test_over_long_numerals_are_format_errors():
+    from hahndisk.errors import FormatError
+
+    big = "1" + "0" * 5000
+    for bad in [f"{big} t^1\nO(EXACT)", f"1 t^{big}\nO(EXACT)",
+                f"1 t^0 x{big}^1\nO(EXACT)", f"O({big})"]:
+        with pytest.raises(FormatError):
+            parse_series(RES, bad)
 
 
 def test_exponents_must_be_padic():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahndisk.errors import (
     ConfigError,
@@ -9,6 +10,7 @@ from hahndisk.errors import (
     IndeterminateFromPrecisionError,
     UnresolvedError,
 )
+from hahndisk.fields import GroundField, ResidueField
 from hahndisk.series import TruncatedSeries
 from hahndisk.tate import (
     SubstitutionMap,
@@ -208,3 +210,59 @@ class TestSubstitution:
         assert [p.name for p in paths] == ["image_1.txt", "image_2.txt", "image_3.txt"]
         back = load_substitution(ring3, residue, paths)
         assert back.images == sub.images
+
+
+# (p, gamma_x) of the residue fields in conftest.INSTANCES
+_FIELDS = {3: Fraction(1, 2), 5: Fraction(1, 3), 7: Fraction(1, 2)}
+
+
+def _root_and_power(image, k, u, work_prec):
+    """x^q with q = u/p^k by the Frobenius root and repeated squaring from
+    one(), each result re-wrapped through the validating constructor."""
+    profile = image.profile
+    scale = Fraction(profile.p) ** -k
+    prec = None if image.precision is None else image.precision * scale
+    base = TruncatedSeries(
+        profile, {tuple(e * scale for e in exps): c for exps, c in image.terms.items()},
+        prec)
+    out = TruncatedSeries.one(profile)
+    while u:
+        if u & 1:
+            out = out * base
+        base2 = base * base if u > 1 else base
+        base, u = base2, u >> 1
+    if work_prec is not None and out.precision is not None and out.precision > work_prec:
+        out = TruncatedSeries(profile, out.terms, work_prec)
+    return out
+
+
+@st.composite
+def single_term_powers(draw):
+    p = draw(st.sampled_from(sorted(_FIELDS)))
+    field = ResidueField(GroundField(p), _FIELDS[p])
+    x_exp = Fraction(draw(st.integers(-9, 9)), p ** draw(st.integers(0, 2)))
+    t_exp = Fraction(draw(st.integers(-9, 9)), p ** draw(st.integers(0, 2)))
+    weight = t_exp + x_exp * field.gamma_x
+    if weight < 0:
+        t_exp += -(weight // 1)  # integral shift into valuation >= 0
+        weight = t_exp + x_exp * field.gamma_x
+    prec = draw(st.one_of(st.none(), st.builds(
+        lambda n, j: weight + Fraction(n, p ** j), st.integers(1, 20), st.integers(0, 2))))
+    image = field.monomial(draw(st.integers(1, p - 1)), t_exp, x_exp, precision=prec)
+    q = Fraction(draw(st.integers(1, 40)), p ** draw(st.integers(0, 3)))
+    work_prec = draw(st.one_of(st.none(), st.builds(
+        Fraction, st.integers(0, 60), st.sampled_from([1, p, p * p]))))
+    return field, image, q, work_prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=single_term_powers())
+def test_image_power_closed_form_matches_root_and_power(case):
+    field, image, q, work_prec = case
+    sub = SubstitutionMap(TateRing(field.ground, 1), field, (image,))
+    p = field.ground.p
+    k = 0
+    while (q * p ** k).denominator != 1:
+        k += 1
+    want = _root_and_power(image, k, int(q * p ** k), work_prec)
+    assert sub._image_power(0, q, work_prec) == want

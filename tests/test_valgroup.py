@@ -128,6 +128,12 @@ class TestAsFraction:
             with pytest.raises(FormatError):
                 as_fraction(bad)
 
+    def test_over_long_numeral_is_format_error(self):
+        big = "1" + "0" * 5000
+        for bad in [big, "-" + big, "1/" + big, big + "/3"]:
+            with pytest.raises(FormatError):
+                as_fraction(bad)
+
     def test_rejects_non_rational_json_values(self):
         for bad in [True, 0.5, None, [1], {"num": 1}]:
             with pytest.raises(FormatError):
