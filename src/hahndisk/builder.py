@@ -17,9 +17,9 @@ earlier stages:
 A plan commits finitely many stages.  Claims about the uncommitted tail are
 quantified over all continuations that satisfy the constraints above plus a
 tail guard: every later stage must clear `tail_guard` (instead of merely
-1 + v_s) in the separation inequality.  Appending a stage with
-`ensure_stage` enforces the guard, so previously issued certificates stay
-valid verbatim.
+1 + v_s) in the separation inequality.  Plans are values: `extend` returns a
+new plan with the appended stage, shares the stage prefix, and enforces the
+guard, so certificates issued against the shorter plan stay valid verbatim.
 
 For each committed stage the builder produces an `AdaptedCertificate`: an
 integral preimage whose image has valuation in [0, v_s), leading monomial
@@ -30,7 +30,7 @@ exponent equal to the stage exponent, and the rest of the image beyond
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .config import MAX_B_SEARCH, InstanceConfig
@@ -46,7 +46,7 @@ from .tate import SubstitutionMap, TateRing, is_integral
 from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanStage:
     m: int
     omega: Fraction
@@ -55,17 +55,13 @@ class PlanStage:
     v_eps: Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaPlan:
     config: InstanceConfig
     v_c: Fraction
     tail_guard: Fraction
     m_base: int
-    stages: list
-    _certs: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    # (key, SubstitutionMap) of the latest standard_substitution; the key
-    # holds the stage count because appending a stage changes the alpha image
-    _sub: tuple = dc_field(default=None, repr=False, compare=False)
+    stages: tuple
 
     # -- stage arithmetic ---------------------------------------------------
 
@@ -133,12 +129,11 @@ def _minimal_b(plan: AlphaPlan, m: int, w: Fraction, v_eps: Fraction, base: bool
     )
 
 
-def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> PlanStage:
+def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
+    """The plan with one more stage, of exponent q; `plan` is unchanged."""
     cfg = plan.config
     if not is_in_zp(q, cfg.p):
         raise StageUnavailableError(f"{q} is not in Z[1/{cfg.p}]")
-    if plan.find_stage(q) is not None:
-        raise StageUnavailableError(f"a stage with exponent {q} already exists")
     m = len(plan.stages) + 1
     lo = -q * cfg.gamma_x
     v_e = smallest_zp_point(lo, lo + cfg.v_s, cfg.p)
@@ -155,8 +150,7 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> PlanStage:
     else:
         b = _minimal_b(plan, m, w, v_eps, base)
     st = PlanStage(m=m, omega=q, v_e=v_e, b=b, v_eps=v_eps)
-    plan.stages.append(st)
-    return st
+    return replace(plan, stages=plan.stages + (st,))
 
 
 def build_plan(config: InstanceConfig) -> AlphaPlan:
@@ -177,10 +171,10 @@ def build_plan(config: InstanceConfig) -> AlphaPlan:
         v_c=v_c,
         tail_guard=config.work_prec,
         m_base=config.stages,
-        stages=[],
+        stages=(),
     )
     for m in range(1, config.stages + 1):
-        _append_stage(plan, omega(m, config.p), base=True)
+        plan = _append_stage(plan, omega(m, config.p), base=True)
     from . import verify  # deferred: verify must stay import-free of builder
 
     report = verify.verify_plan(plan_to_doc(plan))
@@ -191,13 +185,12 @@ def build_plan(config: InstanceConfig) -> AlphaPlan:
     return plan
 
 
-def ensure_stage(plan: AlphaPlan, q) -> PlanStage:
-    """Return the stage with exponent q, appending one under the tail guard
-    if the plan does not contain it yet."""
+def extend(plan: AlphaPlan, q) -> AlphaPlan:
+    """A plan with a stage of exponent q: `plan` itself if it has one, else
+    a new plan that appends one under the tail guard."""
     q = as_fraction(q)
-    st = plan.find_stage(q)
-    if st is not None:
-        return st
+    if plan.find_stage(q) is not None:
+        return plan
     return _append_stage(plan, q, base=False)
 
 
@@ -220,21 +213,12 @@ def assemble_alpha(plan: AlphaPlan, field: ResidueField) -> TruncatedSeries:
 
 
 def standard_substitution(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> SubstitutionMap:
-    """Generator images: x1 -> x, x2 -> c x^{-1}, x3 -> the staged sum.
-
-    The map and its power memos are kept on the plan until a stage is
-    appended, so every caller working on one plan shares them.
-    """
+    """Generator images: x1 -> x, x2 -> c x^{-1}, x3 -> the staged sum."""
     if ring.nvars != 3:
         raise StageUnavailableError("the construction lives in three variables")
-    key = (len(plan.stages), field.profile, ring.profile)
-    if plan._sub is not None and plan._sub[0] == key:
-        return plan._sub[1]
     x_img = field.x_power(1)
     cx_inv = field.monomial(1, plan.v_c, -1)
-    sub = SubstitutionMap(ring, field, (x_img, cx_inv, assemble_alpha(plan, field)))
-    plan._sub = (key, sub)
-    return sub
+    return SubstitutionMap(ring, field, (x_img, cx_inv, assemble_alpha(plan, field)))
 
 
 # -- adapted certificates -----------------------------------------------------
@@ -299,8 +283,6 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     """
     if not 1 <= m <= len(plan.stages):
         raise StageUnavailableError(f"stage {m} is not committed")
-    if m in plan._certs:
-        return plan._certs[m]
     cfg = plan.config
     st = plan.stages[m - 1]
     eps_res = field.monomial(1, st.v_eps, 0)
@@ -376,32 +358,26 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     if not cert.ok:
         bad = ", ".join(c.name for c in checks if not c.ok)
         raise AdaptednessFailedError(f"stage {m} failed exact checks: {bad}")
-    plan._certs[m] = cert
     return cert
 
 
-def certificate_for_exponent(plan: AlphaPlan, q, field: ResidueField, ring: TateRing) -> AdaptedCertificate:
-    """Certificate for a requested leading exponent, extending on demand."""
-    st = ensure_stage(plan, q)
-    return build_adapted(plan, st.m, field, ring)
-
-
-def kernel_witness(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> dict:
+def kernel_witness(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
     """The two exact facts separating the kernel from every evaluation ideal.
 
     The image of the first generator has valuation gamma_x, which lies
     outside the ground value group, so the quotient field properly extends
     the ground field; and the product relation x1*x2 - c maps to the exact
-    zero, so the map factors through the quotient by that relation.
+    zero, so the map factors through the quotient by that relation.  `sub`
+    is the plan's `standard_substitution`.
     """
-    sub = standard_substitution(plan, field, ring)
+    ring = sub.ring
     x1_img = sub.apply(ring.var(1))
     val = x1_img.val_lower()
     rel = ring.var(1) * ring.var(2) - ring.monomial(1, plan.v_c, (0, 0, 0))
     rel_img = sub.apply(rel)
     return {
         "witness_valuation": val,
-        "witness_in_value_group": field.ground.contains_value(val),
+        "witness_in_value_group": sub.field.ground.contains_value(val),
         "relation_maps_to_zero": rel_img.is_zero and rel_img.precision is EXACT,
     }
 
@@ -433,17 +409,18 @@ def plan_to_doc(plan: AlphaPlan, summary: dict | None = None) -> dict:
     return doc
 
 
-def plan_summary(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> dict:
+def plan_summary(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
     """Verification summary for a transcript: certificate count plus the
-    kernel witness facts, the latter recomputed exactly.
+    kernel witness facts, the latter recomputed exactly through `sub`, the
+    plan's `standard_substitution`, whose third image is the staged sum.
 
     No certificate is built here.  The count is of the stages whose three
     adapted facts the independent `verify_plan` checks in closed form: it
     ran on the fresh plan inside `build_plan`, and it runs again on every
     document that carries this summary.
     """
-    alpha = assemble_alpha(plan, field)
-    witness = kernel_witness(plan, field, ring)
+    alpha = sub.images[2]
+    witness = kernel_witness(plan, sub)
     return {
         "alpha_valuation": str(alpha.val_lower()),
         "alpha_precision": str(alpha.precision),

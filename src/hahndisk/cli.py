@@ -84,14 +84,14 @@ def cmd_build(args) -> int:
     field = config.residue()
     ring = config.tate(3)
     plan = builder.build_plan(config)
-    summary = builder.plan_summary(plan, field, ring)
+    sub = builder.standard_substitution(plan, field, ring)
+    summary = builder.plan_summary(plan, sub)
     doc = builder.plan_to_doc(plan, summary=summary)
     out = _outdir(args)
     plan_path = out / "plan.json"
     alpha_path = out / "alpha.txt"
     plan_path.write_text(builder.dump_doc(doc))
-    alpha_path.write_text(render_series(builder.assemble_alpha(plan, field)))
-    sub = builder.standard_substitution(plan, field, ring)
+    alpha_path.write_text(render_series(sub.images[2]))
     image_paths = save_substitution(sub, out / "images")
     print(f"plan: {plan_path}")
     print(f"alpha: {alpha_path}")
@@ -112,8 +112,8 @@ def cmd_adapted(args) -> int:
         raise FormatError(f"q = {q} is not in Z[1/{config.p}]")
     field = config.residue()
     ring = config.tate(3)
-    plan = builder.build_plan(config)
-    cert = builder.certificate_for_exponent(plan, q, field, ring)
+    plan = builder.extend(builder.build_plan(config), q)
+    cert = builder.build_adapted(plan, plan.find_stage(q).m, field, ring)
     doc = builder.certificate_to_doc(plan, cert)
     out = _outdir(args)
     path = out / f"adapted_{cert.m}.json"
@@ -226,11 +226,12 @@ def cmd_selftest(args) -> int:
         plan = builder.build_plan(config)
         for m in range(1, len(plan.stages) + 1):
             builder.build_adapted(plan, m, field, ring)
-        witness = builder.kernel_witness(plan, field, ring)
+        sub = builder.standard_substitution(plan, field, ring)
+        witness = builder.kernel_witness(plan, sub)
         assert witness["witness_in_value_group"] is False
         assert witness["relation_maps_to_zero"] is True
         report = verify.verify_plan(
-            builder.plan_to_doc(plan, summary=builder.plan_summary(plan, field, ring)))
+            builder.plan_to_doc(plan, summary=builder.plan_summary(plan, sub)))
         assert report.ok, report.text()
 
     def divide_roundtrip():

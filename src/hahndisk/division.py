@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .builder import (
     AlphaPlan,
-    certificate_for_exponent,
+    build_adapted,
+    extend,
     plan_to_doc,
     standard_substitution,
 )
@@ -75,7 +76,7 @@ class DivisionStep:
 
 @dataclass
 class DivisionTrace:
-    plan: AlphaPlan
+    plan: AlphaPlan  # the plan as the run extended it
     target: TruncatedSeries
     steps_requested: int
     steps: list
@@ -99,13 +100,20 @@ def _certified_val(beta: TruncatedSeries, floor: Fraction, what: str):
 
 def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
                  beta: TruncatedSeries, steps: int) -> DivisionTrace:
-    """Run `steps` certified division steps against a normalized target."""
+    """Run `steps` certified division steps against a normalized target.
+
+    A band exponent without a stage extends the plan, and the trace carries
+    the extended plan.  Certificates are kept by exponent, and the
+    substitution map is rebuilt only when the plan grows.
+    """
     cfg = plan.config
     v_s = cfg.v_s
     _certified_val(beta, v_s, "target is not normalized")
     a = ring.zero()
     beta_m = beta
     records = []
+    certs = {}
+    sub = None
     for m in range(steps):
         _certified_val(beta_m, m + v_s, f"step {m} entry bound")
         if beta_m.precision is not EXACT and beta_m.precision < m + 1 + v_s:
@@ -125,7 +133,12 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         t_m_res = field.monomial(1, m, 0)
         t_m_ring = ring.monomial(1, m, (0, 0, 0))
         for q in order:
-            cert = certificate_for_exponent(plan, q, field, ring)
+            cert = certs.get(q)
+            if cert is None:
+                grown = extend(plan, q)
+                if grown is not plan:
+                    plan, sub = grown, None
+                cert = certs[q] = build_adapted(plan, plan.find_stage(q).m, field, ring)
             part = TruncatedSeries(field.profile, groups[q], EXACT)
             lead = field.monomial(cert.leading_coeff, *cert.leading_exps)
             d = part * (lead * t_m_res).invert()
@@ -155,7 +168,8 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
             raise ContractViolationError(
                 f"step {m}: approximant moved by valuation {step_gap} < {m}"
             )
-        sub = standard_substitution(plan, field, ring)
+        if sub is None:
+            sub = standard_substitution(plan, field, ring)
         _check_consistency(sub.apply(e_m, cfg.work_prec) - f_e, f"step {m}")
         records.append(
             DivisionStep(
@@ -169,7 +183,8 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         )
         beta_m, a = beta_next, a_next
     final_val = _certified_val(beta_m, steps + v_s, "final residual bound")
-    sub = standard_substitution(plan, field, ring)
+    if sub is None:
+        sub = standard_substitution(plan, field, ring)
     _check_consistency(sub.apply(a, cfg.work_prec) + beta_m - beta, "final")
     return DivisionTrace(
         plan=plan,

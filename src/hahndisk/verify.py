@@ -274,9 +274,6 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
     base_in_range = 1 <= m_base <= len(rows)
     rep.check(base_in_range and m_base == config.stages, "plan",
               f"base length {m_base} consistent with {len(rows)} committed stages")
-    rep.check(all(_is_int(r.m) for r in rows)
-              and [r.m for r in rows] == list(range(1, len(rows) + 1)), "plan",
-              "stage indices are contiguous from 1")
     rep.check(len({r.omega for r in rows}) == len(rows), "plan",
               "stage exponents are pairwise distinct")
     # omega(m) computes the enumeration up to m: m_base within the stages
@@ -338,6 +335,9 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
 
     summary = doc.get("summary")
     if summary is not None and rep.ok:
+        if not isinstance(summary, dict):
+            rep.fail("summary", f"summary is a {type(summary).__name__}, not an object")
+            return rep
         alpha = _alpha_series(rows, p, config.work_prec, field)
         rep.check(summary.get("alpha_valuation") == str(alpha.val_lower()),
                   "summary", "alpha valuation matches")

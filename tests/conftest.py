@@ -5,7 +5,7 @@ import pytest
 
 import hahndisk.config
 from hahndisk import InstanceConfig
-from hahndisk.builder import build_plan, ensure_stage
+from hahndisk.builder import build_plan, extend
 from hahndisk.series import TruncatedSeries
 
 #: (p, gamma_x, v_s) of the benchmark's four instances.
@@ -39,25 +39,20 @@ def ring3(cfg):
 
 @pytest.fixture(scope="session")
 def plan(cfg):
-    """Shared read-only plan; tests that extend the plan must use plan_fresh."""
-    return build_plan(cfg)
-
-
-@pytest.fixture
-def plan_fresh(cfg):
+    """Shared plan; a plan is a value, so extending it leaves it unchanged."""
     return build_plan(cfg)
 
 
 @pytest.fixture(scope="session")
 def extended_plans():
-    """Read-only plans for every instance of INSTANCES at 12 and 24 stages,
-    each extended by three guarded stages off the enumeration."""
+    """Plans for every instance of INSTANCES at 12 and 24 stages, each
+    extended by three guarded stages off the enumeration."""
     plans = []
     for p, gamma_x, v_s in INSTANCES:
         for stages in (12, 24):
             plan = build_plan(InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s, stages=stages))
             for q in (Fraction(5, p ** 3), Fraction(-101, p ** 2), Fraction(97)):
-                ensure_stage(plan, q)
+                plan = extend(plan, q)
             assert len(plan.stages) == stages + 3
             plans.append(plan)
     return plans

@@ -136,7 +136,8 @@ def test_criterion_3_counterexample_construction(cfg):
             residue, ring3 = inst.residue(), inst.tate(3)
             plan = build_plan(inst)
             report = verify_plan(
-                plan_to_doc(plan, summary=plan_summary(plan, residue, ring3)))
+                plan_to_doc(plan, summary=plan_summary(
+                    plan, standard_substitution(plan, residue, ring3))))
             assert report.ok, report.text()
             for m in range(1, 13):
                 cert = build_adapted(plan, m, residue, ring3)
@@ -152,7 +153,7 @@ def test_criterion_3_counterexample_construction(cfg):
 
 def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
     with criterion(4, "kernel witness: valuation gamma_x outside Z[1/p], relation to 0", 1):
-        facts = kernel_witness(plan, residue, ring3)
+        facts = kernel_witness(plan, standard_substitution(plan, residue, ring3))
         assert facts["witness_valuation"] == F(1, 2)
         assert facts["witness_in_value_group"] is False
         assert not residue.ground.contains_value(F(1, 2))
@@ -161,7 +162,9 @@ def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
         for p, gamma_x, v_s in INSTANCES:
             inst = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
             field = inst.residue()
-            facts = kernel_witness(build_plan(inst), field, inst.tate(3))
+            inst_plan = build_plan(inst)
+            facts = kernel_witness(
+                inst_plan, standard_substitution(inst_plan, field, inst.tate(3)))
             assert facts["witness_valuation"] == gamma_x
             assert facts["witness_in_value_group"] is False
             assert not field.ground.contains_value(gamma_x)

@@ -7,6 +7,7 @@ exponent by a linear scan of the constraint predicates.  The oracle
 `minimal_b_oracle` repeats that scan here, separate from the library code.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,7 @@ from hahndisk.builder import (
     assemble_alpha,
     build_adapted,
     build_plan,
-    certificate_for_exponent,
-    ensure_stage,
+    extend,
     kernel_witness,
     plan_to_doc,
     standard_substitution,
@@ -212,37 +212,53 @@ class TestAdaptedCertificates:
 
 
 class TestExtension:
-    def test_known_exponent_is_reused(self, plan_fresh, residue, ring3):
-        st = ensure_stage(plan_fresh, F(1))
-        assert st.m == 2
-        assert len(plan_fresh.stages) == 12
+    def test_known_exponent_is_reused(self, plan):
+        assert extend(plan, F(1)) is plan
+        assert plan.find_stage(F(1)).m == 2
+        assert len(plan.stages) == 12
 
-    def test_new_exponent_appends_verified_stage(self, cfg, plan_fresh, residue, ring3):
-        n0 = len(plan_fresh.stages)
-        cert = certificate_for_exponent(plan_fresh, F(5, 9), residue, ring3)
+    def test_new_exponent_appends_verified_stage(self, cfg, plan, residue, ring3):
+        grown = extend(plan, F(5, 9))
+        assert len(grown.stages) == len(plan.stages) + 1
+        st = grown.stages[-1]
+        cert = build_adapted(grown, st.m, residue, ring3)
         assert cert.ok and cert.q == F(5, 9)
-        assert len(plan_fresh.stages) == n0 + 1
-        st = plan_fresh.stages[-1]
         w = st.v_e + st.omega * cfg.gamma_x
-        for prev in plan_fresh.stages[:-1]:
-            assert Fraction(cfg.p) ** (st.b - prev.b) * w > plan_fresh.tail_guard
+        for prev in grown.stages[:-1]:
+            assert Fraction(cfg.p) ** (st.b - prev.b) * w > grown.tail_guard
 
-    def test_extension_minimality_under_guard(self, cfg, plan_fresh):
-        st = ensure_stage(plan_fresh, F(5, 9))
-        prior = [s.b for s in plan_fresh.stages[:-1]]
+    def test_extension_minimality_under_guard(self, cfg, plan):
+        grown = extend(plan, F(5, 9))
+        st = grown.stages[-1]
+        prior = [s.b for s in grown.stages[:-1]]
         w = st.v_e + st.omega * cfg.gamma_x
         assert st.b == minimal_b_oracle(
-            prior, w, st.v_eps, st.m, cfg.v_s, guard=plan_fresh.tail_guard
+            prior, w, st.v_eps, st.m, cfg.v_s, guard=grown.tail_guard
         )
 
-    def test_non_padic_exponent_rejected(self, plan_fresh):
+    def test_non_padic_exponent_rejected(self, plan):
         with pytest.raises(StageUnavailableError):
-            ensure_stage(plan_fresh, F(1, 2))
+            extend(plan, F(1, 2))
+
+    def test_extend_leaves_the_plan_unchanged(self, plan):
+        before = plan_to_doc(plan)
+        grown = extend(extend(plan, F(5, 9)), F(-101, 9))
+        assert plan_to_doc(plan) == before
+        assert len(grown.stages) == len(plan.stages) + 2
+        assert all(a is b for a, b in zip(grown.stages, plan.stages))
+        assert extend(grown, F(5, 9)) is grown
+
+    def test_plans_and_stages_are_frozen(self, plan):
+        assert isinstance(plan.stages, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.m_base = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.stages[0].b = 1
 
 
 class TestKernelWitness:
     def test_witness_facts(self, plan, residue, ring3):
-        facts = kernel_witness(plan, residue, ring3)
+        facts = kernel_witness(plan, standard_substitution(plan, residue, ring3))
         assert facts["witness_valuation"] == F(1, 2)
         assert facts["witness_in_value_group"] is False
         assert facts["relation_maps_to_zero"] is True

@@ -249,6 +249,22 @@ class TestVerifyMalformedTrace:
         assert run("verify", str(good)) == 0
 
 
+class TestVerifyMalformedSummary:
+    """A plan summary that is not an object is a FAIL at `summary` (exit 1)."""
+
+    @pytest.mark.parametrize("summary", ["x", 1.5, [], True],
+                             ids=["string", "float", "list", "true"])
+    def test_located_failure(self, summary, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "plan.json").read_text())
+        doc["summary"] = summary
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad)) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL [summary]" in out
+        assert "Traceback" not in out + err
+
+
 class TestConfigHandling:
     def test_env_config(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"

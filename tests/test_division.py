@@ -6,7 +6,6 @@ import pytest
 
 from hahndisk import InstanceConfig, division
 from hahndisk.builder import (
-    AlphaPlan,
     assemble_alpha,
     build_adapted,
     build_plan,
@@ -89,31 +88,31 @@ class TestSliceBand:
 
 
 class TestRunDivision:
-    def test_zero_target_is_all_noops(self, plan_fresh, residue, ring3):
+    def test_zero_target_is_all_noops(self, plan, residue, ring3):
         beta = residue.zero()
-        trace = run_division(plan_fresh, residue, ring3, beta, 5)
+        trace = run_division(plan, residue, ring3, beta, 5)
         assert trace.a_final.is_zero
         for step in trace.steps:
             assert step.e.is_zero and step.band.is_zero
         assert trace.final_beta.is_zero
 
-    def test_single_monomial_one_step(self, cfg, plan_fresh, residue, ring3):
+    def test_single_monomial_one_step(self, cfg, plan, residue, ring3):
         # one band-0 term; the consumed certificate leaves its residual
         # beyond 1 + v_s
         beta = residue.monomial(1, F(10, 9), 0)
-        trace = run_division(plan_fresh, residue, ring3, beta, 1)
+        trace = run_division(plan, residue, ring3, beta, 1)
         step = trace.steps[0]
         assert step.band == beta
         rv = step.beta_after.val_lower()
         assert rv is None or rv > 1 + cfg.v_s
 
-    def test_round_trip_on_builder_images(self, cfg, plan_fresh, residue, ring3):
-        c1 = build_adapted(plan_fresh, 1, residue, ring3)
-        c2 = build_adapted(plan_fresh, 2, residue, ring3)
+    def test_round_trip_on_builder_images(self, cfg, plan, residue, ring3):
+        c1 = build_adapted(plan, 1, residue, ring3)
+        c2 = build_adapted(plan, 2, residue, ring3)
         beta = residue.monomial(1, 1, 0) * c1.image \
             + residue.monomial(1, 2, 0) * c2.image
         steps = 8
-        trace = run_division(plan_fresh, residue, ring3, beta, steps)
+        trace = run_division(plan, residue, ring3, beta, steps)
         assert trace.final_val_lower >= steps + cfg.v_s
         prev = ring3.zero()
         for step in trace.steps:
@@ -132,33 +131,33 @@ class TestRunDivision:
                 assert val is None or val >= step.m + 1 + cfg.v_s
             assert trace.final_val_lower >= 6 + cfg.v_s
 
-    def test_consistency_with_substitution_route(self, cfg, plan_fresh, residue, ring3):
+    def test_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
         rng = random.Random(19)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan_fresh, residue, ring3, beta, 4)
-        sub = standard_substitution(plan_fresh, residue, ring3)
+        trace = run_division(plan, residue, ring3, beta, 4)
+        sub = standard_substitution(plan, residue, ring3)
         for step in trace.steps:
             diff = sub.apply(step.a_after, cfg.work_prec) + step.beta_after - beta
             assert not diff.terms
 
-    def test_unnormalized_target_rejected(self, plan_fresh, residue, ring3):
+    def test_unnormalized_target_rejected(self, plan, residue, ring3):
         beta = residue.x_power(F(1, 3))  # valuation 1/6 < v_s
         with pytest.raises(ContractViolationError):
-            run_division(plan_fresh, residue, ring3, beta, 2)
+            run_division(plan, residue, ring3, beta, 2)
 
 
 class TestTraceSerialization:
-    def test_replay_round_trip(self, cfg, plan_fresh, residue, ring3):
+    def test_replay_round_trip(self, cfg, plan, residue, ring3):
         rng = random.Random(29)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan_fresh, residue, ring3, beta, 5)
+        trace = run_division(plan, residue, ring3, beta, 5)
         doc = trace_to_doc(trace)
         report = verify_trace(doc)
         assert report.ok, report.text()
 
-    def test_doc_shape(self, plan_fresh, residue, ring3):
+    def test_doc_shape(self, plan, residue, ring3):
         beta = residue.monomial(1, 1, 0)
-        trace = run_division(plan_fresh, residue, ring3, beta, 2)
+        trace = run_division(plan, residue, ring3, beta, 2)
         doc = trace_to_doc(trace, normalize_k=0)
         assert doc["kind"] == "trace"
         assert doc["format"] == 2
@@ -168,6 +167,19 @@ class TestTraceSerialization:
             assert set(step) == {"m", "bound", "band", "e", "beta_after"}
         assert doc["plan"]["kind"] == "plan"
         assert set(doc["final"]) == {"bound", "residual", "val_lower"}
+
+
+@pytest.fixture
+def built_maps(monkeypatch):
+    """(plan, map) for every substitution map a division builds."""
+    built = []
+
+    def spy(plan, field, ring):
+        built.append((plan, standard_substitution(plan, field, ring)))
+        return built[-1][1]
+
+    monkeypatch.setattr(division, "standard_substitution", spy)
+    return built
 
 
 def reference_apply(sub, f, work_prec):
@@ -200,10 +212,10 @@ def _bump(c, p):
 
 class TestConsistencyCheck:
     @pytest.mark.parametrize("part", ["image", "preimage"])
-    def test_corrupted_certificate_is_caught(self, part, cfg, plan_fresh, residue,
+    def test_corrupted_certificate_is_caught(self, part, cfg, plan, residue,
                                              ring3, monkeypatch):
         beta = residue.monomial(1, 1, 0)  # band 0, exponent 0 = stage 1
-        cert = build_adapted(plan_fresh, 1, residue, ring3)
+        cert = build_adapted(plan, 1, residue, ring3)
         series = getattr(cert, part)
         # image: its lightest non-leading term; preimage: its heaviest term.
         # Either way the division still reads the recorded leading monomial,
@@ -213,18 +225,19 @@ class TestConsistencyCheck:
         terms[exps] = _bump(c, cfg.p)
         bad = dataclasses.replace(
             cert, **{part: type(series)(series.profile, terms, series.precision)})
-        plan_fresh._certs[1] = bad
+        monkeypatch.setattr(division, "build_adapted", lambda plan, m, field, ring: (
+            bad if m == 1 else build_adapted(plan, m, field, ring)))
         with pytest.raises(ContractViolationError, match="step 0: substitution route"):
-            run_division(plan_fresh, residue, ring3, beta, 2)
+            run_division(plan, residue, ring3, beta, 2)
 
         # the verifier rejects the same run on its own
         monkeypatch.setattr(division, "_check_consistency", lambda diff, where: None)
-        doc = trace_to_doc(run_division(plan_fresh, residue, ring3, beta, 2))
+        doc = trace_to_doc(run_division(plan, residue, ring3, beta, 2))
         report = verify_trace(doc)
         assert not report.ok
         assert report.failures()[0].where == "step 0", report.text()
 
-    def test_checks_every_step_then_the_whole(self, cfg, plan_fresh, residue, ring3,
+    def test_checks_every_step_then_the_whole(self, cfg, plan, residue, ring3,
                                               monkeypatch):
         seen = []
         check = division._check_consistency
@@ -235,35 +248,52 @@ class TestConsistencyCheck:
 
         monkeypatch.setattr(division, "_check_consistency", spy)
         beta = rand_normalized_target(random.Random(31), residue, cfg.v_s)
-        run_division(plan_fresh, residue, ring3, beta, 3)
+        run_division(plan, residue, ring3, beta, 3)
         assert seen == ["step 0", "step 1", "step 2", "final"]
 
-    def test_stage_appended_mid_division(self, cfg, plan_fresh, residue, ring3):
+    def test_stage_appended_mid_division(self, cfg, plan, residue, ring3, built_maps):
         # t^1 is divided at step 0 by stage 1; t x^(5/9) lies in band 1 and
         # its exponent is off the enumeration, so step 1 appends a stage
         beta = residue.monomial(1, 1, 0) + residue.monomial(2, 1, F(5, 9))
-        n0 = len(plan_fresh.stages)
-        trace = run_division(plan_fresh, residue, ring3, beta, 3)
-        assert len(plan_fresh.stages) == n0 + 1
-        assert plan_fresh.stages[-1].omega == F(5, 9)
+        n0 = len(plan.stages)
+        trace = run_division(plan, residue, ring3, beta, 3)
+        assert len(plan.stages) == n0
+        assert len(trace.plan.stages) == n0 + 1
+        assert trace.plan.stages[-1].omega == F(5, 9)
         assert trace.steps[1].band.terms == {(F(1), F(5, 9)): 2}
-        sub = standard_substitution(plan_fresh, residue, ring3)
-        assert sub.images[2] == assemble_alpha(plan_fresh, residue)
+        # step 0 checks against the plan as given, steps 1 and 2 and the
+        # whole against the extended one
+        assert [len(p.stages) for p, _ in built_maps] == [n0, n0 + 1]
+        assert built_maps[-1][1].images[2] == assemble_alpha(trace.plan, residue)
         report = verify_trace(trace_to_doc(trace))
         assert report.ok, report.text()
 
-    def test_cached_map_matches_fresh_and_reference(self, cfg, plan_fresh, residue,
-                                                    ring3):
+    def test_divisions_on_a_shared_plan_match_fresh_plans(self, cfg, plan, residue,
+                                                           ring3):
+        # the first target appends the stage 5/9; the second division must
+        # not see it
+        targets = [residue.monomial(1, 1, 0) + residue.monomial(2, 1, F(5, 9)),
+                   rand_normalized_target(random.Random(37), residue, cfg.v_s)]
+        n0 = len(plan.stages)
+        shared = [trace_to_doc(run_division(plan, residue, ring3, beta, 3))
+                  for beta in targets]
+        fresh = [trace_to_doc(run_division(build_plan(cfg), residue, ring3, beta, 3))
+                 for beta in targets]
+        assert len(shared[0]["plan"]["stages"]) == n0 + 1
+        assert shared == fresh
+
+    def test_cached_map_matches_fresh_and_reference(self, cfg, plan, residue,
+                                                    ring3, built_maps):
         rng = random.Random(23)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan_fresh, residue, ring3, beta, 4)
-        cached = standard_substitution(plan_fresh, residue, ring3)
-        assert standard_substitution(plan_fresh, residue, ring3) is cached
-        twin = AlphaPlan(config=plan_fresh.config, v_c=plan_fresh.v_c,
-                         tail_guard=plan_fresh.tail_guard, m_base=plan_fresh.m_base,
-                         stages=list(plan_fresh.stages))
-        fresh = standard_substitution(twin, residue, ring3)
-        assert fresh is not cached
+        trace = run_division(plan, residue, ring3, beta, 4)
+        # a map is rebuilt only when the plan has grown; the last one served
+        # the whole check on the final plan
+        counts = [len(p.stages) for p, _ in built_maps]
+        assert counts == sorted(set(counts))
+        used_plan, cached = built_maps[-1]
+        assert used_plan is trace.plan
+        fresh = standard_substitution(trace.plan, residue, ring3)
         x1, x3 = ring3.var(1), ring3.var(3)
         elements = [s.e for s in trace.steps] + [trace.a_final, x3, x1 * x3 * x3]
         # memos are keyed by work_prec: a low cap truncates the powers first

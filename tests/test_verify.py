@@ -18,6 +18,7 @@ from hahndisk.builder import (
     certificate_to_doc,
     plan_summary,
     plan_to_doc,
+    standard_substitution,
 )
 from hahndisk.config import MAX_B_SEARCH, MAX_P
 from hahndisk.errors import ConfigError
@@ -32,7 +33,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def full_plan_doc(plan, residue, ring3):
-    return plan_to_doc(plan, summary=plan_summary(plan, residue, ring3))
+    sub = standard_substitution(plan, residue, ring3)
+    return plan_to_doc(plan, summary=plan_summary(plan, sub))
 
 
 def scanned_verdicts(doc, start):
@@ -380,6 +382,49 @@ class TestTraceVerification:
             assert not report.ok
             assert any(f.where == where for f in report.failures()), (
                 where, report.text())
+
+
+def field_paths(node, prefix=()):
+    """Every field path of a JSON document, entering the first entry of each
+    list only, and not entering an embedded plan."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = list(enumerate(node))[:1]
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        if prefix or key != "plan":
+            yield from field_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def test_document_mutation_sweep_never_raises():
+    # the golden plan sweeps the plan fields, so the plan embedded in a
+    # certificate or trace is only deleted or retyped as a whole
+    names = ["golden/plan.json", "data/adapted_minus1_3.json",
+             "data/adapted_minus5_9.json", "data/divide_seed11_steps4.json"]
+    values = [_DELETE, None, 1.5, "x", [], {}, True, 10 ** 6]
+    swept = 0
+    for name in names:
+        doc = json.loads((DATA.parent / name).read_text())
+        for path in field_paths(doc):
+            for value in values:
+                tampered = copy.deepcopy(doc)
+                parent = tampered
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is _DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                report = verify_document(tampered)
+                assert report.findings, (name, path, value)
+                swept += 1
+    assert swept == 656
 
 
 class TestDispatch:
