@@ -194,6 +194,13 @@ def extend(plan: AlphaPlan, q) -> AlphaPlan:
     return _append_stage(plan, q, base=False)
 
 
+def certify(plan: AlphaPlan, q, field: ResidueField, ring: TateRing):
+    """(plan, certificate) for exponent q: the plan `extend` returns and the
+    certificate of its stage for q."""
+    plan = extend(plan, q)
+    return plan, build_adapted(plan, plan.find_stage(as_fraction(q)).m, field, ring)
+
+
 # -- assembled objects --------------------------------------------------------
 
 

@@ -112,8 +112,7 @@ def cmd_adapted(args) -> int:
         raise FormatError(f"q = {q} is not in Z[1/{config.p}]")
     field = config.residue()
     ring = config.tate(3)
-    plan = builder.extend(builder.build_plan(config), q)
-    cert = builder.build_adapted(plan, plan.find_stage(q).m, field, ring)
+    plan, cert = builder.certify(builder.build_plan(config), q, field, ring)
     doc = builder.certificate_to_doc(plan, cert)
     out = _outdir(args)
     path = out / f"adapted_{cert.m}.json"

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .builder import (
     AlphaPlan,
-    build_adapted,
-    extend,
+    certify,
     plan_to_doc,
     standard_substitution,
 )
@@ -135,10 +134,10 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         for q in order:
             cert = certs.get(q)
             if cert is None:
-                grown = extend(plan, q)
+                grown, cert = certify(plan, q, field, ring)
+                certs[q] = cert
                 if grown is not plan:
                     plan, sub = grown, None
-                cert = certs[q] = build_adapted(plan, plan.find_stage(q).m, field, ring)
             part = TruncatedSeries(field.profile, groups[q], EXACT)
             lead = field.monomial(cert.leading_coeff, *cert.leading_exps)
             d = part * (lead * t_m_res).invert()

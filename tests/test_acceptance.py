@@ -176,7 +176,7 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
         rng = random.Random(cfg.seed + 5)
         steps = 8
 
-        def check_trace(plan, beta, trace):
+        def check_trace(beta, trace):
             for step in trace.steps:
                 val = step.beta_after.val_lower()
                 assert val is None or val >= step.m + 1 + cfg.v_s
@@ -189,19 +189,19 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
                 trace.final_val_lower >= steps + cfg.v_s
             # f(a_M) - beta = -beta_M on the certificate route; the generic
             # substitution route must agree on every term it resolves
-            sub = standard_substitution(plan, residue, ring3)
+            sub = standard_substitution(trace.plan, residue, ring3)
             diff = sub.apply(trace.a_final, cfg.work_prec) \
                 + trace.final_beta - beta
             assert not diff.terms
 
+        # plans are values: every division starts from the same 12 stages
+        plan = build_plan(cfg)
         for _ in range(20):
-            plan = build_plan(cfg)
             beta = rand_normalized_target(rng, residue, cfg.v_s, max_terms=8)
             trace = run_division(plan, residue, ring3, beta, steps)
-            check_trace(plan, beta, trace)
+            check_trace(beta, trace)
 
         # round-trips through builder-produced integral elements
-        plan = build_plan(cfg)
         c1 = build_adapted(plan, 1, residue, ring3)
         c2 = build_adapted(plan, 2, residue, ring3)
         c3 = build_adapted(plan, 3, residue, ring3)
@@ -213,9 +213,8 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
             + residue.monomial(1, 1, 0) * c3.image,
         ]
         for beta in targets:
-            plan_rt = build_plan(cfg)
-            trace = run_division(plan_rt, residue, ring3, beta, steps)
-            check_trace(plan_rt, beta, trace)
+            trace = run_division(plan, residue, ring3, beta, steps)
+            check_trace(beta, trace)
 
 
 def test_criterion_6_type_ii_lower_bound(cfg, ground):

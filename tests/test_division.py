@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hahndisk import InstanceConfig, division
+from hahndisk import InstanceConfig, builder, division
 from hahndisk.builder import (
     assemble_alpha,
     build_adapted,
@@ -135,7 +135,7 @@ class TestRunDivision:
         rng = random.Random(19)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
         trace = run_division(plan, residue, ring3, beta, 4)
-        sub = standard_substitution(plan, residue, ring3)
+        sub = standard_substitution(trace.plan, residue, ring3)
         for step in trace.steps:
             diff = sub.apply(step.a_after, cfg.work_prec) + step.beta_after - beta
             assert not diff.terms
@@ -225,7 +225,7 @@ class TestConsistencyCheck:
         terms[exps] = _bump(c, cfg.p)
         bad = dataclasses.replace(
             cert, **{part: type(series)(series.profile, terms, series.precision)})
-        monkeypatch.setattr(division, "build_adapted", lambda plan, m, field, ring: (
+        monkeypatch.setattr(builder, "build_adapted", lambda plan, m, field, ring: (
             bad if m == 1 else build_adapted(plan, m, field, ring)))
         with pytest.raises(ContractViolationError, match="step 0: substitution route"):
             run_division(plan, residue, ring3, beta, 2)

@@ -5,6 +5,7 @@ import copy
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -408,6 +409,7 @@ def test_document_mutation_sweep_never_raises():
     names = ["golden/plan.json", "data/adapted_minus1_3.json",
              "data/adapted_minus5_9.json", "data/divide_seed11_steps4.json"]
     values = [_DELETE, None, 1.5, "x", [], {}, True, 10 ** 6]
+    start = time.monotonic()
     swept = 0
     for name in names:
         doc = json.loads((DATA.parent / name).read_text())
@@ -425,6 +427,8 @@ def test_document_mutation_sweep_never_raises():
                 assert report.findings, (name, path, value)
                 swept += 1
     assert swept == 656
+    elapsed = time.monotonic() - start
+    assert elapsed < 5, f"mutation sweep took {elapsed:.2f}s, budget 5s"
 
 
 class TestDispatch:
