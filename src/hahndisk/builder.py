@@ -244,7 +244,6 @@ class CheckRecord:
 class AdaptedCertificate:
     m: int
     q: Fraction
-    v_s: Fraction
     preimage: TruncatedSeries
     image: TruncatedSeries
     leading_exps: tuple
@@ -355,7 +354,6 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     cert = AdaptedCertificate(
         m=m,
         q=st.omega,
-        v_s=cfg.v_s,
         preimage=preimage,
         image=image,
         leading_exps=lead_exps,
@@ -439,24 +437,17 @@ def plan_summary(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
 
 
 def certificate_to_doc(plan: AlphaPlan, cert: AdaptedCertificate) -> dict:
+    """Certificate format 2.  The stage's three adapted facts are not
+    recorded: the plan verifier derives them from the embedded plan, and
+    the certificate verifier compares `image` and `preimage` with it."""
     return {
         "kind": "certificate",
-        "format": 1,
+        "format": 2,
         "plan": plan_to_doc(plan),
         "m": cert.m,
         "q": str(cert.q),
-        "v_s": str(cert.v_s),
         "preimage": render_series(cert.preimage),
         "image": render_series(cert.image),
-        "leading": {
-            "t_exp": str(cert.leading_exps[0]),
-            "x_exp": str(cert.leading_exps[1]),
-            "coeff": cert.leading_coeff,
-        },
-        "checks": [
-            {"name": c.name, "lhs": c.lhs, "op": c.op, "rhs": c.rhs, "ok": c.ok}
-            for c in cert.checks
-        ],
     }
 
 

@@ -224,7 +224,9 @@ def cmd_selftest(args) -> int:
     def construction():
         plan = builder.build_plan(config)
         for m in range(1, len(plan.stages) + 1):
-            builder.build_adapted(plan, m, field, ring)
+            cert = builder.build_adapted(plan, m, field, ring)
+            report = verify.verify_certificate(builder.certificate_to_doc(plan, cert))
+            assert report.ok, report.text()
         sub = builder.standard_substitution(plan, field, ring)
         witness = builder.kernel_witness(plan, sub)
         assert witness["witness_in_value_group"] is False

@@ -59,7 +59,8 @@ class InstanceConfig:
             )
         if not 0 < self.v_s < 1:
             raise ConfigError(f"v_s must lie in (0, 1), got {self.v_s}")
-        if not isinstance(self.stages, int) or self.stages < 1:
+        # type(...) is int: JSON true is a bool, and a bool is an int
+        if type(self.stages) is not int or self.stages < 1:
             raise ConfigError(f"stages must be a positive integer, got {self.stages!r}")
         wp = self.work_prec
         if wp is None:
@@ -70,7 +71,7 @@ class InstanceConfig:
                 f"work_prec = {self.work_prec} must exceed stages + 1 = "
                 f"{self.stages + 1}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     # -- derived objects ----------------------------------------------------

@@ -17,6 +17,7 @@ from hahndisk.builder import (
     assemble_alpha,
     build_adapted,
     build_plan,
+    certificate_to_doc,
     extend,
     kernel_witness,
     plan_to_doc,
@@ -172,6 +173,16 @@ class TestAdaptedCertificates:
             )
             rv = residual.val_lower()
             assert rv is None or rv > 1 + cfg.v_s
+
+    def test_doc_shape(self, plan, residue, ring3):
+        # format 2 records each fact once: no v_s, leading monomial or check
+        # records, which the verifier derives from the plan
+        doc = certificate_to_doc(plan, build_adapted(plan, 3, residue, ring3))
+        assert set(doc) == {"kind", "format", "plan", "m", "q", "preimage", "image"}
+        assert doc["kind"] == "certificate"
+        assert doc["format"] == 2
+        assert doc["plan"] == plan_to_doc(plan)
+        assert (doc["m"], doc["q"]) == (3, "-1")
 
     def test_preimages_integral(self, plan, residue, ring3):
         for m in range(1, len(plan.stages) + 1):

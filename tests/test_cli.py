@@ -100,10 +100,9 @@ class TestDivide:
 
 
 class TestRecordedTranscripts:
-    """Certificates recorded by an earlier version, before the plan
-    verifier, the stage search and the term weights were made incremental,
-    and a trace recorded when traces moved to format 2; every later version
-    must write them byte for byte."""
+    """Certificates recorded when certificates moved to format 2, and a
+    trace recorded when traces did; every later version must write them,
+    and the `verify --verbose` reports on them, byte for byte."""
 
     @pytest.mark.parametrize("q,name", [
         ("-1/3", "adapted_minus1_3.json"),  # stage 9 of the enumeration
@@ -120,8 +119,7 @@ class TestRecordedTranscripts:
         (DATA / "adapted_minus5_9.json", "verify_adapted_minus5_9.txt"),
     ])
     def test_verify_verbose(self, source, name, capsys):
-        # recorded before plan verification moved to closed form: every
-        # finding, its location and its message stay byte for byte
+        # every finding, its location and its message stay byte for byte
         assert run("verify", "--verbose", str(source)) == 0
         assert capsys.readouterr().out == (DATA / name).read_text()
 
@@ -233,15 +231,23 @@ class TestVerifyMalformedTrace:
         ("trace", lambda d: d.__setitem__("normalize_k", -5)),
         ("trace", lambda d: d.__setitem__("format", 1)),
         ("step 1", lambda d: d["steps"][1].__setitem__("a_after", "O(EXACT)\n")),
+        # the top-level and final field sets are exact, as a step's is
+        ("trace", lambda d: d.__setitem__("note", "unread")),
+        ("trace", lambda d: d.pop("normalize_k")),
+        ("final", lambda d: d["final"].__setitem__("note", "unread")),
+        ("final", lambda d: d["final"].pop("bound")),
     ], ids=["missing-m", "string-m", "float-m", "steps-not-list", "final-not-object",
-            "steps-requested", "negative-normalize-k", "format-1", "extra-a-after"])
+            "steps-requested", "negative-normalize-k", "format-1", "extra-a-after",
+            "extra-key", "missing-key", "extra-final-key", "missing-final-bound"])
     def test_located_failure(self, where, mutate, trace_doc, tmp_path, capsys):
         doc = copy.deepcopy(trace_doc)
         mutate(doc)
         bad = tmp_path / "trace.json"
         bad.write_text(json.dumps(doc))
         assert run("verify", str(bad)) == 1
-        assert f"FAIL [{where}]" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert f"FAIL [{where}]" in out
+        assert "Traceback" not in out + err
 
     def test_honest_trace_passes(self, trace_doc, tmp_path):
         good = tmp_path / "trace.json"
@@ -283,6 +289,13 @@ class TestConfigHandling:
         assert run("build", "--stages", "3", "--out", str(out)) == 0
         doc = json.loads((out / "plan.json").read_text())
         assert doc["instance"]["stages"] == 3
+
+    @pytest.mark.parametrize("key", ["stages", "seed"])
+    def test_boolean_integer_is_usage_error(self, key, tmp_path):
+        # JSON true is not the integer 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        assert run("build", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
 
     def test_usage_error_exit_code(self):
         assert run("no-such-command") == 2
