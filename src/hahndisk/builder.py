@@ -212,11 +212,25 @@ def assemble_alpha(plan: AlphaPlan, field: ResidueField) -> TruncatedSeries:
     """
     m_committed = len(plan.stages)
     prec = min(plan.config.work_prec, Fraction(m_committed + 1))
-    total = field.zero(precision=prec)
-    for st in plan.stages:
-        t_exp, x_exp = plan.alpha_term_exps(st)
-        total = total + field.monomial(1, t_exp, x_exp, precision=prec)
-    return total
+    return _stage_sum(plan, plan.stages, field, prec)
+
+
+def _add_term(terms: dict, exps, coeff: int, p: int):
+    """Add coeff * exps into a term dict mod p, as a series sum does."""
+    s = (terms.get(exps, 0) + coeff) % p
+    if s:
+        terms[exps] = s
+    else:
+        terms.pop(exps, None)
+
+
+def _stage_sum(plan: AlphaPlan, stages, field: ResidueField, prec) -> TruncatedSeries:
+    """sum of the stage terms of `stages` at precision prec, accumulated in
+    one dict and built once: the terms, and their order, of a running sum."""
+    terms = {}
+    for st in stages:
+        _add_term(terms, plan.alpha_term_exps(st), 1, plan.config.p)
+    return TruncatedSeries(field.profile, terms, prec)
 
 
 def standard_substitution(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> SubstitutionMap:
@@ -260,11 +274,7 @@ def _tail_series(plan: AlphaPlan, m: int, field: ResidueField) -> TruncatedSerie
     justified by the tail guard viewed from stage m."""
     st_m = plan.stages[m - 1]
     prec = plan.config.p ** st_m.b * plan.tail_guard
-    total = field.zero(precision=prec)
-    for st in plan.stages[m - 1:]:
-        t_exp, x_exp = plan.alpha_term_exps(st)
-        total = total + field.monomial(1, t_exp, x_exp, precision=prec)
-    return total
+    return _stage_sum(plan, plan.stages[m - 1:], field, prec)
 
 
 def _quotient_exps(plan: AlphaPlan, st: PlanStage, prev: PlanStage):
@@ -293,7 +303,8 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     st = plan.stages[m - 1]
     eps_res = field.monomial(1, st.v_eps, 0)
 
-    cancellers = []
+    # eps x3 minus one divisor monomial per earlier stage, summed in one dict
+    head = {(st.v_eps, 0, 0, 1): 1}
     for prev in plan.stages[: m - 1]:
         d_t, d_x = _quotient_exps(plan, st, prev)
         if d_x != 0:
@@ -306,15 +317,11 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
                 f"{d_t} < 0; eps is not divisible enough"
             )
         if prev.omega >= 0:
-            w_exps = (Fraction(0), prev.omega * cfg.p ** prev.b, Fraction(0), Fraction(0))
+            exps = (d_t, prev.omega * cfg.p ** prev.b, 0, 0)
         else:
-            w_exps = (Fraction(0), Fraction(0), -prev.omega * cfg.p ** prev.b, Fraction(0))
-        cancellers.append(ring.monomial(1, d_t, w_exps[1:]))
-
-    head = ring.monomial(1, st.v_eps, (0, 0, 1))
-    for piece in cancellers:
-        head = head - piece
-    preimage = head.frobenius(-st.b)
+            exps = (d_t, 0, -prev.omega * cfg.p ** prev.b, 0)
+        _add_term(head, exps, -1, cfg.p)
+    preimage = TruncatedSeries(ring.profile, head, EXACT).frobenius(-st.b)
     ring.check_element(preimage)
     if not is_integral(preimage):
         raise AdaptednessFailedError(f"stage {m} preimage left the unit-ball subring")

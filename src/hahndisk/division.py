@@ -26,6 +26,7 @@ from .builder import (
     standard_substitution,
 )
 from .errors import (
+    ConfigError,
     ContractViolationError,
     InsufficientPrecisionError,
     UnresolvedError,
@@ -105,6 +106,8 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
     the extended plan.  Certificates are kept by exponent, and the
     substitution map is rebuilt only when the plan grows.
     """
+    if steps < 0:
+        raise ConfigError(f"the step count must be nonnegative, got {steps}")
     cfg = plan.config
     v_s = cfg.v_s
     _certified_val(beta, v_s, "target is not normalized")

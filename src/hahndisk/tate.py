@@ -209,6 +209,9 @@ class SubstitutionMap:
         self.ring = ring
         self.field = field
         self.images = images
+        # least stored-term weight of each image, None for an image with no
+        # stored terms: every term of images[i]^q weighs at least q * v_i
+        self._vals = tuple(img.val_lower() if img.terms else None for img in images)
         self._roots = {}
         self._powers = {}
 
@@ -264,37 +267,57 @@ class SubstitutionMap:
         return self.field.one() if out is None else out
 
     def apply(self, f: TruncatedSeries, work_prec=None) -> TruncatedSeries:
-        """Evaluate f term by term.
+        """Evaluate f term by term, evaluating only what the result keeps.
 
         The result keeps exact precision when everything in sight is exact;
         finite propagated precisions are capped at work_prec.  The tail of f
         beyond its own precision maps into valuation >= that precision.
 
         A term c t^a x^q maps to c t^a times the image of x^q, which only
-        shifts that image by a; when one variable appears, that image is a
-        memoized power, used as it is.  The shifted images are summed into one
-        dict and filtered once at the end: precision only falls as terms are
-        added, so this keeps exactly the terms a running sum would keep.
+        shifts that image by a.  The first pass fixes the precision: only a
+        term with a positive exponent on an inexact image can lower it (an
+        all-exact image of x^q is exact), so only those x-parts are
+        evaluated there.  Every stored term of the image of x^q weighs at
+        least sum q_i v_i: the closed form gives q w, a Frobenius root
+        scales weights by 1/p^k, a product adds them, and truncation only
+        drops terms.  So the second pass skips each term with
+        a + sum q_i v_i >= prec, and each term on an image with no stored
+        terms; neither reaches a key below prec.  The rest are summed into
+        one dict and filtered once, which keeps exactly the terms, and the
+        dict order, of a running sum over every term.
         """
         self.ring.check_element(f)
         if work_prec is not None:
             work_prec = as_fraction(work_prec)
+        images, vals = self.images, self._vals
+        parts = {}
+        prec = f.precision
+        for exps in f.terms:
+            qs = exps[1:]
+            if any(q and images[i].precision is not EXACT for i, q in enumerate(qs)):
+                if qs not in parts:
+                    parts[qs] = self._x_part(qs, work_prec)
+                prec = min_precision(prec, shift_precision(parts[qs].precision, exps[0]))
+        if work_prec is not None and prec is not EXACT and prec > work_prec:
+            prec = work_prec
         p = self.field.profile.p
         acc = {}
-        prec = f.precision
         for exps, coeff in f.terms.items():
-            a = exps[0]
-            part = self._x_part(exps[1:], work_prec)
-            prec = min_precision(prec, shift_precision(part.precision, a))
-            for (e0, *rest), c in part.terms.items():
+            a, qs = exps[0], exps[1:]
+            used = [(q, v) for q, v in zip(qs, vals) if q]
+            if any(v is None for _, v in used):
+                continue
+            if prec is not EXACT and a + sum(q * v for q, v in used) >= prec:
+                continue
+            if qs not in parts:
+                parts[qs] = self._x_part(qs, work_prec)
+            for (e0, *rest), c in parts[qs].terms.items():
                 key = (e0 + a, *rest)
                 s = (acc.get(key, 0) + coeff * c) % p
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        if work_prec is not None and prec is not EXACT and prec > work_prec:
-            prec = work_prec
         return TruncatedSeries._trusted(self.field.profile, acc, prec)
 
 

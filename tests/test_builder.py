@@ -14,6 +14,7 @@ import pytest
 
 from hahndisk.builder import (
     _quotient_exps,
+    _tail_series,
     assemble_alpha,
     build_adapted,
     build_plan,
@@ -207,6 +208,39 @@ class TestAdaptedCertificates:
                     want = eps_res * alpha_term * fw.invert()
                     got = field.monomial(1, *_quotient_exps(plan, st, prev))
                     assert got == want
+
+    def test_staged_sums_match_running_sums(self, extended_plans):
+        # alpha, every stage tail and every preimage head are summed in one
+        # dict; a sum built one `+` at a time has the same terms, in the
+        # same order, and the same precision
+        def running_sum(plan, stages, field, prec):
+            total = field.zero(precision=prec)
+            for st in stages:
+                total = total + field.monomial(1, *plan.alpha_term_exps(st),
+                                               precision=prec)
+            return total
+
+        def same(got, want):
+            return got == want and list(got.terms) == list(want.terms)
+
+        for plan in extended_plans:
+            cfg = plan.config
+            field, ring = cfg.residue(), cfg.tate(3)
+            prec = min(cfg.work_prec, F(len(plan.stages) + 1))
+            assert same(assemble_alpha(plan, field),
+                        running_sum(plan, plan.stages, field, prec))
+            for m, st in enumerate(plan.stages, start=1):
+                assert same(_tail_series(plan, m, field),
+                            running_sum(plan, plan.stages[m - 1:], field,
+                                        cfg.p ** st.b * plan.tail_guard))
+                head = ring.monomial(1, st.v_eps, (0, 0, 1))
+                for prev in plan.stages[: m - 1]:
+                    w = prev.omega * cfg.p ** prev.b
+                    x_exps = (w, 0, 0) if w >= 0 else (0, -w, 0)
+                    head = head - ring.monomial(
+                        1, _quotient_exps(plan, st, prev)[0], x_exps)
+                assert same(build_adapted(plan, m, field, ring).preimage,
+                            head.frobenius(-st.b))
 
     def test_image_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
         # the generic route evaluates the preimage through the map; the

@@ -98,11 +98,22 @@ class TestDivide:
     def test_missing_file(self, tmp_path):
         assert run("divide", str(tmp_path / "nope.txt"), "2") == 2
 
+    def test_negative_steps_is_usage_error(self, tmp_path, capsys):
+        beta = tmp_path / "beta.txt"
+        beta.write_text("1 t^10/9\nO(EXACT)\n")
+        out = tmp_path / "out"
+        assert run("divide", "--out", str(out), str(beta), "--", "-1") == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "step count" in captured.err
+        assert not (out / "trace.json").exists()
+
 
 class TestRecordedTranscripts:
-    """Certificates recorded when certificates moved to format 2, and a
-    trace recorded when traces did; every later version must write them,
-    and the `verify --verbose` reports on them, byte for byte."""
+    """Certificates recorded when certificates moved to format 2, a trace
+    recorded when traces did, and a trace at p = 5 recorded before staged
+    sums were built in one pass; every later version must write them, and
+    the `verify --verbose` reports on them, byte for byte."""
 
     @pytest.mark.parametrize("q,name", [
         ("-1/3", "adapted_minus1_3.json"),  # stage 9 of the enumeration
@@ -131,6 +142,15 @@ class TestRecordedTranscripts:
         assert run("divide", "--out", str(out), str(tmp_path / "target.txt"), "4") == 0
         assert ((out / "trace.json").read_bytes()
                 == (DATA / "divide_seed11_steps4.json").read_bytes())
+
+    def test_divide_off_the_default_prime(self, tmp_path, capsys):
+        # p = 5: the band exponents 2/25, -4/5, -25 and 50 append four
+        # stages, so the run rebuilds its map and checks on the extended plan
+        out = tmp_path / "out"
+        assert run("divide", "--p", "5", "--gamma-x", "1/3", "--v-s", "1/2",
+                   "--out", str(out), str(DATA / "divide_p5_target.txt"), "4") == 0
+        assert ((out / "trace.json").read_bytes()
+                == (DATA / "divide_p5_steps4.json").read_bytes())
 
 
 class TestClassify:

@@ -17,7 +17,7 @@ from hahndisk.division import (
     slice_band,
     trace_to_doc,
 )
-from hahndisk.errors import ContractViolationError, UnresolvedError
+from hahndisk.errors import ConfigError, ContractViolationError, UnresolvedError
 from hahndisk.valgroup import EXACT, padic_denominator_exponent
 from hahndisk.verify import verify_trace
 
@@ -144,6 +144,13 @@ class TestRunDivision:
         beta = residue.x_power(F(1, 3))  # valuation 1/6 < v_s
         with pytest.raises(ContractViolationError):
             run_division(plan, residue, ring3, beta, 2)
+
+    def test_negative_steps_rejected_first(self, plan, residue, ring3):
+        with pytest.raises(ConfigError, match="step count"):
+            run_division(plan, residue, ring3, residue.monomial(1, 1, 0), -1)
+        # the step count is checked before the target's own bound
+        with pytest.raises(ConfigError):
+            run_division(plan, residue, ring3, residue.x_power(F(1, 3)), -3)
 
 
 class TestTraceSerialization:

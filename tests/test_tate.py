@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hahndisk.errors import (
     ConfigError,
@@ -21,6 +21,8 @@ from hahndisk.tate import (
     project,
     type_ii_lower_bound,
 )
+
+from test_division import reference_apply
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +268,95 @@ def test_image_power_closed_form_matches_root_and_power(case):
         k += 1
     want = _root_and_power(image, k, int(q * p ** k), work_prec)
     assert sub._image_power(0, q, work_prec) == want
+
+
+def _pruned_case():
+    """x1 -> x, x2 -> an empty image O(2), x3 -> x + t + O(3).  The term
+    x1 x2^(2/9) x3 sets the result's precision to 13/9 (x2^(2/9) is O(4/9)),
+    so t^10 x1^3 is pruned, and t x1 x2 meets the empty image."""
+    field = ResidueField(GroundField(3), _FIELDS[3])
+    ring = TateRing(field.ground, 3)
+    images = (
+        field.x_power(1),
+        field.zero(precision=2),
+        TruncatedSeries(field.profile, {(0, 1): 1, (1, 0): 1}, 3),
+    )
+    f = TruncatedSeries(ring.profile, {
+        (0, 1, 0, Fraction(1, 3)): 1,
+        (10, 3, 0, 0): 2,
+        (1, 1, 1, 0): 1,
+        (0, 1, Fraction(2, 9), 1): 2,
+    })
+    return field, ring, images, f, None
+
+
+@st.composite
+def substitution_cases(draw):
+    """A three-variable map whose third image, like alpha, has several terms
+    at finite precision; the other two are exact or finite, one or several
+    terms, or empty at finite precision.  The first term of f has two or
+    three nonzero variable exponents."""
+    p = draw(st.sampled_from(sorted(_FIELDS)))
+    field = ResidueField(GroundField(p), _FIELDS[p])
+    ring = TateRing(field.ground, 3)
+
+    def rat(lo, hi, k):
+        return Fraction(draw(st.integers(lo, hi)), p ** draw(st.integers(0, k)))
+
+    def image(kind):
+        if kind == "empty":
+            return field.zero(precision=rat(0, 6, 1))
+        terms = {}
+        for _ in range(1 if kind.endswith("monomial") else draw(st.integers(2, 3))):
+            t_exp, x_exp = rat(0, 6, 1), rat(-3, 3, 1)
+            weight = t_exp + x_exp * field.gamma_x
+            if weight < 0:
+                t_exp += -(weight // 1)  # integral shift into valuation >= 0
+            terms[(t_exp, x_exp)] = draw(st.integers(1, p - 1))
+        top = max(t + x * field.gamma_x for t, x in terms)
+        prec = None if kind.startswith("exact") else top + rat(1, 6, 1)
+        return TruncatedSeries(field.profile, terms, prec)
+
+    kinds = st.sampled_from(
+        ["exact monomial", "exact sum", "finite monomial", "finite sum", "empty"])
+    images = (image(draw(kinds)), image(draw(kinds)), image("finite sum"))
+    terms = {}
+    for j in range(draw(st.integers(1, 4))):
+        used = draw(st.lists(st.integers(0, 2), min_size=2 if j == 0 else 0,
+                             max_size=3, unique=True))
+        qs = [Fraction(0)] * 3
+        for i in used:
+            qs[i] = rat(1, 3, 2)
+        terms[(rat(-2, 12, 1), *qs)] = draw(st.integers(1, p - 1))
+    f = TruncatedSeries(ring.profile, terms, draw(st.one_of(
+        st.none(), st.integers(0, 15).map(Fraction))))
+    work_prec = draw(st.one_of(st.none(), st.builds(
+        Fraction, st.integers(0, 20), st.sampled_from([1, p]))))
+    return field, ring, images, f, work_prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=substitution_cases())
+@example(case=_pruned_case())
+def test_apply_matches_reference_route(case):
+    field, ring, images, f, work_prec = case
+    sub = SubstitutionMap(ring, field, images)
+    got = sub.apply(f, work_prec)
+    want = reference_apply(sub, f, work_prec)
+    assert got.precision == want.precision
+    assert got.terms == want.terms
+
+
+def test_apply_skips_terms_beyond_precision():
+    field, ring, images, f, work_prec = _pruned_case()
+    sub = SubstitutionMap(ring, field, images)
+    evaluated = []
+    x_part = sub._x_part
+    sub._x_part = lambda qs, wp: evaluated.append(qs) or x_part(qs, wp)
+    got = sub.apply(f, work_prec)
+    assert got.precision == Fraction(13, 9)
+    assert got == reference_apply(sub, f, work_prec)
+    # t^10 x1^3 weighs at least 10 + 3/2, and x2's image has no terms
+    assert (3, 0, 0) not in evaluated
+    assert sorted(evaluated) == sorted(
+        [(1, 0, Fraction(1, 3)), (1, 1, 0), (1, Fraction(2, 9), 1)])
