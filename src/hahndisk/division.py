@@ -70,7 +70,6 @@ class DivisionStep:
     bound: Fraction          # certified: valuation(beta_m) >= bound
     band: TruncatedSeries    # the consumed slice of beta_m
     e: TruncatedSeries       # correction added to the approximant
-    a_after: TruncatedSeries  # not serialized: the running sum of every e
     beta_after: TruncatedSeries
 
 
@@ -86,9 +85,10 @@ class DivisionTrace:
 
     @property
     def a_final(self) -> TruncatedSeries:
-        if self.steps:
-            return self.steps[-1].a_after
-        return None
+        """The approximant: the sum of every step's `e`; None without steps."""
+        if not self.steps:
+            return None
+        return sum((s.e for s in self.steps[1:]), self.steps[0].e)
 
 
 def _certified_val(beta: TruncatedSeries, floor: Fraction, what: str):
@@ -163,7 +163,6 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
             e_m = e_m + d_ring * t_m_ring * cert.preimage
             f_e = f_e + d * t_m_res * cert.image
         beta_next = beta_m - f_e
-        a_next = a + e_m
         _certified_val(beta_next, m + 1 + v_s, f"step {m} contraction bound")
         step_gap = e_m.val_lower()
         if step_gap is not None and step_gap < m:
@@ -179,11 +178,10 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
                 bound=m + v_s,
                 band=band,
                 e=e_m,
-                a_after=a_next,
                 beta_after=beta_next,
             )
         )
-        beta_m, a = beta_next, a_next
+        beta_m, a = beta_next, a + e_m
     final_val = _certified_val(beta_m, steps + v_s, "final residual bound")
     if sub is None:
         sub = standard_substitution(plan, field, ring)

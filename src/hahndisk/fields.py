@@ -50,9 +50,6 @@ class GroundField:
         """
         return is_in_zp(v, self.p)
 
-    def parse(self, text: str) -> TruncatedSeries:
-        return parse_series(self.profile, text)
-
     def __eq__(self, other):
         return isinstance(other, GroundField) and other.p == self.p
 

@@ -24,7 +24,6 @@ from .series import (
     TruncatedSeries,
     WeightProfile,
     min_precision,
-    parse_series,
     render_series,
     shift_precision,
 )
@@ -81,9 +80,6 @@ class TateRing:
                     "nonnegative p-power-denominator exponents"
                 )
         return f
-
-    def parse(self, text: str) -> TruncatedSeries:
-        return self.check_element(parse_series(self.profile, text))
 
 
 def is_integral(f: TruncatedSeries) -> bool:

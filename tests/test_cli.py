@@ -128,6 +128,8 @@ class TestRecordedTranscripts:
         (GOLDEN / "plan.json", "verify_golden_plan.txt"),
         (DATA / "adapted_minus1_3.json", "verify_adapted_minus1_3.txt"),
         (DATA / "adapted_minus5_9.json", "verify_adapted_minus5_9.txt"),
+        (DATA / "divide_seed11_steps4.json", "verify_divide_seed11_steps4.txt"),
+        (DATA / "divide_p5_steps4.json", "verify_divide_p5_steps4.txt"),
     ])
     def test_verify_verbose(self, source, name, capsys):
         # every finding, its location and its message stay byte for byte
@@ -251,13 +253,15 @@ class TestVerifyMalformedTrace:
         ("trace", lambda d: d.__setitem__("normalize_k", -5)),
         ("trace", lambda d: d.__setitem__("format", 1)),
         ("step 1", lambda d: d["steps"][1].__setitem__("a_after", "O(EXACT)\n")),
+        # recorded step text is compared, never parsed
+        ("step 1", lambda d: d["steps"][1].__setitem__("e", f"1 t^{BIG}\nO(EXACT)\n")),
         # the top-level and final field sets are exact, as a step's is
         ("trace", lambda d: d.__setitem__("note", "unread")),
         ("trace", lambda d: d.pop("normalize_k")),
         ("final", lambda d: d["final"].__setitem__("note", "unread")),
         ("final", lambda d: d["final"].pop("bound")),
     ], ids=["missing-m", "string-m", "float-m", "steps-not-list", "final-not-object",
-            "steps-requested", "negative-normalize-k", "format-1", "extra-a-after",
+            "steps-requested", "negative-normalize-k", "format-1", "extra-a-after", "big-e",
             "extra-key", "missing-key", "extra-final-key", "missing-final-bound"])
     def test_located_failure(self, where, mutate, trace_doc, tmp_path, capsys):
         doc = copy.deepcopy(trace_doc)

@@ -92,6 +92,7 @@ class TestRunDivision:
         beta = residue.zero()
         trace = run_division(plan, residue, ring3, beta, 5)
         assert trace.a_final.is_zero
+        assert run_division(plan, residue, ring3, beta, 0).a_final is None
         for step in trace.steps:
             assert step.e.is_zero and step.band.is_zero
         assert trace.final_beta.is_zero
@@ -114,11 +115,9 @@ class TestRunDivision:
         steps = 8
         trace = run_division(plan, residue, ring3, beta, steps)
         assert trace.final_val_lower >= steps + cfg.v_s
-        prev = ring3.zero()
         for step in trace.steps:
-            gap = (step.a_after - prev).val_lower()
+            gap = step.e.val_lower()
             assert gap is None or gap >= step.m
-            prev = step.a_after
 
     def test_contraction_on_random_targets(self, cfg, residue, ring3):
         rng = random.Random(cfg.seed + 3)
@@ -136,8 +135,10 @@ class TestRunDivision:
         beta = rand_normalized_target(rng, residue, cfg.v_s)
         trace = run_division(plan, residue, ring3, beta, 4)
         sub = standard_substitution(trace.plan, residue, ring3)
+        a = ring3.zero()
         for step in trace.steps:
-            diff = sub.apply(step.a_after, cfg.work_prec) + step.beta_after - beta
+            a = a + step.e
+            diff = sub.apply(a, cfg.work_prec) + step.beta_after - beta
             assert not diff.terms
 
     def test_unnormalized_target_rejected(self, plan, residue, ring3):

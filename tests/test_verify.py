@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import hahndisk.fields
+import hahndisk.series
+import hahndisk.tate
 import hahndisk.verify
 from hahndisk import InstanceConfig
 from hahndisk.builder import (
@@ -32,6 +35,27 @@ from conftest import INSTANCES, rand_normalized_target
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
+
+
+def unreduced(text):
+    """A rational's text over twice its denominator, e.g. 2/6 for 1/3."""
+    q = Fraction(text)
+    return f"{2 * q.numerator}/{2 * q.denominator}"
+
+
+def swap_terms(text):
+    """Series text with its first two term lines swapped: the same series,
+    not in canonical order."""
+    lines = text.splitlines(keepends=True)
+    return "".join([lines[1], lines[0]] + lines[2:])
+
+
+def unreduce_exponent(text):
+    """Series text with the t-exponent of its first term unreduced: the
+    same series, not canonical."""
+    first, rest = text.split("\n", 1)
+    coeff, t_exp, *xs = first.split()
+    return " ".join([coeff, "t^" + unreduced(t_exp[2:]), *xs]) + "\n" + rest
 
 
 def full_plan_doc(plan, residue, ring3):
@@ -315,6 +339,11 @@ class TestCertificateVerification:
                 ("certificate", lambda d: d.pop("q")),
                 ("certificate", lambda d: d.__setitem__("q", "1e3")),
                 ("certificate stage 2", lambda d: d.__setitem__("q", "5")),
+                # recorded series are canonical text
+                ("certificate stage 2", lambda d: d.__setitem__(
+                    "image", swap_terms(d["image"]))),
+                ("certificate stage 2", lambda d: d.__setitem__(
+                    "preimage", unreduce_exponent(d["preimage"]))),
             ]:
                 doc = certificate_to_doc(plan, cert)
                 mutate(doc)
@@ -334,9 +363,13 @@ class TestTraceVerification:
         report = verify_trace(self.make_trace_doc(cfg, residue, ring3))
         assert report.ok, report.text()
 
-    def test_step_mutations_are_localized(self, cfg, residue, ring3):
-        doc = self.make_trace_doc(cfg, residue, ring3)
+    @staticmethod
+    def step_mutations(doc):
+        """(where, mutate) pairs, each changing one field of `doc`."""
         step = len(doc["steps"]) // 2
+        # the last step whose band has two terms to reorder
+        banded = max(k for k, rec in enumerate(doc["steps"])
+                     if len(rec["band"].splitlines()) > 2)
 
         def bump_coeff(text):
             lines = text.splitlines()
@@ -363,14 +396,55 @@ class TestTraceVerification:
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "a_after", d["steps"][step]["e"])),
             (f"step {step}", lambda d: d["steps"][step].pop("band")),
+            # an equal series or bound in text that is not canonical
+            (f"step {banded}", lambda d: d["steps"][banded].__setitem__(
+                "band", swap_terms(d["steps"][banded]["band"]))),
+            (f"step {step}", lambda d: d["steps"][step].__setitem__(
+                "e", unreduce_exponent(d["steps"][step]["e"]))),
+            (f"step {step}", lambda d: d["steps"][step].__setitem__(
+                "beta_after", d["steps"][step]["beta_after"][:-1])),
+            (f"step {step}", lambda d: d["steps"][step].__setitem__(
+                "bound", unreduced(d["steps"][step]["bound"]))),
         ]
-        for where, mutate in mutations:
-            tampered = copy.deepcopy(doc)
-            mutate(tampered)
-            report = verify_trace(tampered)
-            assert not report.ok
-            assert any(f.where == where for f in report.failures()), (
-                where, report.text())
+        if len(doc["final"]["residual"].splitlines()) > 2:
+            mutations.append(("final", lambda d: d["final"].__setitem__(
+                "residual", swap_terms(d["final"]["residual"]))))
+        return mutations
+
+    def test_step_mutations_are_localized(self, cfg, residue, ring3):
+        fresh = self.make_trace_doc(cfg, residue, ring3)
+        # the recorded p = 5 run ends at O(27), with no two terms to reorder
+        # in its final residual; the fresh p = 3 run has them
+        assert len(fresh["final"]["residual"].splitlines()) > 2
+        recorded = json.loads((DATA / "divide_p5_steps4.json").read_text())
+        for doc in (fresh, recorded):
+            for where, mutate in self.step_mutations(doc):
+                tampered = copy.deepcopy(doc)
+                mutate(tampered)
+                assert tampered != doc, where
+                report = verify_trace(tampered)
+                assert [f.where for f in report.failures()] == [where], report.text()
+
+    def test_only_the_target_is_parsed(self, monkeypatch):
+        # recorded series are compared as text, so a trace parses its
+        # target alone and a certificate parses no series at all
+        parsed = []
+        real = hahndisk.series.parse_series
+
+        def counted(profile, text):
+            parsed.append(text)
+            return real(profile, text)
+
+        for module in (hahndisk.series, hahndisk.fields, hahndisk.tate, hahndisk.verify):
+            if hasattr(module, "parse_series"):
+                monkeypatch.setattr(module, "parse_series", counted)
+        trace = json.loads((DATA / "divide_seed11_steps4.json").read_text())
+        assert verify_trace(trace).ok
+        assert parsed == [trace["target"]]
+        parsed.clear()
+        cert = json.loads((DATA / "adapted_minus5_9.json").read_text())
+        assert verify_certificate(cert).ok
+        assert parsed == []
 
 
 def field_paths(node, prefix=()):
