@@ -93,8 +93,10 @@ class AlphaPlan:
 
     def d_requirement(self, st: PlanStage) -> Fraction:
         """Valuation demanded of eps so that eps * (stage term) is divisible
-        by the W-image of this stage: weight(f(W)) - weight(stage term)."""
-        return self.weight_fw(st) - self.stage_weight(st)
+        by the W-image of this stage: weight(f(W)) - weight(stage term),
+        which is -p^b * (v_e + min(omega, 0) * v_c) written out."""
+        x = st.v_e if st.omega >= 0 else st.v_e + st.omega * self.v_c
+        return -(self.config.p ** st.b) * x
 
     def find_stage(self, q: Fraction):
         for st in self.stages:
@@ -112,18 +114,27 @@ def _minimal_b(plan: AlphaPlan, m: int, w: Fraction, v_eps: Fraction, base: bool
     Since 0 < w < v_s, the separation gap p^(b - b_j) * w is smallest
     against the stage with the largest b_j, so that stage alone decides
     separation; at b <= b_j the gap is at most w < 1 + v_s, so the scan
-    starts at b_j + 1.
+    starts at b_j + 1.  Each inequality is compared on cross-multiplied
+    numerators.
     """
     cfg = plan.config
+    wn, wd = w.numerator, w.denominator
+    sn, sd = cfg.v_s.numerator, cfg.v_s.denominator
+    gn, gd = plan.tail_guard.numerator, plan.tail_guard.denominator
+    # window v_eps / p^b < v_s - w, as need < p^b * room
+    need = v_eps.numerator * sd * wd
+    room = v_eps.denominator * (sn * wd - wn * sd)
     top_b = max(st.b for st in plan.stages)
     b = top_b + 1
+    scale, gap = cfg.p ** b, cfg.p  # p^b and p^(b - top_b)
     while b <= MAX_B_SEARCH:
-        scale = cfg.p ** b
-        gap = cfg.p ** (b - top_b) * w
-        if (scale * w > m and v_eps / scale < cfg.v_s - w and gap > 1 + cfg.v_s
-                and (base or gap > plan.tail_guard)):
+        if (scale * wn > m * wd and need < scale * room
+                and gap * wn * sd > (sd + sn) * wd
+                and (base or gap * wn * gd > gn * wd)):
             return b
         b += 1
+        scale *= cfg.p
+        gap *= cfg.p
     raise StageUnavailableError(
         f"no Frobenius exponent below {MAX_B_SEARCH} resolves stage {m}"
     )
@@ -137,7 +148,6 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
     m = len(plan.stages) + 1
     lo = -q * cfg.gamma_x
     v_e = smallest_zp_point(lo, lo + cfg.v_s, cfg.p)
-    w = v_e + q * cfg.gamma_x
     # the demand is a running maximum: the last stage's v_eps already
     # covers every stage before it
     if plan.stages:
@@ -148,7 +158,7 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
     if m == 1:
         b = 0  # the opening stage is pinned; its term is the leading term
     else:
-        b = _minimal_b(plan, m, w, v_eps, base)
+        b = _minimal_b(plan, m, v_e - lo, v_eps, base)  # w = v_e + q * gamma_x
     st = PlanStage(m=m, omega=q, v_e=v_e, b=b, v_eps=v_eps)
     return replace(plan, stages=plan.stages + (st,))
 

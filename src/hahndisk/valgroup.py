@@ -3,12 +3,14 @@
 All valuations in this package are additive: v = -log of the multiplicative
 norm, normalized so the uniformizer has valuation 1.  Every valuation and
 exponent is a `fractions.Fraction`, so each comparison in the package is an
-exact integer comparison after cross-multiplication.
+exact integer comparison after cross-multiplication.  The plan checks (here,
+in the builder's stage search and in the plan verifier) cross-multiply the
+numerators and denominators themselves, a/b < c/d as a*d < c*b with b, d > 0,
+and build a `Fraction` only for a value they store or print.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from fractions import Fraction
@@ -92,10 +94,12 @@ def smallest_zp_point(lo: Fraction, hi: Fraction, p: int) -> Fraction:
     lo, hi = as_fraction(lo), as_fraction(hi)
     if not lo < hi:
         raise ConfigError(f"empty interval ({lo}, {hi})")
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
     den = 1
     while True:
-        n = math.floor(lo * den) + 1
-        if Fraction(n, den) < hi:
+        n = ln * den // ld + 1  # floor(lo * den) + 1; // rounds down
+        if n * hd < hn * den:
             return Fraction(n, den)
         den *= p
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import FormatError, HahndiskError
@@ -125,44 +124,43 @@ def _read_plan(doc) -> tuple:
     return config, rows, as_fraction(doc["v_c"]), as_fraction(doc["tail_guard"])
 
 
-def _w(row: _Row, gamma_x: Fraction) -> Fraction:
-    return row.v_e + row.omega * gamma_x
+def _d_requirement(row: _Row, scale: int, v_c: Fraction) -> Fraction:
+    """The divisibility demand a stage puts on every later one: the weight
+    of its divisor monomial's image minus the weight of its term, written
+    out as -p^b * (v_e + min(omega, 0) * v_c); scale is p^b."""
+    x = row.v_e if row.omega >= 0 else row.v_e + row.omega * v_c
+    return -scale * x
 
 
-def _stage_weight(row: _Row, p: int, gamma_x: Fraction) -> Fraction:
-    return p ** row.b * _w(row, gamma_x)
-
-
-def _fw_weight(row: _Row, p: int, gamma_x: Fraction, v_c: Fraction) -> Fraction:
-    if row.omega >= 0:
-        return row.omega * p ** row.b * gamma_x
-    return (-row.omega) * p ** row.b * (v_c - gamma_x)
-
-
-def _d_requirement(row, p, gamma_x, v_c) -> Fraction:
-    return _fw_weight(row, p, gamma_x, v_c) - _stage_weight(row, p, gamma_x)
-
-
-def _constraints_hold(row, idx, b, top_b, p, gamma_x, v_s, guard, guarded) -> bool:
-    """The exact stage inequalities for the stage at index idx (0-based) at
-    Frobenius exponent b >= 0; top_b is the largest b of the earlier stages
-    (None if there are none).
+def _constraints_hold(w, v_eps, idx, b, scale, top_b, p, v_s, guard, guarded) -> bool:
+    """The exact stage inequalities for the stage at index idx (0-based),
+    of leading weight w = v_e + omega * gamma_x, at Frobenius exponent b >= 0
+    with scale = p^b; top_b is the largest b of the earlier stages (None if
+    there are none).
 
     Growth forces w > 0, so the separation gap p^(b - b_j) * w is smallest
     against the earlier stage with the largest b_j, and checking that one
-    checks them all.  b may lie below top_b, so the power is an exact
-    Fraction.
+    checks them all.  Each inequality a/c < d/e is compared as a*e < d*c on
+    numerators and positive denominators; where b lies below top_b the
+    bound side takes the factor p^(top_b - b), so no power is negative.
     """
-    w = _w(row, gamma_x)
-    scale = p ** b
-    if not scale * w > idx + 1:
+    wn, wd = w.numerator, w.denominator
+    sn, sd = v_s.numerator, v_s.denominator
+    if not scale * wn > (idx + 1) * wd:
         return False
-    if not row.v_eps / scale < v_s - w:
+    # v_eps / p^b < v_s - w
+    if not v_eps.numerator * sd * wd < scale * v_eps.denominator * (sn * wd - wn * sd):
         return False
     if top_b is None:
         return True
-    gap = Fraction(p) ** (b - top_b) * w
-    return gap > 1 + v_s and (not guarded or gap > guard)
+    # the gap p^(b - top_b) * w, as gap_n / gap_d
+    gap_n, gap_d = wn, wd
+    if b >= top_b:
+        gap_n *= p ** (b - top_b)
+    else:
+        gap_d *= p ** (top_b - b)
+    return (gap_n * sd > (sd + sn) * gap_d
+            and (not guarded or gap_n * guard.denominator > guard.numerator * gap_d))
 
 
 # -- formula-level reconstruction ----------------------------------------------
@@ -211,30 +209,40 @@ def _alpha_series(rows, p, work_prec, field: ResidueField) -> TruncatedSeries:
     return TruncatedSeries(field.profile, terms, prec)
 
 
-def _image_facts_closed_form(rows, p, v_s, guard, field: ResidueField, rep: Report):
-    """The adapted facts of every stage image without building the images.
+def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
+    """The adapted facts of every stage image without building the images;
+    scales[i] is p^b and ws[i] the weight v_e + omega * gamma_x of rows[i].
 
     Image term l >= idx of stage idx weighs v_eps/p^b + p^(b_l - b) * w_l.
     Separation puts every l > idx past 1 + v_s > w, so the stage's own
-    term leads and no two terms share a key; the rest of the image then
-    has valuation v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
+    term leads and no two terms share a key: the leading value is
+    v_eps/p^b + w, the leading x-exponent is omega, and the rest of the
+    image has valuation v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
     Only call this once the stage checks, separation included, all hold.
     """
-    # one pass from the last stage: min over l > idx of p^(b_l) * w_l
-    later = [_stage_weight(row, p, field.gamma_x) for row in reversed(rows[1:])]
-    later_min = list(accumulate(later, min))[::-1] + [None]
-    for row, low in zip(rows, later_min):
-        # the stage's own term, by the formulas of _image_series
-        scale = p ** row.b
-        t_exp = (row.v_eps + scale * row.v_e) / scale
-        x_exp = Fraction(row.omega * scale, scale)
-        w0 = field.profile.weight((t_exp, x_exp))
-        res_val = row.v_eps / scale + (guard if low is None else min(guard, low / scale))
+    # one pass from the last stage: min over l > idx of p^(b_l) * w_l, as a
+    # (numerator, denominator) pair
+    low, lows = None, [None]
+    for scale, w in zip(scales[:0:-1], ws[:0:-1]):
+        n, d = scale * w.numerator, w.denominator
+        if low is None or n * low[1] < low[0] * d:
+            low = (n, d)
+        lows.append(low)
+    bound = 1 + v_s
+    for row, scale, w, low in zip(rows, scales, ws, reversed(lows)):
+        vn, vd = row.v_eps.numerator, row.v_eps.denominator
+        wn, wd = w.numerator, w.denominator
+        w0 = Fraction(vn * wd + scale * wn * vd, scale * vd * wd)
+        # min(p^b * guard, low), over the common denominator scale * vd * rd
+        rn, rd = scale * guard.numerator, guard.denominator
+        if low is not None and low[0] * rd < rn * low[1]:
+            rn, rd = low
+        res_val = Fraction(vn * rd + rn * vd, scale * vd * rd)
         where = f"stage {row.m} image"
         rep.check(0 <= w0 < v_s, where, f"leading value {w0} inside [0, {v_s})")
-        rep.check(x_exp == row.omega, where,
-                  f"leading exponent {x_exp} matches stage exponent {row.omega}")
-        rep.check(res_val > 1 + v_s, where, f"residual valuation {res_val} beyond {1 + v_s}")
+        rep.check(True, where,
+                  f"leading exponent {row.omega} matches stage exponent {row.omega}")
+        rep.check(res_val > bound, where, f"residual valuation {res_val} beyond {bound}")
 
 
 # -- plan verification ----------------------------------------------------------
@@ -242,20 +250,29 @@ def _image_facts_closed_form(rows, p, v_s, guard, field: ResidueField, rep: Repo
 
 def verify_plan(doc: dict, report: Report | None = None) -> Report:
     rep = report if report is not None else Report()
+    _check_plan(doc, rep)
+    return rep
+
+
+def _check_plan(doc, rep: Report):
+    """The checks of `verify_plan`, added to rep.  Returns the plan as read,
+    (config, rows, v_c, tail guard), or None if it could not be read, so a
+    certificate or trace reads its embedded plan once."""
     if not isinstance(doc, dict) or doc.get("kind") != "plan":
         rep.fail("plan", "document kind is not 'plan'")
-        return rep
+        return None
     if not _format_is(doc, 1, rep, "plan"):
-        return rep
+        return None
     try:
-        config, rows, v_c, guard = _read_plan(doc)
+        plan = _read_plan(doc)
         m_base = doc["m_base"]
     except (KeyError, TypeError, ValueError, HahndiskError) as exc:
         rep.fail("plan", f"malformed transcript: {exc}")
-        return rep
+        return None
     if not _is_int(m_base):
         rep.fail("plan", f"base length {m_base!r} is not an integer")
-        return rep
+        return plan
+    config, rows, v_c, guard = plan
     p, gamma_x, v_s = config.p, config.gamma_x, config.v_s
     field = ResidueField(GroundField(p), gamma_x)
 
@@ -271,15 +288,16 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
     # omega(m) computes the enumeration up to m: m_base within the stages
     # here, and each m at its position below, keep every index in range
     if not base_in_range:
-        return rep
+        return plan
 
-    # the divisibility demand and the largest b of all earlier stages
-    demand, top_b = Fraction(0), None
+    # the divisibility demand and the largest b of all earlier stages; p^b
+    # and the weight v_e + omega * gamma_x of every stage read so far
+    demand, top_b, scales, ws = Fraction(0), None, [], []
     for idx, row in enumerate(rows):
         where = f"stage {idx + 1}"
         if idx:
             prev = rows[idx - 1]
-            demand = max(demand, _d_requirement(prev, p, gamma_x, v_c))
+            demand = max(demand, _d_requirement(prev, scales[-1], v_c))
             top_b = prev.b if top_b is None else max(top_b, prev.b)
         ok_member = rep.check(
             is_in_zp(row.omega, p) and is_in_zp(row.v_e, p) and is_in_zp(row.v_eps, p),
@@ -295,6 +313,9 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
                 f"index {row.m!r} is a positive integer and Frobenius exponent "
                 f"{row.b!r} an integer in [0, {MAX_B_SEARCH}]"):
             break
+        scale, w = p ** row.b, row.v_e + row.omega * gamma_x
+        scales.append(scale)
+        ws.append(w)
         if not ok_member:
             continue
         if row.m <= m_base:
@@ -305,31 +326,31 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
                   f"v_e = {row.v_e} is the canonical point of ({lo}, {lo + v_s})")
         rep.check(row.v_eps == demand, where,
                   f"v_eps = {row.v_eps} equals the divisibility demand {demand}")
-        w = _w(row, gamma_x)
         rep.check(0 < w < v_s, where, f"stage weight seed {w} inside (0, {v_s})")
         if row.m == 1:
             rep.check(row.b == 0, where, "opening stage has Frobenius exponent 0")
             continue
         guarded = row.m > m_base
         rep.check(
-            _constraints_hold(row, idx, row.b, top_b, p, gamma_x, v_s, guard, guarded),
+            _constraints_hold(w, row.v_eps, idx, row.b, scale, top_b, p, v_s, guard,
+                              guarded),
             where, f"growth, window and separation hold at b = {row.b}")
         # Growth, window and separation each only get easier as b grows once
         # w > 0 and v_eps >= 0, which this stage checks above.  A failure at
         # b - 1 is then a failure at every smaller b, so b - 1 alone decides
         # minimality; where w or v_eps is off, this stage has already failed.
         minimal = row.b == 0 or not _constraints_hold(
-            row, idx, row.b - 1, top_b, p, gamma_x, v_s, guard, guarded)
+            w, row.v_eps, idx, row.b - 1, scale // p, top_b, p, v_s, guard, guarded)
         rep.check(minimal, where, f"b = {row.b} is minimal")
 
     if rep.ok:
-        _image_facts_closed_form(rows, p, v_s, guard, field, rep)
+        _image_facts_closed_form(rows, scales, ws, v_s, guard, rep)
 
     summary = doc.get("summary")
     if summary is not None and rep.ok:
         if not isinstance(summary, dict):
             rep.fail("summary", f"summary is a {type(summary).__name__}, not an object")
-            return rep
+            return plan
         alpha = _alpha_series(rows, p, config.work_prec, field)
         rep.check(summary.get("alpha_valuation") == str(alpha.val_lower()),
                   "summary", "alpha valuation matches")
@@ -348,7 +369,7 @@ def verify_plan(doc: dict, report: Report | None = None) -> Report:
             summary.get("relation_maps_to_zero") is True
             and relation_zero.is_zero and relation_zero.precision is EXACT,
             "summary", "product relation maps to the exact zero")
-    return rep
+    return plan
 
 
 # -- certificate verification ----------------------------------------------------
@@ -365,10 +386,10 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
     if not (_format_is(doc, 2, rep, "certificate")
             and _fields_are(doc, _CERT_FIELDS, rep, "certificate")):
         return rep
-    verify_plan(doc["plan"], rep)
+    plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c, guard = _read_plan(doc["plan"])
+    config, rows, v_c, guard = plan
     p = config.p
     field = ResidueField(GroundField(p), config.gamma_x)
     ring = TateRing(GroundField(p), 3)
@@ -410,12 +431,12 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
     if not (_format_is(doc, 2, rep, "trace")
             and _fields_are(doc, _TRACE_FIELDS, rep, "trace")):
         return rep
-    verify_plan(doc["plan"], rep)
+    plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
     import hashlib
 
-    config, rows, v_c, guard = _read_plan(doc["plan"])
+    config, rows, v_c, guard = plan
     p, v_s = config.p, config.v_s
     ground = GroundField(p)
     field = ResidueField(ground, config.gamma_x)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from hahndisk.builder import (
+    _minimal_b,
     _quotient_exps,
     _tail_series,
     assemble_alpha,
@@ -100,7 +101,9 @@ class TestBuildPlan:
             cfg = plan.config
             for idx, st in enumerate(plan.stages):
                 prior = plan.stages[:idx]
-                assert st.v_eps == max([F(0)] + [plan.d_requirement(s) for s in prior])
+                # the demand from the weights, not from its closed form
+                assert st.v_eps == max([F(0)] + [plan.weight_fw(s) - plan.stage_weight(s)
+                                                 for s in prior])
                 if st.m == 1:
                     continue
                 w = st.v_e + st.omega * cfg.gamma_x
@@ -108,6 +111,23 @@ class TestBuildPlan:
                 assert st.b == minimal_b_oracle(
                     [s.b for s in prior], w, st.v_eps, st.m, cfg.v_s,
                     guard=guard, p=cfg.p), (cfg, st.m)
+
+    def test_minimal_b_at_equality(self, plan):
+        # the search compares cross-multiplied integers; inputs that put
+        # growth, window, separation or the guard at equality for some b
+        # must be decided as the strict Fraction inequalities decide them
+        p, v_s, guard = plan.config.p, plan.config.v_s, plan.tail_guard
+        top_b, m = plan.stages[-1].b, len(plan.stages) + 1
+        ws = [(1 + v_s) / p ** 2, (1 + v_s) / p ** 3, guard / p ** 5, guard / p ** 6,
+              F(1, 2 * p ** 2), F(7, 2 * p ** 3)]
+        ws += [F(m, p ** (top_b + k)) for k in (1, 2, 3)]
+        for w in ws:
+            assert 0 < w < v_s
+            for v_eps in [F(0), F(1, p)] + [p ** (top_b + k) * (v_s - w) for k in (1, 2, 3)]:
+                for base in (True, False):
+                    want = minimal_b_oracle([st.b for st in plan.stages], w, v_eps, m, v_s,
+                                            guard=None if base else guard, p=p)
+                    assert _minimal_b(plan, m, w, v_eps, base) == want, (w, v_eps, base)
 
     def test_work_prec_floor(self):
         from hahndisk.errors import ConfigError

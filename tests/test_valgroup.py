@@ -14,6 +14,8 @@ from hahndisk.valgroup import (
     smallest_zp_point,
 )
 
+F = Fraction
+
 
 class TestIsInZp:
     def test_examples(self):
@@ -91,23 +93,37 @@ class TestSmallestZpPoint:
         got = smallest_zp_point(lo, hi, 3)
         assert lo < got < hi
 
-    def test_matches_exhaustive_search(self):
-        rng = random.Random(5)
+    @staticmethod
+    def exhaustive(lo, hi, p):
+        """The first point of (lo, hi) over denominators 1, p, p^2, ...,
+        smallest numerator first."""
+        den = 1
+        while True:
+            for num in range(int(lo * den) - 2, int(hi * den) + 3):
+                if lo < Fraction(num, den) < hi:
+                    return Fraction(num, den)
+            den *= p
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_matches_exhaustive_search(self, p):
+        rng = random.Random(5 + p)
+        cases = [(F(0), F(1)), (F(-1), F(0)), (F(-1), F(1)), (F(1, p), F(2, p)),
+                 (F(-2, p), F(-1, p)), (F(-1, p ** 2), F(1, p ** 2))]
         for _ in range(100):
-            lo = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-            hi = lo + Fraction(rng.randint(1, 9), rng.randint(1, 40))
-            got = smallest_zp_point(lo, hi, 3)
-            # brute force over denominators up to the one that was returned
-            den = 1
-            expected = None
-            while expected is None:
-                for num in range(int(lo * den) - 2, int(hi * den) + 3):
-                    q = Fraction(num, den)
-                    if lo < q < hi:
-                        expected = q
-                        break
-                den *= 3
-            assert got == expected
+            lo = F(rng.randint(-40, 40), rng.randint(1, 12))
+            cases.append((lo, lo + F(rng.randint(1, 9), rng.randint(1, 40))))
+        for _ in range(40):
+            # endpoints that are Z[1/p] points themselves
+            lo = F(rng.randint(-40, 40), p ** rng.randint(0, 3))
+            cases.append((lo, lo + F(rng.randint(1, 9), p ** rng.randint(0, 3))))
+            # wholly negative, and containing 0
+            hi = -F(rng.randint(0, 40), rng.randint(1, 12))
+            cases.append((hi - F(rng.randint(1, 9), rng.randint(1, 40)), hi))
+            cases.append((-F(rng.randint(1, 9), rng.randint(1, 40)),
+                          F(rng.randint(1, 9), rng.randint(1, 40))))
+        for lo, hi in cases:
+            got = smallest_zp_point(lo, hi, p)
+            assert got == self.exhaustive(lo, hi, p), (lo, hi, p)
             assert lo < got < hi
 
     def test_empty_interval_rejected(self):

@@ -21,6 +21,7 @@ from hahndisk.builder import (
     build_adapted,
     build_plan,
     certificate_to_doc,
+    extend,
     plan_summary,
     plan_to_doc,
     standard_substitution,
@@ -215,6 +216,49 @@ class TestPlanVerification:
                     tampered["stages"][k]["b"] = moved
                     assert (reported_verdicts(tampered, k)
                             == scanned_verdicts(tampered, k)), (plan.config, k, moved)
+
+    @pytest.mark.parametrize("p,gamma_x,v_s", [(11, F(2, 5), F(1, 3)),
+                                               (13, F(3, 4), F(2, 7))])
+    def test_other_primes_and_radii(self, p, gamma_x, v_s):
+        plan = build_plan(InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s))
+        for q in (F(5, p ** 3), F(-101, p ** 2), F(97)):
+            plan = extend(plan, q)
+        doc = plan_to_doc(plan)
+        report = verify_plan(doc)
+        assert report.ok, report.text()
+        verdicts = reported_verdicts(doc, 1)
+        assert verdicts == scanned_verdicts(doc, 1)
+        assert len(verdicts) == 14 and all(holds and minimal
+                                           for holds, minimal in verdicts.values())
+
+    def test_constraint_check_at_equality(self):
+        # _constraints_hold cross-multiplies integers; it must decide the
+        # strict inequalities as Fractions do, at equality, for b below
+        # top_b, and for a negative v_eps or a w past 1 + v_s
+        def reference(w, v_eps, idx, b, top_b, p, v_s, guard, guarded):
+            if not (p ** b * w > idx + 1 and v_eps / p ** b < v_s - w):
+                return False
+            gap = None if top_b is None else Fraction(p) ** (b - top_b) * w
+            return gap is None or (gap > 1 + v_s and (not guarded or gap > guard))
+
+        rng = random.Random(23)
+        guard = F(26)
+        for p, gamma_x, v_s in INSTANCES:
+            for _ in range(400):
+                b, idx = rng.randint(0, 12), rng.randint(1, 14)
+                top_b = rng.choice([None, b, b + 1, b - 1, rng.randint(0, 14)])
+                top_b = None if top_b is None or top_b < 0 else top_b
+                shift = F(p) ** (b - (top_b or 0))
+                w = rng.choice([
+                    F(rng.randint(-40, 400), p ** rng.randint(0, 3) * gamma_x.denominator),
+                    F(idx + 1, p ** b), (1 + v_s) / shift, guard / shift])
+                v_eps = rng.choice([F(rng.randint(-10 ** 6, 10 ** 6), p ** rng.randint(0, 3)),
+                                    p ** b * (v_s - w)])
+                for guarded in (False, True):
+                    args = (w, v_eps, idx, b, top_b, p, v_s, guard, guarded)
+                    got = hahndisk.verify._constraints_hold(
+                        w, v_eps, idx, b, p ** b, top_b, p, v_s, guard, guarded)
+                    assert got == reference(*args), args
 
     def test_negative_or_decreasing_b_stays_exact(self, plan):
         # b below zero or below the previous stage's b: a located FAIL, and
@@ -460,6 +504,87 @@ def field_paths(node, prefix=()):
         yield prefix + (key,)
         if prefix or key != "plan":
             yield from field_paths(value, prefix + (key,))
+
+
+def perturbation_plans():
+    """(label, plan document) of the golden plan and of the 12-stage p = 5
+    and p = 7 plans of INSTANCES, each extended by one stage off the
+    enumeration."""
+    plans = [("golden", json.loads((DATA.parent / "golden" / "plan.json").read_text()))]
+    for p, gamma_x, v_s in INSTANCES[1:3]:
+        plan = build_plan(InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s))
+        plans.append((f"p={p}", plan_to_doc(extend(plan, Fraction(5, p ** 3)))))
+    return plans
+
+
+def value_perturbations(doc):
+    """(label, perturbed document) pairs, each changing one value of `doc`
+    and keeping its type.  Stage values (omega, v_e, v_eps of the first, a
+    middle, the last base and any appended stage) move by +-1/p and
+    +-1/p^(b+1), by a factor p and by a sign flip; plan values by v_c and
+    tail_guard +-1/p, b +-1 at the same stages and m_base +-1."""
+    p = doc["instance"]["p"]
+    n, m_base = len(doc["stages"]), doc["m_base"]
+    picked = sorted({1, (m_base + 1) // 2, m_base, n})
+
+    def moved(text, k):
+        q = Fraction(text)
+        ks = sorted({1, k})
+        return ([(f"+1/{p}^{j}", q + Fraction(1, p ** j)) for j in ks]
+                + [(f"-1/{p}^{j}", q - Fraction(1, p ** j)) for j in ks]
+                + [(f"*{p}", q * p), ("*-1", -q)])
+
+    def with_value(path, value):
+        tampered = copy.deepcopy(doc)
+        parent = tampered
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return tampered
+
+    for m in picked:
+        stage = doc["stages"][m - 1]
+        for field in ("omega", "v_e", "v_eps"):
+            for how, q in moved(stage[field], stage["b"] + 1):
+                yield (f"stage {m} {field} {how}",
+                       with_value(("stages", m - 1, field), str(q)))
+        for step in (-1, 1):
+            yield f"stage {m} b {step:+d}", with_value(("stages", m - 1, "b"), stage["b"] + step)
+    for field in ("v_c", "tail_guard"):
+        for sign in (1, -1):
+            q = Fraction(doc[field]) + Fraction(sign, p)
+            yield f"{field} {sign:+d}/{p}", with_value((field,), str(q))
+    for step in (-1, 1):
+        yield f"m_base {step:+d}", with_value(("m_base",), m_base + step)
+
+
+def perturbation_reports():
+    """The text of tests/data/verify_plan_perturbations.txt: each plan's
+    honest verbose report, then one per value perturbation that changes the
+    document.  A perturbation that leaves the document as it was (a sign
+    flip of 0) is listed with no report."""
+    out = []
+    for name, doc in perturbation_plans():
+        out.append(f"=== {name}: honest\n{verify_plan(doc).text(verbose=True)}\n")
+        for label, tampered in value_perturbations(doc):
+            if tampered == doc:
+                out.append(f"=== {name}: {label}: unchanged\n")
+            else:
+                out.append(f"=== {name}: {label}\n"
+                           f"{verify_plan(tampered).text(verbose=True)}\n")
+    return "".join(out)
+
+
+def test_value_perturbations_are_pinned():
+    # failure paths (a negative w, b - 1 below the largest earlier b, a b
+    # that is not minimal) verified by value, byte for byte; regenerate with
+    # PYTHONPATH=src:tests python -c "import test_verify as t;
+    #   print(t.perturbation_reports(), end='')" > tests/data/verify_plan_perturbations.txt
+    start = time.monotonic()
+    got = perturbation_reports()
+    elapsed = time.monotonic() - start
+    assert got == (DATA / "verify_plan_perturbations.txt").read_text()
+    assert elapsed < 3, f"perturbation reports took {elapsed:.2f}s, budget 3s"
 
 
 _DELETE = object()
