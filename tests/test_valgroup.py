@@ -104,27 +104,27 @@ class TestSmallestZpPoint:
                     return Fraction(num, den)
             den *= p
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11])
-    def test_matches_exhaustive_search(self, p):
-        rng = random.Random(5 + p)
-        cases = [(F(0), F(1)), (F(-1), F(0)), (F(-1), F(1)), (F(1, p), F(2, p)),
-                 (F(-2, p), F(-1, p)), (F(-1, p ** 2), F(1, p ** 2))]
-        for _ in range(100):
-            lo = F(rng.randint(-40, 40), rng.randint(1, 12))
-            cases.append((lo, lo + F(rng.randint(1, 9), rng.randint(1, 40))))
-        for _ in range(40):
-            # endpoints that are Z[1/p] points themselves
-            lo = F(rng.randint(-40, 40), p ** rng.randint(0, 3))
-            cases.append((lo, lo + F(rng.randint(1, 9), p ** rng.randint(0, 3))))
-            # wholly negative, and containing 0
-            hi = -F(rng.randint(0, 40), rng.randint(1, 12))
-            cases.append((hi - F(rng.randint(1, 9), rng.randint(1, 40)), hi))
-            cases.append((-F(rng.randint(1, 9), rng.randint(1, 40)),
-                          F(rng.randint(1, 9), rng.randint(1, 40))))
-        for lo, hi in cases:
-            got = smallest_zp_point(lo, hi, p)
-            assert got == self.exhaustive(lo, hi, p), (lo, hi, p)
-            assert lo < got < hi
+    def test_matches_exhaustive_search(self):
+        for p in (3, 5, 7, 11):
+            rng = random.Random(5 + p)
+            cases = [(F(0), F(1)), (F(-1), F(0)), (F(-1), F(1)), (F(1, p), F(2, p)),
+                     (F(-2, p), F(-1, p)), (F(-1, p ** 2), F(1, p ** 2))]
+            for _ in range(100):
+                lo = F(rng.randint(-40, 40), rng.randint(1, 12))
+                cases.append((lo, lo + F(rng.randint(1, 9), rng.randint(1, 40))))
+            for _ in range(40):
+                # endpoints that are Z[1/p] points themselves
+                lo = F(rng.randint(-40, 40), p ** rng.randint(0, 3))
+                cases.append((lo, lo + F(rng.randint(1, 9), p ** rng.randint(0, 3))))
+                # wholly negative, and containing 0
+                hi = -F(rng.randint(0, 40), rng.randint(1, 12))
+                cases.append((hi - F(rng.randint(1, 9), rng.randint(1, 40)), hi))
+                cases.append((-F(rng.randint(1, 9), rng.randint(1, 40)),
+                              F(rng.randint(1, 9), rng.randint(1, 40))))
+            for lo, hi in cases:
+                got = smallest_zp_point(lo, hi, p)
+                assert got == self.exhaustive(lo, hi, p), (lo, hi, p)
+                assert lo < got < hi
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ConfigError):

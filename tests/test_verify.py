@@ -561,8 +561,8 @@ def value_perturbations(doc):
 def perturbation_reports():
     """The text of tests/data/verify_plan_perturbations.txt: each plan's
     honest verbose report, then one per value perturbation that changes the
-    document.  A perturbation that leaves the document as it was (a sign
-    flip of 0) is listed with no report."""
+    document.  A perturbation that leaves the document as it was (a zero
+    scaled or negated) is listed with no report."""
     out = []
     for name, doc in perturbation_plans():
         out.append(f"=== {name}: honest\n{verify_plan(doc).text(verbose=True)}\n")
