@@ -225,22 +225,11 @@ def assemble_alpha(plan: AlphaPlan, field: ResidueField) -> TruncatedSeries:
     return _stage_sum(plan, plan.stages, field, prec)
 
 
-def _add_term(terms: dict, exps, coeff: int, p: int):
-    """Add coeff * exps into a term dict mod p, as a series sum does."""
-    s = (terms.get(exps, 0) + coeff) % p
-    if s:
-        terms[exps] = s
-    else:
-        terms.pop(exps, None)
-
-
 def _stage_sum(plan: AlphaPlan, stages, field: ResidueField, prec) -> TruncatedSeries:
-    """sum of the stage terms of `stages` at precision prec, accumulated in
-    one dict and built once: the terms, and their order, of a running sum."""
-    terms = {}
-    for st in stages:
-        _add_term(terms, plan.alpha_term_exps(st), 1, plan.config.p)
-    return TruncatedSeries(field.profile, terms, prec)
+    """sum of the stage terms of `stages` at precision prec, built once:
+    the terms, and their order, of a running sum."""
+    return TruncatedSeries.from_terms(
+        field.profile, ((plan.alpha_term_exps(st), 1) for st in stages), prec)
 
 
 def standard_substitution(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> SubstitutionMap:
@@ -287,15 +276,17 @@ def _tail_series(plan: AlphaPlan, m: int, field: ResidueField) -> TruncatedSerie
     return _stage_sum(plan, plan.stages[m - 1:], field, prec)
 
 
-def _quotient_exps(plan: AlphaPlan, st: PlanStage, prev: PlanStage):
-    """(t-exponent, x-exponent) of eps_st * (stage term of prev) / f(W_prev).
+def _quotient_t_exp(plan: AlphaPlan, st: PlanStage, prev: PlanStage) -> Fraction:
+    """t-exponent of eps_st * (stage term of prev) / f(W_prev).
 
     All three factors are monomials with coefficient 1, so the quotient is
     the coefficient-1 monomial whose exponents are their sum and difference.
+    Its x-exponent is zero: the stage term and f(W_prev) both carry
+    x^(p^b * omega).
     """
-    t_alpha, x_alpha = plan.alpha_term_exps(prev)
-    t_fw, x_fw = plan.fw_image_exps(prev)
-    return st.v_eps + t_alpha - t_fw, x_alpha - x_fw
+    t_alpha = plan.alpha_term_exps(prev)[0]
+    t_fw = plan.fw_image_exps(prev)[0]
+    return st.v_eps + t_alpha - t_fw
 
 
 def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) -> AdaptedCertificate:
@@ -313,25 +304,19 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     st = plan.stages[m - 1]
     eps_res = field.monomial(1, st.v_eps, 0)
 
-    # eps x3 minus one divisor monomial per earlier stage, summed in one dict
-    head = {(st.v_eps, 0, 0, 1): 1}
+    # eps x3 minus one divisor monomial per earlier stage
+    zero = Fraction(0)
+    head = [((st.v_eps, zero, zero, Fraction(1)), 1)]
     for prev in plan.stages[: m - 1]:
-        d_t, d_x = _quotient_exps(plan, st, prev)
-        if d_x != 0:
-            raise AdaptednessFailedError(
-                f"divisor quotient for stage {prev.m} kept x-exponent {d_x}"
-            )
+        d_t = _quotient_t_exp(plan, st, prev)
         if d_t < 0:
             raise AdaptednessFailedError(
                 f"divisor quotient for stage {prev.m} has valuation "
                 f"{d_t} < 0; eps is not divisible enough"
             )
-        if prev.omega >= 0:
-            exps = (d_t, prev.omega * cfg.p ** prev.b, 0, 0)
-        else:
-            exps = (d_t, 0, -prev.omega * cfg.p ** prev.b, 0)
-        _add_term(head, exps, -1, cfg.p)
-    preimage = TruncatedSeries(ring.profile, head, EXACT).frobenius(-st.b)
+        x = prev.omega * cfg.p ** prev.b  # W_prev is x1^x, or x2^-x for x < 0
+        head.append(((d_t, x, zero, zero) if x >= 0 else (d_t, zero, -x, zero), -1))
+    preimage = TruncatedSeries.from_terms(ring.profile, head, EXACT).frobenius(-st.b)
     ring.check_element(preimage)
     if not is_integral(preimage):
         raise AdaptednessFailedError(f"stage {m} preimage left the unit-ball subring")

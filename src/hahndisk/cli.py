@@ -3,18 +3,20 @@
 Subcommands: build | adapted | divide | classify | verify | selftest.
 Instance flags (--p, --gamma-x, --v-s, --prec, --stages, --seed) override a
 JSON config file given by --config or the HAHNDISK_CONFIG environment
-variable.  Exit codes: 0 success, 1 contract violation or failed
-verification, 2 usage or format errors.
+variable; `verify` takes none of them, since a transcript carries its
+instance.  build, adapted and divide write into --out.  Exit codes: 0
+success, 1 contract violation or failed verification, 2 usage or format
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import builder, division, verify
@@ -40,37 +42,24 @@ def _instance_parser() -> argparse.ArgumentParser:
     group.add_argument("--prec", help="working precision (default 2*(stages+1))")
     group.add_argument("--stages", type=int, help="committed stages M (default 12)")
     group.add_argument("--seed", type=int, help="seed for randomized suites (default 0)")
-    group.add_argument("--out", help="output directory (default '.')")
+    return common
+
+
+def _output_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="output directory (default '.')")
     return common
 
 
 def build_config(args) -> InstanceConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     base = InstanceConfig.from_file(path) if path else InstanceConfig()
-    overrides = {}
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.gamma_x is not None:
-        overrides["gamma_x"] = as_fraction(args.gamma_x)
-    if args.v_s is not None:
-        overrides["v_s"] = as_fraction(args.v_s)
-    if args.stages is not None:
-        overrides["stages"] = args.stages
-    if args.prec is not None:
-        overrides["work_prec"] = as_fraction(args.prec)
-    elif args.stages is not None:
-        overrides["work_prec"] = None  # re-derive the default from stages
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if not overrides:
-        return base
-    data = base.to_dict()
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    if "work_prec" in overrides and overrides["work_prec"] is None:
-        data.pop("work_prec", None)
-    return InstanceConfig.from_dict(
-        {k: (str(v) if isinstance(v, Fraction) else v) for k, v in data.items()}
-    )
+    flags = {"p": args.p, "gamma_x": args.gamma_x, "v_s": args.v_s,
+             "stages": args.stages, "work_prec": args.prec, "seed": args.seed}
+    changes = {k: v for k, v in flags.items() if v is not None}
+    if args.stages is not None and args.prec is None:
+        changes["work_prec"] = None  # re-derived from stages
+    return dataclasses.replace(base, **changes)
 
 
 def _outdir(args) -> Path:
@@ -256,6 +245,7 @@ def cmd_selftest(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     common = _instance_parser()
+    writes = [common, _output_parser()]
     parser = argparse.ArgumentParser(
         prog="hahndisk",
         description="Exact truncated series arithmetic over F_p, disk-point "
@@ -263,18 +253,18 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=[common],
+    p_build = sub.add_parser("build", parents=writes,
                              help="build the staged plan, certificates and alpha")
     p_build.set_defaults(fn=cmd_build)
 
-    p_adapted = sub.add_parser("adapted", parents=[common],
+    p_adapted = sub.add_parser("adapted", parents=writes,
                                help="emit the adapted certificate for an exponent")
     p_adapted.add_argument("q", help="leading exponent, a rational in Z[1/p]; "
                                      "put a negative one after --, as in "
                                      "'hahndisk adapted -- -1/3'")
     p_adapted.set_defaults(fn=cmd_adapted)
 
-    p_divide = sub.add_parser("divide", parents=[common],
+    p_divide = sub.add_parser("divide", parents=writes,
                               help="run certified division steps against a target")
     p_divide.add_argument("target", help="file holding the target series text")
     p_divide.add_argument("steps", nargs="?", type=int, default=8,
@@ -288,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
                                  "for the point sentinel")
     p_classify.set_defaults(fn=cmd_classify)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify",
                               help="independently re-check a transcript file")
     p_verify.add_argument("file", help="plan, certificate or trace JSON")
     p_verify.add_argument("--verbose", action="store_true",

@@ -52,18 +52,6 @@ def normalize_target(field: ResidueField, beta: TruncatedSeries, v_s) -> tuple:
     return k, shifted
 
 
-def slice_band(beta: TruncatedSeries, m: int, v_s: Fraction) -> TruncatedSeries:
-    """Terms of weight in [m + v_s, m + 1 + v_s), as an exact element."""
-    lo = m + v_s
-    hi = m + 1 + v_s
-    kept = {
-        exps: c
-        for exps, c in beta.terms.items()
-        if lo <= beta.profile.weight(exps) < hi
-    }
-    return TruncatedSeries(beta.profile, kept, EXACT)
-
-
 @dataclass
 class DivisionStep:
     m: int
@@ -123,45 +111,27 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
                 f"step {m}: residual precision {beta_m.precision} does not "
                 f"cover the band up to {m + 1 + v_s}"
             )
-        band = slice_band(beta_m, m, v_s)
-        groups = {}
-        for exps, c in band.terms.items():
-            groups.setdefault(exps[1], {})[exps] = c
+        band = beta_m.window(m + v_s, m + 1 + v_s)
         f_e = field.zero()
         e_m = ring.zero()
-        order = sorted(
-            groups, key=lambda q: (min(band.profile.weight(e) for e in groups[q]), q)
-        )
-        t_m_res = field.monomial(1, m, 0)
-        t_m_ring = ring.monomial(1, m, (0, 0, 0))
-        for q in order:
+        for q, part in band.split(1):
             cert = certs.get(q)
             if cert is None:
                 grown, cert = certify(plan, q, field, ring)
                 certs[q] = cert
                 if grown is not plan:
                     plan, sub = grown, None
-            part = TruncatedSeries(field.profile, groups[q], EXACT)
-            lead = field.monomial(cert.leading_coeff, *cert.leading_exps)
-            d = part * (lead * t_m_res).invert()
-            if any(exps[1] != 0 for exps in d.terms):
-                raise ContractViolationError(
-                    f"step {m}: quotient for exponent {q} kept an x-exponent"
-                )
-            d_val = d.val_lower()
-            if not (d_val is not None and d_val > 0):
+            # d = part / lead, free of x since lead carries x^q, is the
+            # quotient b / (lead * t^m) times t^m
+            d = part * field.monomial(cert.leading_coeff, *cert.leading_exps).invert()
+            d_val = d.val_lower() - m
+            if not d_val > 0:
                 raise ContractViolationError(
                     f"step {m}: quotient for exponent {q} has valuation "
                     f"{d_val}, expected > 0"
                 )
-            d_ring = TruncatedSeries(
-                ring.profile,
-                {(a0, Fraction(0), Fraction(0), Fraction(0)): c
-                 for (a0, _), c in d.terms.items()},
-                d.precision,
-            )
-            e_m = e_m + d_ring * t_m_ring * cert.preimage
-            f_e = f_e + d * t_m_res * cert.image
+            e_m = e_m + ring.embed_ground(d) * cert.preimage
+            f_e = f_e + d * cert.image
         beta_next = beta_m - f_e
         _certified_val(beta_next, m + 1 + v_s, f"step {m} contraction bound")
         step_gap = e_m.val_lower()

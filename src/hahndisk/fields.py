@@ -37,10 +37,6 @@ class GroundField:
     def monomial(self, coeff, t_exp, precision=EXACT):
         return TruncatedSeries.monomial(self.profile, coeff, (t_exp,), precision)
 
-    def uniformizer_power(self, v) -> TruncatedSeries:
-        """t^v, an exact monomial of valuation v."""
-        return self.monomial(1, as_fraction(v))
-
     def contains_value(self, v) -> bool:
         """True iff v lies in the value group Z[1/p] of this field.
 
@@ -94,13 +90,6 @@ class ResidueField:
     def x_power(self, q) -> TruncatedSeries:
         return self.monomial(1, 0, as_fraction(q))
 
-    def embed_ground(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Include a ground element with x-exponent 0; valuation preserved."""
-        if f.profile != self.ground.profile:
-            raise ConfigError("embed_ground expects a ground-field element")
-        terms = {(a, Fraction(0)): c for (a,), c in f.terms.items()}
-        return TruncatedSeries(self.profile, terms, f.precision)
-
     def parse(self, text: str) -> TruncatedSeries:
         return parse_series(self.profile, text)
 
@@ -131,14 +120,14 @@ class PointType(enum.Enum):
     TYPE_III = "Type III"
 
 
-def classify_disk_point(p: int, radii, center=None) -> PointType:
+def classify_disk_point(p: int, radii) -> PointType:
     """Classify a disk point by its radii, given additively as -log r.
 
     A radius of None is the point sentinel (radius 0, additive value
     +infinity).  A point is Type I when every radius is the sentinel,
     Type II when every finite radius value lies in the value group Z[1/p],
     and Type III otherwise.  Centers only translate the disk, so the type
-    does not depend on them.
+    does not depend on them and they are not asked for.
     """
     radii = list(radii)
     if not radii:

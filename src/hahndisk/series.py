@@ -15,6 +15,15 @@ EXACT (None) precision means the element is known completely.
 Valuations are additive (v = -log norm, v(t) = 1), so all norm
 inequalities from the multiplicative picture appear here with the
 direction flipped.
+
+A series comes about in one of two ways.  Input from outside the program
+(`parse_series`, the public constructors, tests) goes through the
+validating constructor `TruncatedSeries(profile, terms, precision)`, which
+checks every exponent and reduces every coefficient.  Terms a closed
+operation computed go through `_trusted` or its public forms, which skip
+that check: `from_terms` sums (exponents, coefficient) pairs mod p,
+`window` keeps the terms of a weight interval and `split` groups them by
+one exponent.  Only this module combines terms mod p.
 """
 
 from __future__ import annotations
@@ -160,6 +169,24 @@ class TruncatedSeries:
         out.precision = precision
         return out
 
+    @classmethod
+    def from_terms(cls, profile, pairs, precision):
+        """The sum of the monomials c * t^a x^q given as (exponents, c) pairs.
+
+        Repeated exponent vectors add mod p and a sum of zero drops out,
+        exactly as a running sum of monomials would; the caller guarantees
+        what `_trusted` asks of the exponents and the precision.
+        """
+        p = profile.p
+        acc = {}
+        for exps, c in pairs:
+            s = (acc.get(exps, 0) + c) % p
+            if s:
+                acc[exps] = s
+            else:
+                acc.pop(exps, None)
+        return cls._trusted(profile, acc, precision)
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -200,6 +227,30 @@ class TruncatedSeries:
         return sorted(
             self.terms.items(), key=lambda item: (self.profile.weight(item[0]), item[0])
         )
+
+    def window(self, lo, hi):
+        """The stored terms of weight in [lo, hi), as an exact element."""
+        weight = self.profile.weight
+        return TruncatedSeries._trusted(
+            self.profile,
+            {e: c for e, c in self.terms.items() if lo <= weight(e) < hi},
+            EXACT,
+        )
+
+    def split(self, slot: int):
+        """The stored terms grouped by their exponent in `slot`.
+
+        Returns (exponent, part) pairs ordered by the least term weight of
+        each part, then by the exponent; every part keeps this series'
+        precision, and the parts sum to it.
+        """
+        groups = {}
+        for exps, c in self.terms.items():
+            groups.setdefault(exps[slot], {})[exps] = c
+        weight = self.profile.weight
+        order = sorted(groups, key=lambda q: (min(map(weight, groups[q])), q))
+        return [(q, TruncatedSeries._trusted(self.profile, groups[q], self.precision))
+                for q in order]
 
     def _check_profile(self, other):
         if not isinstance(other, TruncatedSeries) or other.profile != self.profile:

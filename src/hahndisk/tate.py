@@ -63,11 +63,18 @@ class TateRing:
         return TruncatedSeries.monomial(self.profile, 1, tuple(exps))
 
     def embed_ground(self, f: TruncatedSeries) -> TruncatedSeries:
-        if f.profile != self.ground.profile:
-            raise ConfigError("embed_ground expects a ground-field element")
+        """Lift an element free of variables into R_n: a ground-field
+        series, or a residue-field series whose x-exponents are all zero.
+        Term weights are then t-exponents, so valuation and precision carry
+        over."""
+        if f.profile.p != self.ground.p:
+            raise ConfigError("embed_ground expects an element over the same F_p")
+        if any(q for exps in f.terms for q in exps[1:]):
+            raise ExponentError("embed_ground expects an element free of variables")
         pad = (Fraction(0),) * self.nvars
-        terms = {(a,) + pad: c for (a,), c in f.terms.items()}
-        return TruncatedSeries(self.profile, terms, f.precision)
+        return TruncatedSeries._trusted(
+            self.profile, {(exps[0],) + pad: c for exps, c in f.terms.items()},
+            f.precision)
 
     def check_element(self, f: TruncatedSeries) -> TruncatedSeries:
         """Validate the variable-exponent sign constraint of this ring."""
@@ -186,8 +193,7 @@ class SubstitutionMap:
     the residue-field unit ball and the unresolved tail of an argument only
     contributes beyond its own precision.  A single-term image is raised to
     a p-adic power by exponent arithmetic; any other image goes through its
-    p-power root (Frobenius) followed by an integer power.  Roots and powers
-    are memoized because staged exponents reuse them heavily.
+    p-power root (Frobenius) followed by an integer power.
     """
 
     def __init__(self, ring: TateRing, field: ResidueField, images):
@@ -208,17 +214,9 @@ class SubstitutionMap:
         # least stored-term weight of each image, None for an image with no
         # stored terms: every term of images[i]^q weighs at least q * v_i
         self._vals = tuple(img.val_lower() if img.terms else None for img in images)
-        self._roots = {}
-        self._powers = {}
-
-    def _root(self, i: int, k: int) -> TruncatedSeries:
-        key = (i, k)
-        if key not in self._roots:
-            self._roots[key] = self.images[i].frobenius(-k)
-        return self._roots[key]
 
     def _image_power(self, i: int, q: Fraction, work_prec) -> TruncatedSeries:
-        """Image of x_{i+1}^q, memoized per (i, q, work_prec).
+        """Image of x_{i+1}^q, truncated to work_prec.
 
         For q = u/p^k a single-term image c t^a x^e raises in closed form to
         c^u t^(q a) x^(q e): the Frobenius root of an F_p coefficient is the
@@ -226,9 +224,6 @@ class SubstitutionMap:
         P/p^k + (u-1) w/p^k, exactly what the root followed by repeated
         squaring gives.  Any other image takes that root-and-power route.
         """
-        key = (i, q, work_prec)
-        if key in self._powers:
-            return self._powers[key]
         p = self.ring.ground.p
         k = padic_denominator_exponent(q, p)
         u = int(q * p ** k)
@@ -243,14 +238,13 @@ class SubstitutionMap:
             out = TruncatedSeries._trusted(
                 image.profile, {tuple(q * e for e in exps): pow(c, u, p)}, prec)
         else:
-            out = self._root(i, k) ** u
+            out = image.frobenius(-k) ** u
         if (
             work_prec is not None
             and out.precision is not EXACT
             and out.precision > work_prec
         ):
             out = out.truncate(work_prec)
-        self._powers[key] = out
         return out
 
     def _x_part(self, qs: tuple, work_prec) -> TruncatedSeries:
@@ -278,9 +272,9 @@ class SubstitutionMap:
         scales weights by 1/p^k, a product adds them, and truncation only
         drops terms.  So the second pass skips each term with
         a + sum q_i v_i >= prec, and each term on an image with no stored
-        terms; neither reaches a key below prec.  The rest are summed into
-        one dict and filtered once, which keeps exactly the terms, and the
-        dict order, of a running sum over every term.
+        terms; neither reaches a key below prec.  The rest go to
+        `from_terms` once, which keeps exactly the terms, and the dict
+        order, of a running sum over every term.
         """
         self.ring.check_element(f)
         if work_prec is not None:
@@ -296,25 +290,21 @@ class SubstitutionMap:
                 prec = min_precision(prec, shift_precision(parts[qs].precision, exps[0]))
         if work_prec is not None and prec is not EXACT and prec > work_prec:
             prec = work_prec
-        p = self.field.profile.p
-        acc = {}
-        for exps, coeff in f.terms.items():
-            a, qs = exps[0], exps[1:]
-            used = [(q, v) for q, v in zip(qs, vals) if q]
-            if any(v is None for _, v in used):
-                continue
-            if prec is not EXACT and a + sum(q * v for q, v in used) >= prec:
-                continue
-            if qs not in parts:
-                parts[qs] = self._x_part(qs, work_prec)
-            for (e0, *rest), c in parts[qs].terms.items():
-                key = (e0 + a, *rest)
-                s = (acc.get(key, 0) + coeff * c) % p
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return TruncatedSeries._trusted(self.field.profile, acc, prec)
+
+        def kept_terms():
+            for exps, coeff in f.terms.items():
+                a, qs = exps[0], exps[1:]
+                used = [(q, v) for q, v in zip(qs, vals) if q]
+                if any(v is None for _, v in used):
+                    continue
+                if prec is not EXACT and a + sum(q * v for q, v in used) >= prec:
+                    continue
+                if qs not in parts:
+                    parts[qs] = self._x_part(qs, work_prec)
+                for (e0, *rest), c in parts[qs].terms.items():
+                    yield (e0 + a, *rest), coeff * c
+
+        return TruncatedSeries.from_terms(self.field.profile, kept_terms(), prec)
 
 
 # A substitution map serializes as an ordered list of residue-element files,

@@ -172,41 +172,34 @@ def _image_series(rows, idx, p, guard, field: ResidueField) -> TruncatedSeries:
     tail guard for everything not committed."""
     row = rows[idx]
     scale = p ** row.b
-    prec = row.v_eps / scale + guard
-    terms = {}
-    for later in rows[idx:]:
-        t_exp = (row.v_eps + p ** later.b * later.v_e) / scale
-        x_exp = Fraction(later.omega * p ** later.b, scale)
-        key = (t_exp, x_exp)
-        terms[key] = (terms.get(key, 0) + 1) % p
-    return TruncatedSeries(field.profile, terms, prec)
+    exps = (((row.v_eps + p ** later.b * later.v_e) / scale,
+             Fraction(later.omega * p ** later.b, scale)) for later in rows[idx:])
+    return TruncatedSeries.from_terms(field.profile, ((e, 1) for e in exps),
+                                      row.v_eps / scale + guard)
 
 
 def _preimage_series(rows, idx, p, v_c, ring: TateRing) -> TruncatedSeries:
     row = rows[idx]
     scale = p ** row.b
-    terms = {(row.v_eps / scale, Fraction(0), Fraction(0), Fraction(1, scale)): 1}
+    zero = Fraction(0)
+    terms = [((row.v_eps / scale, zero, zero, Fraction(1, scale)), 1)]
     for prev in rows[:idx]:
         if prev.omega >= 0:
             d_t = row.v_eps + p ** prev.b * prev.v_e
             x1 = Fraction(prev.omega * p ** prev.b, scale)
-            x2 = Fraction(0)
+            x2 = zero
         else:
             d_t = row.v_eps + p ** prev.b * (prev.v_e + prev.omega * v_c)
-            x1 = Fraction(0)
+            x1 = zero
             x2 = Fraction(-prev.omega * p ** prev.b, scale)
-        key = (d_t / scale, x1, x2, Fraction(0))
-        terms[key] = (terms.get(key, 0) - 1) % p
-    return TruncatedSeries(ring.profile, terms, EXACT)
+        terms.append(((d_t / scale, x1, x2, zero), -1))
+    return TruncatedSeries.from_terms(ring.profile, terms, EXACT)
 
 
 def _alpha_series(rows, p, work_prec, field: ResidueField) -> TruncatedSeries:
-    prec = min(work_prec, Fraction(len(rows) + 1))
-    terms = {}
-    for row in rows:
-        key = (p ** row.b * row.v_e, Fraction(row.omega * p ** row.b))
-        terms[key] = (terms.get(key, 0) + 1) % p
-    return TruncatedSeries(field.profile, terms, prec)
+    exps = ((p ** row.b * row.v_e, Fraction(row.omega * p ** row.b)) for row in rows)
+    return TruncatedSeries.from_terms(field.profile, ((e, 1) for e in exps),
+                                      min(work_prec, Fraction(len(rows) + 1)))
 
 
 def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
@@ -248,8 +241,8 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
 # -- plan verification ----------------------------------------------------------
 
 
-def verify_plan(doc: dict, report: Report | None = None) -> Report:
-    rep = report if report is not None else Report()
+def verify_plan(doc: dict) -> Report:
+    rep = Report()
     _check_plan(doc, rep)
     return rep
 
@@ -375,11 +368,11 @@ def _check_plan(doc, rep: Report):
 # -- certificate verification ----------------------------------------------------
 
 
-def verify_certificate(doc: dict, report: Report | None = None) -> Report:
+def verify_certificate(doc: dict) -> Report:
     """Format 2: the embedded plan verifies, which reports the stage's three
     adapted facts, and `image` and `preimage` are the rendered series the
     plan gives for stage `m`."""
-    rep = report if report is not None else Report()
+    rep = Report()
     if doc.get("kind") != "certificate":
         rep.fail("certificate", "document kind is not 'certificate'")
         return rep
@@ -417,14 +410,8 @@ def verify_certificate(doc: dict, report: Report | None = None) -> Report:
 # -- trace verification -----------------------------------------------------------
 
 
-def _slice_terms(beta: TruncatedSeries, m: int, v_s: Fraction) -> TruncatedSeries:
-    lo, hi = m + v_s, m + 1 + v_s
-    kept = {e: c for e, c in beta.terms.items() if lo <= beta.profile.weight(e) < hi}
-    return TruncatedSeries(beta.profile, kept, EXACT)
-
-
-def verify_trace(doc: dict, report: Report | None = None) -> Report:
-    rep = report if report is not None else Report()
+def verify_trace(doc: dict) -> Report:
+    rep = Report()
     if doc.get("kind") != "trace":
         rep.fail("trace", "document kind is not 'trace'")
         return rep
@@ -487,21 +474,14 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
         val = beta.val_lower()
         rep.check(val is None or val >= m + v_s, where,
                   f"residual valuation {val} >= {m + v_s}")
-        band = _slice_terms(beta, m, v_s)
+        band = beta.window(m + v_s, m + 1 + v_s)
         if not rep.check(rec["band"] == render_series(band), where,
                          "recorded band matches"):
             return rep
-        groups = {}
-        for exps, c in band.terms.items():
-            groups.setdefault(exps[1], {})[exps] = c
         f_e = field.zero()
         e_m = ring.zero()
-        t_m_res = field.monomial(1, m, 0)
-        t_m_ring = ring.monomial(1, m, (0, 0, 0))
-        order = sorted(groups, key=lambda qq: (
-            min(band.profile.weight(e) for e in groups[qq]), qq))
         ok_groups = True
-        for q in order:
+        for q, part in band.split(1):
             idx = by_exponent.get(q)
             if idx is None:
                 rep.fail(where, f"no committed stage for exponent {q}")
@@ -513,20 +493,15 @@ def verify_trace(doc: dict, report: Report | None = None) -> Report:
                     _preimage_series(rows, idx, p, v_c, ring))
             image, preimage = stage_series[idx]
             w0, lexps, lcoeff = image.leading()
-            part = TruncatedSeries(field.profile, groups[q], EXACT)
-            d = part * (field.monomial(lcoeff, *lexps) * t_m_res).invert()
-            d_val = d.val_lower()
-            if not rep.check(d_val is not None and d_val > 0, where,
+            # part / lead is the quotient times t^m
+            d = part * field.monomial(lcoeff, *lexps).invert()
+            d_val = d.val_lower() - m
+            if not rep.check(d_val > 0, where,
                              f"quotient for exponent {q} has valuation {d_val} > 0"):
                 ok_groups = False
                 break
-            d_ring = TruncatedSeries(
-                ring.profile,
-                {(a0, Fraction(0), Fraction(0), Fraction(0)): c
-                 for (a0, _), c in d.terms.items()},
-                d.precision)
-            e_m = e_m + d_ring * t_m_ring * preimage
-            f_e = f_e + d * t_m_res * image
+            e_m = e_m + ring.embed_ground(d) * preimage
+            f_e = f_e + d * image
         if not ok_groups:
             return rep
         beta_next = beta - f_e

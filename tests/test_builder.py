@@ -14,7 +14,7 @@ import pytest
 
 from hahndisk.builder import (
     _minimal_b,
-    _quotient_exps,
+    _quotient_t_exp,
     _tail_series,
     assemble_alpha,
     build_adapted,
@@ -217,7 +217,7 @@ class TestAdaptedCertificates:
 
     def test_quotients_match_series_product(self, extended_plans):
         # the canceller quotient of every earlier stage, in closed form and
-        # as the series product eps * (stage term) * f(W)^-1
+        # as the series product eps * (stage term) * f(W)^-1; it is free of x
         for plan in extended_plans:
             field = plan.config.residue()
             for idx, st in enumerate(plan.stages):
@@ -226,7 +226,7 @@ class TestAdaptedCertificates:
                     alpha_term = field.monomial(1, *plan.alpha_term_exps(prev))
                     fw = field.monomial(1, *plan.fw_image_exps(prev))
                     want = eps_res * alpha_term * fw.invert()
-                    got = field.monomial(1, *_quotient_exps(plan, st, prev))
+                    got = field.monomial(1, _quotient_t_exp(plan, st, prev), 0)
                     assert got == want
 
     def test_staged_sums_match_running_sums(self, extended_plans):
@@ -258,7 +258,7 @@ class TestAdaptedCertificates:
                     w = prev.omega * cfg.p ** prev.b
                     x_exps = (w, 0, 0) if w >= 0 else (0, -w, 0)
                     head = head - ring.monomial(
-                        1, _quotient_exps(plan, st, prev)[0], x_exps)
+                        1, _quotient_t_exp(plan, st, prev), x_exps)
                 assert same(build_adapted(plan, m, field, ring).preimage,
                             head.frobenius(-st.b))
 

@@ -195,6 +195,17 @@ class TestVerifyCommand:
         bad.write_text("")
         assert run("verify", str(bad)) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--p", "5", str(GOLDEN / "plan.json")),
+        ("verify", "--out", "out", str(GOLDEN / "plan.json")),
+        ("classify", "--out", "out", "1"),
+        ("selftest", "--out", "out"),
+    ], ids=["verify-p", "verify-out", "classify-out", "selftest-out"])
+    def test_ignored_flags_are_usage_errors(self, argv, capsys):
+        # a transcript carries its own instance, and these commands write
+        # no files
+        assert run(*argv) == 2
+
 
 @pytest.fixture(scope="module")
 def trace_doc(tmp_path_factory):

@@ -14,7 +14,6 @@ from hahndisk.builder import (
 from hahndisk.division import (
     normalize_target,
     run_division,
-    slice_band,
     trace_to_doc,
 )
 from hahndisk.errors import ConfigError, ContractViolationError, UnresolvedError
@@ -53,25 +52,26 @@ class TestNormalizeTarget:
 
 class TestSliceBand:
     def test_zero_gives_empty(self, residue, cfg):
-        band = slice_band(residue.zero(precision=10), 2, cfg.v_s)
+        band = residue.zero(precision=10).window(2 + cfg.v_s, 3 + cfg.v_s)
         assert band.is_zero
 
     def test_single_term_in_band(self, residue, cfg):
         beta = residue.monomial(2, 1, 0)
-        band = slice_band(beta, 0, cfg.v_s)
+        band = beta.window(cfg.v_s, 1 + cfg.v_s)
         assert band == residue.monomial(2, 1, 0)
 
     def test_boundary_is_half_open(self, residue):
-        # With v_s = 1/4 and gamma_x = 1/2 every term weight lies in
-        # (1/2)*Z[1/3], so the band boundary m + 5/4 is never attained and
-        # the policy is exercised at the function level with v_s = 1/2,
+        # A band is the window [m + v_s, m + 1 + v_s).  With v_s = 1/4 and
+        # gamma_x = 1/2 every term weight lies in (1/2)*Z[1/3], so the band
+        # boundary m + 5/4 is never attained and the policy is exercised on
+        # the window itself with v_s = 1/2,
         # where weight 0 + 1 + 1/2 is hit by t^1 x^1.
         v_s = F(1, 2)
         boundary = residue.monomial(1, 1, 1)   # weight 3/2 == 0 + 1 + v_s
         below = residue.monomial(1, 1, 0)      # weight 1 inside band 0
         beta = boundary + below
-        band0 = slice_band(beta, 0, v_s)
-        band1 = slice_band(beta, 1, v_s)
+        band0 = beta.window(v_s, 1 + v_s)
+        band1 = beta.window(1 + v_s, 2 + v_s)
         assert band0.terms == below.terms
         assert band1.terms == boundary.terms
 
@@ -304,7 +304,7 @@ class TestConsistencyCheck:
         fresh = standard_substitution(trace.plan, residue, ring3)
         x1, x3 = ring3.var(1), ring3.var(3)
         elements = [s.e for s in trace.steps] + [trace.a_final, x3, x1 * x3 * x3]
-        # memos are keyed by work_prec: a low cap truncates the powers first
+        # a low cap truncates the image powers before they are multiplied
         for wp in (F(2), None, cfg.work_prec):
             for f in elements:
                 want = reference_apply(fresh, f, wp)

@@ -53,16 +53,6 @@ class TestResidueField:
         with pytest.raises(ConfigError):
             ResidueField(ground, Fraction(-1, 2))
 
-    def test_embed_preserves_valuation(self, ground, residue):
-        assert residue.embed_ground(ground.zero()).is_zero
-        t = ground.uniformizer_power(1)
-        assert residue.embed_ground(t).val_lower() == 1
-
-    def test_embedded_times_x_power(self, ground, residue):
-        f = residue.embed_ground(ground.one() + ground.uniformizer_power(1))
-        g = f * residue.x_power(Fraction(1, 3))
-        assert g.val_lower() == Fraction(1, 6)
-
     def test_x_valuation_outside_ground_group(self, residue):
         v = residue.x_power(1).val_lower()
         assert v == residue.gamma_x

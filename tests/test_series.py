@@ -305,9 +305,25 @@ def test_weight_is_the_full_dot_product(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=small_series(), g=small_series())
-def test_closed_operations_match_validating_constructor(f, g):
-    for got in (f * g, f + g, -f):
+@given(f=small_series(), g=small_series(), lo=st.integers(-4, 8),
+       width=st.integers(0, 6))
+def test_closed_operations_match_validating_constructor(f, g, lo, width):
+    # from_terms meets every key twice: g's terms add to 2g, and f's terms
+    # cancel mod p against their negatives
+    pairs = [*f.terms.items(), *g.terms.items(), *g.terms.items(),
+             *((e, RES.p - c) for e, c in f.terms.items())]
+    summed = TruncatedSeries.from_terms(RES, pairs, f.precision)
+    assert summed == TruncatedSeries(
+        RES, {e: 2 * c for e, c in g.terms.items()}, f.precision)
+    parts = f.split(1)
+    assert sum((part for _, part in parts), TruncatedSeries.zero(RES, f.precision)) == f
+    assert all(e[1] == q for q, part in parts for e in part.terms)
+    leads = [part.val_lower() for _, part in parts]
+    assert leads == sorted(leads)
+    window = f.window(lo, lo + width)
+    assert window.terms == {e: c for e, c in f.terms.items()
+                            if lo <= RES.weight(e) < lo + width}
+    for got in (f * g, f + g, -f, summed, window, *(part for _, part in parts)):
         assert TruncatedSeries(got.profile, dict(got.terms), got.precision) == got
 
 

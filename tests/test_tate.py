@@ -57,6 +57,16 @@ class TestRingConstraints:
         assert not is_integral(ring1.monomial(1, Fraction(-1, 3), (1,)))
         assert not is_integral(ring1.zero(precision=Fraction(-1)))
 
+    def test_embed_ground_lifts_elements_free_of_variables(self, ground, residue, ring3):
+        f = (residue.monomial(2, Fraction(1, 3), 0, precision=4)
+             + residue.monomial(1, 2, 0, precision=4))
+        got = ring3.embed_ground(f)
+        assert got == TruncatedSeries(
+            ring3.profile, {(e[0], 0, 0, 0): c for e, c in f.terms.items()}, 4)
+        assert ring3.embed_ground(ground.monomial(1, 1)) == ring3.monomial(1, 1, (0, 0, 0))
+        with pytest.raises(ExponentError):
+            ring3.embed_ground(residue.monomial(1, 1, Fraction(1, 3)))
+
     def test_projection_drops_higher_variables(self, ground, ring3, ring1):
         f = ring3.monomial(1, 0, (1, 0, 0)) + ring3.monomial(1, 1, (0, 0, 2))
         g = project(f, ring1)
@@ -141,7 +151,7 @@ class TestTypeIILowerBound:
         assert disk_seminorm(f, (Fraction(1),)) == 1
 
     def test_chooses_smaller_term(self, ring1):
-        f = ring1.embed_ground(ring1.ground.uniformizer_power(1)) + ring1.var(1)
+        f = ring1.embed_ground(ring1.ground.monomial(1, 1)) + ring1.var(1)
         assert type_ii_lower_bound(f, 2) == 1
 
     def test_fractional_exponent(self, ring1):

@@ -1,6 +1,7 @@
 """The independent checker must accept honest documents and localize any
 single tampered field."""
 
+import ast
 import copy
 import dataclasses
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import hahndisk.builder
+import hahndisk.division
 import hahndisk.fields
 import hahndisk.series
 import hahndisk.tate
@@ -624,3 +627,35 @@ class TestDispatch:
         cert = build_adapted(plan, 1, residue, ring3)
         assert verify_document(certificate_to_doc(plan, cert)).ok
         assert not verify_document({"kind": "mystery"}).ok
+
+
+def _module_tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def test_verify_imports_neither_builder_nor_division():
+    # every import statement, deferred ones inside functions included
+    names = set()
+    for node in ast.walk(_module_tree(hahndisk.verify)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            assert getattr(node, "id", getattr(node, "attr", None)) not in (
+                "__import__", "import_module")
+    assert not [n for n in names if {"builder", "division"} & set(n.split("."))]
+
+
+@pytest.mark.parametrize("module", [hahndisk.builder, hahndisk.division, hahndisk.verify],
+                         ids=lambda m: m.__name__)
+def test_computed_series_skip_the_validating_constructor(module):
+    # computed terms become a series through from_terms, window, split or
+    # embed_ground; TruncatedSeries(...) is for input from outside
+    calls = [node.lineno for node in ast.walk(_module_tree(module))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "TruncatedSeries"]
+    assert calls == []
