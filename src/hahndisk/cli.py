@@ -4,9 +4,12 @@ Subcommands: build | adapted | divide | classify | verify | selftest.
 Instance flags (--p, --gamma-x, --v-s, --prec, --stages, --seed) override a
 JSON config file given by --config or the HAHNDISK_CONFIG environment
 variable; `verify` takes none of them, since a transcript carries its
-instance.  build, adapted and divide write into --out.  Exit codes: 0
-success, 1 contract violation or failed verification, 2 usage or format
-errors.
+instance, and `classify` takes only its own --p (default 3), the one value
+it reads.  build, adapted and divide write into --out.  `divide` writes a
+format-3 trace, which records no step index or bound, and prints both: a
+step's index is its position, and the final bound is steps + v_s.  Exit
+codes: 0 success, 1 contract violation or failed verification, 2 usage or
+format errors.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import ConfigError, FormatError, HahndiskError
 from .fields import classify_disk_point
 from .series import random_series, render_series
 from .tate import save_substitution
-from .valgroup import EXACT, as_fraction, is_in_zp, too_many_digits
+from .valgroup import as_fraction, is_in_zp, too_many_digits
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -124,10 +127,7 @@ def cmd_divide(args) -> int:
         raise ConfigError(f"cannot read target file {args.target}: {exc}")
     beta = field.parse(text)
     plan = builder.build_plan(config)
-    if beta.is_zero and beta.precision is EXACT:
-        k, normalized = 0, beta
-    else:
-        k, normalized = division.normalize_target(field, beta, config.v_s)
+    k, normalized = division.normalize_target(field, beta, config.v_s)
     if k:
         print(f"normalized target by t^{k}")
     trace = division.run_division(plan, field, ring, normalized, args.steps)
@@ -136,32 +136,34 @@ def cmd_divide(args) -> int:
     path = out / "trace.json"
     path.write_text(builder.dump_doc(doc))
     print(f"trace: {path}")
-    for step in trace.steps:
-        val = step.beta_after.val_lower()
-        shown = "EXACT" if val is None else val
-        print(f"step {step.m}: residual valuation >= {shown}")
-    print(f"final residual valuation >= "
-          f"{'EXACT' if trace.final_val_lower is None else trace.final_val_lower} "
-          f"(bound {trace.final_bound})")
+    for m, step in enumerate(trace.steps):
+        print(f"step {m}: residual valuation >= {_shown_val(step.beta_after)}")
+    print(f"final residual valuation >= {_shown_val(trace.final_beta)} "
+          f"(bound {len(trace.steps) + config.v_s})")
     return EXIT_OK
 
 
+def _shown_val(beta) -> str:
+    val = beta.val_lower()
+    return "EXACT" if val is None else str(val)
+
+
 def cmd_classify(args) -> int:
-    config = build_config(args)
+    p = InstanceConfig(p=args.p).p  # checks p <= MAX_P before primality
     radii = []
     for raw in args.radii:
         if raw.upper() == "EXACT":
             radii.append(None)
         else:
             radii.append(as_fraction(raw))
-    kind = classify_disk_point(config.p, radii)
+    kind = classify_disk_point(p, radii)
     for raw, r in zip(args.radii, radii):
         if r is None:
             detail = "point sentinel"
-        elif is_in_zp(r, config.p):
-            detail = f"in Z[1/{config.p}]"
+        elif is_in_zp(r, p):
+            detail = f"in Z[1/{p}]"
         else:
-            detail = f"outside Z[1/{config.p}]"
+            detail = f"outside Z[1/{p}]"
         print(f"radius value {raw}: {detail}")
     print(kind.value)
     return EXIT_OK
@@ -271,8 +273,9 @@ def make_parser() -> argparse.ArgumentParser:
                           help="number of division steps (default 8)")
     p_divide.set_defaults(fn=cmd_divide)
 
-    p_classify = sub.add_parser("classify", parents=[common],
+    p_classify = sub.add_parser("classify",
                                 help="classify a disk point by its radius values")
+    p_classify.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
     p_classify.add_argument("radii", nargs="+",
                             help="additive radius values (-log r), or EXACT "
                                  "for the point sentinel")

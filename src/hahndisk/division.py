@@ -5,8 +5,9 @@ consumes the band of terms with weight in [m + v_s, m + 1 + v_s): each band
 term b*x^q is matched by the adapted certificate for exponent q, the exact
 ground-field quotient d = b / (leading * t^m) has valuation > 0, and the
 correction e_m = sum d * t^m * preimage_q moves the residual strictly past
-the next band floor.  Every bound is recorded and re-checked as an exact
-rational comparison; a failed check aborts the run instead of degrading it.
+the next band floor.  Every bound is checked as an exact rational
+comparison; a failed check aborts the run instead of degrading it.  The
+bounds follow from a step's position, so the trace records none of them.
 
 Band boundaries are half-open: a term of weight exactly m + 1 + v_s belongs
 to the next band, so each term is consumed exactly once.
@@ -14,7 +15,6 @@ to the next band, so each term is consumed exactly once.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,14 +38,15 @@ from .valgroup import EXACT, as_fraction
 
 
 def normalize_target(field: ResidueField, beta: TruncatedSeries, v_s) -> tuple:
-    """Smallest integer shift k >= 0 with valuation(t^k * beta) >= v_s."""
-    v_s = as_fraction(v_s)
-    val = beta.val_lower()
-    if val is None and not beta.terms:
-        raise UnresolvedError("cannot normalize the exact zero")
-    if beta.precision is not EXACT and not beta.terms:
+    """Smallest integer shift k >= 0 with valuation(t^k * beta) >= v_s.
+
+    The exact zero has valuation +infinity and needs no shift; a zero known
+    only up to its precision has no leading term to shift."""
+    if not beta.terms:
+        if beta.precision is EXACT:
+            return 0, beta
         raise UnresolvedError("target has no resolved leading term")
-    k = max(0, math.ceil(v_s - val))
+    k = max(0, math.ceil(as_fraction(v_s) - beta.val_lower()))
     if k == 0:
         return 0, beta
     shifted = field.monomial(1, k, 0) * beta
@@ -54,8 +55,8 @@ def normalize_target(field: ResidueField, beta: TruncatedSeries, v_s) -> tuple:
 
 @dataclass
 class DivisionStep:
-    m: int
-    bound: Fraction          # certified: valuation(beta_m) >= bound
+    """Step m, the step's position in the trace, certifies valuation
+    >= m + v_s before it and >= m + 1 + v_s after it."""
     band: TruncatedSeries    # the consumed slice of beta_m
     e: TruncatedSeries       # correction added to the approximant
     beta_after: TruncatedSeries
@@ -65,11 +66,8 @@ class DivisionStep:
 class DivisionTrace:
     plan: AlphaPlan  # the plan as the run extended it
     target: TruncatedSeries
-    steps_requested: int
     steps: list
-    final_beta: TruncatedSeries
-    final_bound: Fraction
-    final_val_lower: Fraction
+    final_beta: TruncatedSeries  # the last beta_after, or the target
 
     @property
     def a_final(self) -> TruncatedSeries:
@@ -83,7 +81,6 @@ def _certified_val(beta: TruncatedSeries, floor: Fraction, what: str):
     val = beta.val_lower()
     if val is not None and val < floor:
         raise ContractViolationError(f"{what}: valuation {val} < certified {floor}")
-    return val
 
 
 def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
@@ -142,29 +139,12 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         if sub is None:
             sub = standard_substitution(plan, field, ring)
         _check_consistency(sub.apply(e_m, cfg.work_prec) - f_e, f"step {m}")
-        records.append(
-            DivisionStep(
-                m=m,
-                bound=m + v_s,
-                band=band,
-                e=e_m,
-                beta_after=beta_next,
-            )
-        )
+        records.append(DivisionStep(band=band, e=e_m, beta_after=beta_next))
         beta_m, a = beta_next, a + e_m
-    final_val = _certified_val(beta_m, steps + v_s, "final residual bound")
     if sub is None:
         sub = standard_substitution(plan, field, ring)
     _check_consistency(sub.apply(a, cfg.work_prec) + beta_m - beta, "final")
-    return DivisionTrace(
-        plan=plan,
-        target=beta,
-        steps_requested=steps,
-        steps=records,
-        final_beta=beta_m,
-        final_bound=steps + v_s,
-        final_val_lower=beta_m.precision if final_val is None else final_val,
-    )
+    return DivisionTrace(plan=plan, target=beta, steps=records, final_beta=beta_m)
 
 
 def _check_consistency(diff: TruncatedSeries, where: str):
@@ -189,37 +169,24 @@ def _check_consistency(diff: TruncatedSeries, where: str):
 # -- serialization ------------------------------------------------------------
 
 
-def target_digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def trace_to_doc(trace: DivisionTrace, normalize_k: int = 0) -> dict:
-    """Trace format 2.  A step records each fact once: the residual entering
-    step m is the previous step's `beta_after` (the target for step 0), and
-    the approximant is the sum of the recorded `e`."""
-    target_text = render_series(trace.target)
+    """Trace format 3.  A trace records each fact once: step m is the m-th
+    record, the residual entering it is the previous step's `beta_after`
+    (the target for step 0), the residual after the run is the last
+    `beta_after`, and the approximant is the sum of the recorded `e`."""
     return {
         "kind": "trace",
-        "format": 2,
+        "format": 3,
         "plan": plan_to_doc(trace.plan),
-        "target": target_text,
-        "target_sha256": target_digest(target_text),
+        "target": render_series(trace.target),
         "normalize_k": normalize_k,
-        "steps_requested": trace.steps_requested,
+        "steps_requested": len(trace.steps),
         "steps": [
             {
-                "m": s.m,
-                "bound": str(s.bound),
                 "band": render_series(s.band),
                 "e": render_series(s.e),
                 "beta_after": render_series(s.beta_after),
             }
             for s in trace.steps
         ],
-        "final": {
-            "bound": str(trace.final_bound),
-            "residual": render_series(trace.final_beta),
-            "val_lower": "EXACT" if trace.final_val_lower is None
-                         else str(trace.final_val_lower),
-        },
     }

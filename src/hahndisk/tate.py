@@ -101,12 +101,12 @@ def project(f: TruncatedSeries, target: TateRing) -> TruncatedSeries:
     """The surjection R_n -> R_m sending x_i to x_i for i <= m and to 0
     beyond; monomials containing a dropped variable vanish."""
     keep = target.nvars
-    terms = {}
-    for exps, c in f.terms.items():
-        if any(q != 0 for q in exps[keep + 1:]):
-            continue
-        terms[exps[: keep + 1]] = c
-    return TruncatedSeries(target.profile, terms, f.precision)
+    if f.profile.p != target.ground.p or keep >= f.profile.dim:
+        raise ConfigError("project expects a ring over the same F_p "
+                          "with no more variables")
+    terms = {exps[: keep + 1]: c for exps, c in f.terms.items()
+             if not any(exps[keep + 1:])}
+    return TruncatedSeries._trusted(target.profile, terms, f.precision)
 
 
 def disk_seminorm(f: TruncatedSeries, rho) -> Fraction:
@@ -154,7 +154,7 @@ def finite_approx(f: TruncatedSeries, v_eps) -> TruncatedSeries:
         precision = EXACT  # all terms at or below the cutoff are resolved
     else:
         precision = f.precision
-    return TruncatedSeries(f.profile, kept, precision)
+    return TruncatedSeries._trusted(f.profile, kept, precision)
 
 
 def type_ii_lower_bound(f: TruncatedSeries, rho) -> Fraction:

@@ -80,7 +80,11 @@ class TestDivide:
         beta.write_text("O(EXACT)\n")
         assert run("divide", str(beta), "3", "--out", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "trace.json").read_text())
-        assert doc["final"]["val_lower"] == "EXACT"
+        assert doc["steps"][-1]["beta_after"] == "O(EXACT)\n"
+        out = capsys.readouterr().out
+        assert out.endswith("final residual valuation >= EXACT (bound 13/4)\n")
+        assert "normalized" not in out
+        assert run("verify", str(tmp_path / "trace.json")) == 0
 
     def test_round_trip_target(self, tmp_path, capsys):
         beta = tmp_path / "beta.txt"
@@ -110,10 +114,10 @@ class TestDivide:
 
 
 class TestRecordedTranscripts:
-    """Certificates recorded when certificates moved to format 2, a trace
-    recorded when traces did, and a trace at p = 5 recorded before staged
-    sums were built in one pass; every later version must write them, and
-    the `verify --verbose` reports on them, byte for byte."""
+    """Certificates recorded when certificates moved to format 2, and two
+    traces recorded when traces moved to format 3; every later version must
+    write them, the `divide` output and the `verify --verbose` reports on
+    them byte for byte."""
 
     @pytest.mark.parametrize("q,name", [
         ("-1/3", "adapted_minus1_3.json"),  # stage 9 of the enumeration
@@ -144,6 +148,13 @@ class TestRecordedTranscripts:
         assert run("divide", "--out", str(out), str(tmp_path / "target.txt"), "4") == 0
         assert ((out / "trace.json").read_bytes()
                 == (DATA / "divide_seed11_steps4.json").read_bytes())
+        assert capsys.readouterr().out == (
+            f"trace: {out / 'trace.json'}\n"
+            "step 0: residual valuation >= 31/18\n"
+            "step 1: residual valuation >= 5/2\n"
+            "step 2: residual valuation >= 32/9\n"
+            "step 3: residual valuation >= 49/9\n"
+            "final residual valuation >= 49/9 (bound 17/4)\n")
 
     def test_divide_off_the_default_prime(self, tmp_path, capsys):
         # p = 5: the band exponents 2/25, -4/5, -25 and 50 append four
@@ -153,6 +164,13 @@ class TestRecordedTranscripts:
                    "--out", str(out), str(DATA / "divide_p5_target.txt"), "4") == 0
         assert ((out / "trace.json").read_bytes()
                 == (DATA / "divide_p5_steps4.json").read_bytes())
+        assert capsys.readouterr().out == (
+            f"trace: {out / 'trace.json'}\n"
+            "step 0: residual valuation >= 5/3\n"
+            "step 1: residual valuation >= 8/3\n"
+            "step 2: residual valuation >= 27\n"
+            "step 3: residual valuation >= 27\n"
+            "final residual valuation >= 27 (bound 9/2)\n")
 
 
 class TestClassify:
@@ -171,6 +189,25 @@ class TestClassify:
 
     def test_bad_radius(self, capsys):
         assert run("classify", "frog") == 2
+
+    def test_other_prime(self, capsys):
+        assert run("classify", "--p", "5", "1/5") == 0
+        out = capsys.readouterr().out
+        assert "in Z[1/5]" in out and out.strip().endswith("Type II")
+
+    def test_prime_is_checked(self, primality_capped):
+        assert run("classify", "--p", "9", "1") == 2
+        assert run("classify", "--p", str(MAX_P + 2), "1") == 2
+
+    def test_config_is_not_read(self, tmp_path, capsys, monkeypatch):
+        # classify reads only p: a config that no instance accepts, since
+        # 1/3 lies in Z[1/3], is left unread
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_x": "1/3"}))
+        monkeypatch.setenv("HAHNDISK_CONFIG", str(cfg))
+        assert run("build", "--out", str(tmp_path / "out")) == 2
+        assert run("classify", "1") == 0
+        assert capsys.readouterr().out.strip().endswith("Type II")
 
 
 class TestVerifyCommand:
@@ -200,10 +237,11 @@ class TestVerifyCommand:
         ("verify", "--out", "out", str(GOLDEN / "plan.json")),
         ("classify", "--out", "out", "1"),
         ("selftest", "--out", "out"),
-    ], ids=["verify-p", "verify-out", "classify-out", "selftest-out"])
+        ("classify", "--stages", "3", "1"),
+    ], ids=["verify-p", "verify-out", "classify-out", "selftest-out", "classify-stages"])
     def test_ignored_flags_are_usage_errors(self, argv, capsys):
-        # a transcript carries its own instance, and these commands write
-        # no files
+        # a transcript carries its own instance, these commands write no
+        # files, and classify reads no instance but its prime
         assert run(*argv) == 2
 
 
@@ -255,25 +293,27 @@ class TestVerifyMalformedTrace:
     """Malformed trace fields give a located FAIL (exit 1), never a traceback."""
 
     @pytest.mark.parametrize("where,mutate", [
-        ("step 1", lambda d: d["steps"][1].pop("m")),
+        ("step 1", lambda d: d["steps"][1].pop("band")),
+        # a step's index is its position: a step carrying `m` is format 2
         ("step 1", lambda d: d["steps"][1].__setitem__("m", "one")),
         ("step 2", lambda d: d["steps"][2].__setitem__("m", 2.5)),
         ("trace", lambda d: d.__setitem__("steps", {"0": d["steps"][0]})),
-        ("final", lambda d: d.__setitem__("final", ["residual"])),
+        # so is a trace carrying `final`: its residual is the last beta_after
+        ("trace", lambda d: d.__setitem__("final", ["residual"])),
         ("trace", lambda d: d.__setitem__("steps_requested", 99)),
         ("trace", lambda d: d.__setitem__("normalize_k", -5)),
         ("trace", lambda d: d.__setitem__("format", 1)),
         ("step 1", lambda d: d["steps"][1].__setitem__("a_after", "O(EXACT)\n")),
         # recorded step text is compared, never parsed
         ("step 1", lambda d: d["steps"][1].__setitem__("e", f"1 t^{BIG}\nO(EXACT)\n")),
-        # the top-level and final field sets are exact, as a step's is
+        # the top-level field set is exact, as a step's is
         ("trace", lambda d: d.__setitem__("note", "unread")),
         ("trace", lambda d: d.pop("normalize_k")),
-        ("final", lambda d: d["final"].__setitem__("note", "unread")),
-        ("final", lambda d: d["final"].pop("bound")),
-    ], ids=["missing-m", "string-m", "float-m", "steps-not-list", "final-not-object",
+        ("step 2", lambda d: d["steps"][2].__setitem__("beta_after", None)),
+        ("step 2", lambda d: d["steps"][2].pop("beta_after")),
+    ], ids=["missing-band", "string-m", "float-m", "steps-not-list", "final-not-object",
             "steps-requested", "negative-normalize-k", "format-1", "extra-a-after", "big-e",
-            "extra-key", "missing-key", "extra-final-key", "missing-final-bound"])
+            "extra-key", "missing-key", "last-beta-after-not-text", "missing-beta-after"])
     def test_located_failure(self, where, mutate, trace_doc, tmp_path, capsys):
         doc = copy.deepcopy(trace_doc)
         mutate(doc)

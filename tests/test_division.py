@@ -49,6 +49,12 @@ class TestNormalizeTarget:
         with pytest.raises(UnresolvedError):
             normalize_target(residue, residue.zero(precision=2), cfg.v_s)
 
+    def test_exact_zero_needs_no_shift(self, residue, cfg):
+        # the exact zero has valuation +infinity
+        zero = residue.zero()
+        assert zero.precision is None
+        assert normalize_target(residue, zero, cfg.v_s) == (0, zero)
+
 
 class TestSliceBand:
     def test_zero_gives_empty(self, residue, cfg):
@@ -114,10 +120,10 @@ class TestRunDivision:
             + residue.monomial(1, 2, 0) * c2.image
         steps = 8
         trace = run_division(plan, residue, ring3, beta, steps)
-        assert trace.final_val_lower >= steps + cfg.v_s
-        for step in trace.steps:
+        assert trace.final_beta.val_lower() >= steps + cfg.v_s
+        for m, step in enumerate(trace.steps):
             gap = step.e.val_lower()
-            assert gap is None or gap >= step.m
+            assert gap is None or gap >= m
 
     def test_contraction_on_random_targets(self, cfg, residue, ring3):
         rng = random.Random(cfg.seed + 3)
@@ -125,10 +131,11 @@ class TestRunDivision:
             plan = build_plan(cfg)
             beta = rand_normalized_target(rng, residue, cfg.v_s)
             trace = run_division(plan, residue, ring3, beta, 6)
-            for step in trace.steps:
+            for m, step in enumerate(trace.steps):
                 val = step.beta_after.val_lower()
-                assert val is None or val >= step.m + 1 + cfg.v_s
-            assert trace.final_val_lower >= 6 + cfg.v_s
+                assert val is None or val >= m + 1 + cfg.v_s
+            assert trace.final_beta is trace.steps[-1].beta_after
+            assert trace.final_beta.val_lower() >= 6 + cfg.v_s
 
     def test_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
         rng = random.Random(19)
@@ -167,14 +174,15 @@ class TestTraceSerialization:
         beta = residue.monomial(1, 1, 0)
         trace = run_division(plan, residue, ring3, beta, 2)
         doc = trace_to_doc(trace, normalize_k=0)
+        assert set(doc) == {"kind", "format", "plan", "target", "normalize_k",
+                            "steps_requested", "steps"}
         assert doc["kind"] == "trace"
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         assert doc["steps_requested"] == 2
         assert len(doc["steps"]) == 2
         for step in doc["steps"]:
-            assert set(step) == {"m", "bound", "band", "e", "beta_after"}
+            assert set(step) == {"band", "e", "beta_after"}
         assert doc["plan"]["kind"] == "plan"
-        assert set(doc["final"]) == {"bound", "residual", "val_lower"}
 
 
 @pytest.fixture
@@ -324,8 +332,8 @@ def test_division_round_trip_other_instances(p, gamma_x, v_s):
     for _ in range(2):
         beta = rand_normalized_target(rng, field, v_s, max_terms=5)
         trace = run_division(plan, field, ring, beta, 4)
-        for step in trace.steps:
+        for m, step in enumerate(trace.steps):
             val = step.beta_after.val_lower()
-            assert val is None or val >= step.m + 1 + v_s
+            assert val is None or val >= m + 1 + v_s
         report = verify_trace(trace_to_doc(trace))
         assert report.ok, report.text()

@@ -71,6 +71,11 @@ class TestRingConstraints:
         f = ring3.monomial(1, 0, (1, 0, 0)) + ring3.monomial(1, 1, (0, 0, 2))
         g = project(f, ring1)
         assert g == ring1.monomial(1, 0, (1,))
+        # the map goes to fewer variables over the same prime
+        with pytest.raises(ConfigError):
+            project(g, ring3)
+        with pytest.raises(ConfigError):
+            project(f, TateRing(GroundField(5), 1))
 
 
 class TestDiskSeminorm:

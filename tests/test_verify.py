@@ -4,6 +4,7 @@ single tampered field."""
 import ast
 import copy
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -414,9 +415,11 @@ class TestTraceVerification:
     def step_mutations(doc):
         """(where, mutate) pairs, each changing one field of `doc`."""
         step = len(doc["steps"]) // 2
+        last = len(doc["steps"]) - 1
         # the last step whose band has two terms to reorder
         banded = max(k for k, rec in enumerate(doc["steps"])
                      if len(rec["band"].splitlines()) > 2)
+        v_s = Fraction(doc["plan"]["instance"]["v_s"])
 
         def bump_coeff(text):
             lines = text.splitlines()
@@ -434,35 +437,46 @@ class TestTraceVerification:
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "e", bump_coeff(d["steps"][step]["e"]))),
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "bound", "1/8")),
-            ("final", lambda d: d["final"].__setitem__("val_lower", "99")),
-            ("trace", lambda d: d.__setitem__("target_sha256", "0" * 64)),
-            # format 2 only: no other format, no extra or missing step field
+                "band", bump_coeff(d["steps"][step]["band"]))),
+            # the residual after the run is the last beta_after
+            (f"step {last}", lambda d: d["steps"][last].__setitem__(
+                "beta_after", bump_coeff(d["steps"][last]["beta_after"]))),
+            ("trace", lambda d: d.__setitem__("steps_requested", last)),
+            # format 3 only: no other format, no extra or missing step field
             ("trace", lambda d: d.__setitem__("format", 1)),
-            ("trace", lambda d: d.__setitem__("format", "2")),
+            ("trace", lambda d: d.__setitem__("format", "3")),
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "a_after", d["steps"][step]["e"])),
             (f"step {step}", lambda d: d["steps"][step].pop("band")),
-            # an equal series or bound in text that is not canonical
+            # the fields only format 2 records, each a FAIL where it sits
+            ("trace", lambda d: d.__setitem__("format", 2)),
+            (f"step {step}", lambda d: d["steps"][step].__setitem__("m", step)),
+            (f"step {step}", lambda d: d["steps"][step].__setitem__(
+                "bound", str(step + v_s))),
+            ("trace", lambda d: d.__setitem__("target_sha256", hashlib.sha256(
+                d["target"].encode()).hexdigest())),
+            ("trace", lambda d: d.__setitem__("final", {
+                "bound": str(last + 1 + v_s),
+                "residual": d["steps"][last]["beta_after"],
+                "val_lower": "EXACT"})),
+            # an equal series in text that is not canonical
             (f"step {banded}", lambda d: d["steps"][banded].__setitem__(
                 "band", swap_terms(d["steps"][banded]["band"]))),
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "e", unreduce_exponent(d["steps"][step]["e"]))),
             (f"step {step}", lambda d: d["steps"][step].__setitem__(
                 "beta_after", d["steps"][step]["beta_after"][:-1])),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "bound", unreduced(d["steps"][step]["bound"]))),
         ]
-        if len(doc["final"]["residual"].splitlines()) > 2:
-            mutations.append(("final", lambda d: d["final"].__setitem__(
-                "residual", swap_terms(d["final"]["residual"]))))
+        if len(doc["steps"][last]["beta_after"].splitlines()) > 2:
+            mutations.append((f"step {last}", lambda d: d["steps"][last].__setitem__(
+                "beta_after", swap_terms(d["steps"][last]["beta_after"]))))
         return mutations
 
     def test_step_mutations_are_localized(self, cfg, residue, ring3):
         fresh = self.make_trace_doc(cfg, residue, ring3)
         # the recorded p = 5 run ends at O(27), with no two terms to reorder
-        # in its final residual; the fresh p = 3 run has them
-        assert len(fresh["final"]["residual"].splitlines()) > 2
+        # in its last residual; the fresh p = 3 run has them
+        assert len(fresh["steps"][-1]["beta_after"].splitlines()) > 2
         recorded = json.loads((DATA / "divide_p5_steps4.json").read_text())
         for doc in (fresh, recorded):
             for where, mutate in self.step_mutations(doc):
@@ -616,7 +630,7 @@ def test_document_mutation_sweep_never_raises():
                 report = verify_document(tampered)
                 assert report.findings, (name, path, value)
                 swept += 1
-    assert swept == 464
+    assert swept == 408
     elapsed = time.monotonic() - start
     assert elapsed < 5, f"mutation sweep took {elapsed:.2f}s, budget 5s"
 
@@ -649,7 +663,8 @@ def test_verify_imports_neither_builder_nor_division():
     assert not [n for n in names if {"builder", "division"} & set(n.split("."))]
 
 
-@pytest.mark.parametrize("module", [hahndisk.builder, hahndisk.division, hahndisk.verify],
+@pytest.mark.parametrize("module", [hahndisk.builder, hahndisk.division, hahndisk.tate,
+                                    hahndisk.verify],
                          ids=lambda m: m.__name__)
 def test_computed_series_skip_the_validating_constructor(module):
     # computed terms become a series through from_terms, window, split or
