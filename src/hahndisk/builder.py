@@ -14,12 +14,18 @@ earlier stages:
   separation  scaled against any earlier stage the term falls strictly
               beyond 1 + v_s.
 
-A plan commits finitely many stages.  Claims about the uncommitted tail are
-quantified over all continuations that satisfy the constraints above plus a
-tail guard: every later stage must clear `tail_guard` (instead of merely
-1 + v_s) in the separation inequality.  Plans are values: `extend` returns a
-new plan with the appended stage, shares the stage prefix, and enforces the
-guard, so certificates issued against the shorter plan stay valid verbatim.
+A plan commits finitely many stages: the configured `stages` base stages
+along the enumeration, then any appended ones.  Claims about the uncommitted
+tail are quantified over all continuations that satisfy the constraints
+above plus a tail guard: every appended stage must clear `work_prec`
+(instead of merely 1 + v_s) in the separation inequality.  Plans are values:
+`extend` returns a new plan with the appended stage, shares the stage
+prefix, and enforces the guard, so certificates issued against the shorter
+plan stay valid verbatim.
+
+A plan document (format 2) records only the free choices: the instance and
+each stage's omega and b.  v_c, each stage's index, v_e and v_eps follow
+from them, and the verifier derives them again.
 
 For each committed stage the builder produces an `AdaptedCertificate`: an
 integral preimage whose image has valuation in [0, v_s), leading monomial
@@ -57,44 +63,26 @@ class PlanStage:
 
 @dataclass(frozen=True)
 class AlphaPlan:
+    """The tail guard is `config.work_prec`, and the first `config.stages`
+    stages are the base stages."""
     config: InstanceConfig
     v_c: Fraction
-    tail_guard: Fraction
-    m_base: int
     stages: tuple
 
     # -- stage arithmetic ---------------------------------------------------
-
-    def w(self, st: PlanStage) -> Fraction:
-        """Leading weight of the unscaled stage term e_m x^{omega_m}."""
-        return st.v_e + st.omega * self.config.gamma_x
-
-    def stage_weight(self, st: PlanStage) -> Fraction:
-        """Weight of the full stage term, p^b * (v_e + omega * gamma_x)."""
-        return self.config.p ** st.b * self.w(st)
 
     def alpha_term_exps(self, st: PlanStage):
         """(t-exponent, x-exponent) of the stage term in the residue field."""
         scale = self.config.p ** st.b
         return (scale * st.v_e, scale * st.omega)
 
-    def fw_image_exps(self, st: PlanStage):
-        """(t-exponent, x-exponent) of the image of the divisor monomial
-        W attached to this stage: x1^{omega p^b} when omega >= 0, else
-        x2^{-omega p^b} whose image is (c x^{-1})^{-omega p^b}."""
-        scale = self.config.p ** st.b
-        if st.omega >= 0:
-            return (Fraction(0), scale * st.omega)
-        return ((-st.omega) * scale * self.v_c, scale * st.omega)
-
-    def weight_fw(self, st: PlanStage) -> Fraction:
-        t_exp, x_exp = self.fw_image_exps(st)
-        return t_exp + x_exp * self.config.gamma_x
-
     def d_requirement(self, st: PlanStage) -> Fraction:
         """Valuation demanded of eps so that eps * (stage term) is divisible
-        by the W-image of this stage: weight(f(W)) - weight(stage term),
-        which is -p^b * (v_e + min(omega, 0) * v_c) written out."""
+        by the image of this stage's divisor monomial W, which is
+        x1^{omega p^b} when omega >= 0, else x2^{-omega p^b}:
+        weight(f(W)) - weight(stage term), which is
+        -p^b * (v_e + min(omega, 0) * v_c) written out.  The t-exponent of
+        eps * (stage term) / f(W) is v_eps - d_requirement."""
         x = st.v_e if st.omega >= 0 else st.v_e + st.omega * self.v_c
         return -(self.config.p ** st.b) * x
 
@@ -120,7 +108,7 @@ def _minimal_b(plan: AlphaPlan, m: int, w: Fraction, v_eps: Fraction, base: bool
     cfg = plan.config
     wn, wd = w.numerator, w.denominator
     sn, sd = cfg.v_s.numerator, cfg.v_s.denominator
-    gn, gd = plan.tail_guard.numerator, plan.tail_guard.denominator
+    gn, gd = cfg.work_prec.numerator, cfg.work_prec.denominator
     # window v_eps / p^b < v_s - w, as need < p^b * room
     need = v_eps.numerator * sd * wd
     room = v_eps.denominator * (sn * wd - wn * sd)
@@ -176,13 +164,7 @@ def build_plan(config: InstanceConfig) -> AlphaPlan:
         )
     field = config.residue()
     v_c = choose_c(field, config.v_s)
-    plan = AlphaPlan(
-        config=config,
-        v_c=v_c,
-        tail_guard=config.work_prec,
-        m_base=config.stages,
-        stages=(),
-    )
+    plan = AlphaPlan(config=config, v_c=v_c, stages=())
     for m in range(1, config.stages + 1):
         plan = _append_stage(plan, omega(m, config.p), base=True)
     from . import verify  # deferred: verify must stay import-free of builder
@@ -272,21 +254,8 @@ def _tail_series(plan: AlphaPlan, m: int, field: ResidueField) -> TruncatedSerie
     """sum of committed stage terms from stage m on, with the precision
     justified by the tail guard viewed from stage m."""
     st_m = plan.stages[m - 1]
-    prec = plan.config.p ** st_m.b * plan.tail_guard
+    prec = plan.config.p ** st_m.b * plan.config.work_prec
     return _stage_sum(plan, plan.stages[m - 1:], field, prec)
-
-
-def _quotient_t_exp(plan: AlphaPlan, st: PlanStage, prev: PlanStage) -> Fraction:
-    """t-exponent of eps_st * (stage term of prev) / f(W_prev).
-
-    All three factors are monomials with coefficient 1, so the quotient is
-    the coefficient-1 monomial whose exponents are their sum and difference.
-    Its x-exponent is zero: the stage term and f(W_prev) both carry
-    x^(p^b * omega).
-    """
-    t_alpha = plan.alpha_term_exps(prev)[0]
-    t_fw = plan.fw_image_exps(prev)[0]
-    return st.v_eps + t_alpha - t_fw
 
 
 def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) -> AdaptedCertificate:
@@ -304,11 +273,13 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     st = plan.stages[m - 1]
     eps_res = field.monomial(1, st.v_eps, 0)
 
-    # eps x3 minus one divisor monomial per earlier stage
+    # eps x3 minus one divisor monomial per earlier stage, times the
+    # quotient eps * (stage term of prev) / f(W_prev): a coefficient-1
+    # monomial free of x, since both carry x^(p^b * omega)
     zero = Fraction(0)
     head = [((st.v_eps, zero, zero, Fraction(1)), 1)]
     for prev in plan.stages[: m - 1]:
-        d_t = _quotient_t_exp(plan, st, prev)
+        d_t = st.v_eps - plan.d_requirement(prev)
         if d_t < 0:
             raise AdaptednessFailedError(
                 f"divisor quotient for stage {prev.m} has valuation "
@@ -393,23 +364,14 @@ def kernel_witness(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
 
 
 def plan_to_doc(plan: AlphaPlan, summary: dict | None = None) -> dict:
+    """Plan format 2: the instance and each stage's omega and b, the only
+    free choices.  A stage's index is its position; v_c, v_e and v_eps
+    follow from the instance and the earlier stages."""
     doc = {
         "kind": "plan",
-        "format": 1,
+        "format": 2,
         "instance": plan.config.to_dict(),
-        "v_c": str(plan.v_c),
-        "tail_guard": str(plan.tail_guard),
-        "m_base": plan.m_base,
-        "stages": [
-            {
-                "m": st.m,
-                "omega": str(st.omega),
-                "v_e": str(st.v_e),
-                "b": st.b,
-                "v_eps": str(st.v_eps),
-            }
-            for st in plan.stages
-        ],
+        "stages": [{"omega": str(st.omega), "b": st.b} for st in plan.stages],
     }
     if summary is not None:
         doc["summary"] = summary

@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: build | adapted | divide | classify | verify | selftest.
-Instance flags (--p, --gamma-x, --v-s, --prec, --stages, --seed) override a
-JSON config file given by --config or the HAHNDISK_CONFIG environment
-variable; `verify` takes none of them, since a transcript carries its
-instance, and `classify` takes only its own --p (default 3), the one value
-it reads.  build, adapted and divide write into --out.  `divide` writes a
+Instance flags (--p, --gamma-x, --v-s, --prec, --stages) override a JSON
+config file given by --config or the HAHNDISK_CONFIG environment variable;
+`verify` takes none of them, since a transcript carries its instance, and
+`classify` takes only its own --p (default 3), the one value it reads.
+`selftest` also takes its own --seed (default 0) for its random series,
+which no plan records.  build, adapted and divide write into --out.  A
+format-2 plan records only its instance and each stage's omega and b.  `divide` writes a
 format-3 trace, which records no step index or bound, and prints both: a
 step's index is its position, and the final bound is steps + v_s.  Exit
 codes: 0 success, 1 contract violation or failed verification, 2 usage or
@@ -44,7 +46,6 @@ def _instance_parser() -> argparse.ArgumentParser:
     group.add_argument("--v-s", help="-log s in (0, 1) (default 1/4)")
     group.add_argument("--prec", help="working precision (default 2*(stages+1))")
     group.add_argument("--stages", type=int, help="committed stages M (default 12)")
-    group.add_argument("--seed", type=int, help="seed for randomized suites (default 0)")
     return common
 
 
@@ -58,7 +59,7 @@ def build_config(args) -> InstanceConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     base = InstanceConfig.from_file(path) if path else InstanceConfig()
     flags = {"p": args.p, "gamma_x": args.gamma_x, "v_s": args.v_s,
-             "stages": args.stages, "work_prec": args.prec, "seed": args.seed}
+             "stages": args.stages, "work_prec": args.prec}
     changes = {k: v for k, v in flags.items() if v is not None}
     if args.stages is not None and args.prec is None:
         changes["work_prec"] = None  # re-derived from stages
@@ -185,7 +186,7 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     config = build_config(args)
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     field = config.residue()
     ring = config.tate(3)
     failures = []
@@ -290,6 +291,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", parents=[common],
                             help="run the seeded smoke suite")
+    p_self.add_argument("--seed", type=int, default=0,
+                        help="seed for the random series (default 0)")
     p_self.set_defaults(fn=cmd_selftest)
     return parser
 

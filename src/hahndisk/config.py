@@ -32,8 +32,8 @@ class InstanceConfig:
 
     p odd prime; gamma_x = -log r for the disk radius, outside Z[1/p];
     v_s = -log s in (0, 1); stages = number of committed stages M;
-    work_prec > stages + 1 bounds every truncation (default 2*(stages+1));
-    seed drives the randomized suites.
+    work_prec > stages + 1 bounds every truncation (default 2*(stages+1)).
+    These are the instance record of a plan, key for key.
     """
 
     p: int = 3
@@ -41,7 +41,6 @@ class InstanceConfig:
     v_s: Fraction = Fraction(1, 4)
     stages: int = 12
     work_prec: Fraction = None
-    seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not 2 < self.p <= MAX_P:
@@ -71,8 +70,6 @@ class InstanceConfig:
                 f"work_prec = {self.work_prec} must exceed stages + 1 = "
                 f"{self.stages + 1}"
             )
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     # -- derived objects ----------------------------------------------------
 
@@ -94,14 +91,13 @@ class InstanceConfig:
             "v_s": str(self.v_s),
             "stages": self.stages,
             "work_prec": str(self.work_prec),
-            "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceConfig":
         if not isinstance(data, dict):
             raise FormatError("config must be a JSON object")
-        known = {"p", "gamma_x", "v_s", "stages", "work_prec", "seed"}
+        known = {"p", "gamma_x", "v_s", "stages", "work_prec"}
         unknown = set(data) - known
         if unknown:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")

@@ -69,13 +69,6 @@ class DivisionTrace:
     steps: list
     final_beta: TruncatedSeries  # the last beta_after, or the target
 
-    @property
-    def a_final(self) -> TruncatedSeries:
-        """The approximant: the sum of every step's `e`; None without steps."""
-        if not self.steps:
-            return None
-        return sum((s.e for s in self.steps[1:]), self.steps[0].e)
-
 
 def _certified_val(beta: TruncatedSeries, floor: Fraction, what: str):
     val = beta.val_lower()
@@ -102,7 +95,7 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
     certs = {}
     sub = None
     for m in range(steps):
-        _certified_val(beta_m, m + v_s, f"step {m} entry bound")
+        # beta_m >= m + v_s: the target check, or step m - 1's contraction
         if beta_m.precision is not EXACT and beta_m.precision < m + 1 + v_s:
             raise InsufficientPrecisionError(
                 f"step {m}: residual precision {beta_m.precision} does not "

@@ -6,6 +6,10 @@ code, only the series engine and the shared value-group helpers.  A check
 failure is reported with the stage or step it belongs to, so a single
 mutated field in a document is pinpointed rather than merely rejected.
 
+A plan (format 2) records only its instance and each stage's omega and b;
+v_c, and each stage's index, v_e and v_eps, are derived here, the latter
+two in the stage loop, so no recorded value is compared with them.
+
 Only a plan and a trace's target are parsed.  A recorded series or
 valuation is compared, as text, with `render_series` or `str` of the value
 replayed here: series keep their terms reduced and render deterministically,
@@ -97,31 +101,37 @@ _TRACE_FIELDS = frozenset({"kind", "format", "plan", "target", "normalize_k",
 _STEP_FIELDS = frozenset({"band", "e", "beta_after"})
 
 
+#: The fields of a format-2 plan, which may also carry a `summary` of
+#: exactly _SUMMARY_FIELDS, and of each of its stages.  A stage's index is
+#: its position, and v_c, v_e and v_eps are derived here.
+_PLAN_FIELDS = frozenset({"kind", "format", "instance", "stages"})
+_PLAN_STAGE_FIELDS = frozenset({"omega", "b"})
+_SUMMARY_FIELDS = frozenset({"alpha_valuation", "alpha_precision", "certificates_verified",
+                             "witness_valuation", "witness_in_value_group",
+                             "relation_maps_to_zero"})
+
+
 @dataclass
 class _Row:
-    m: int  # as recorded: verify_plan checks m and b are JSON integers
     omega: Fraction
-    v_e: Fraction
+    v_e: Fraction  # the canonical point of (lo, lo + v_s), lo = -omega * gamma_x
     b: int
-    v_eps: Fraction
+    v_eps: Fraction  # the divisibility demand of the earlier stages
 
 
 def _read_plan(doc) -> tuple:
-    """(config, rows, v_c, tail guard) of a plan document; raises on a
-    malformed one.
+    """(config, [(omega, b)]) of a plan document, omega parsed and b as
+    recorded; raises on a malformed one.
 
     `instance` must be the record its config writes, key for key, so no
-    field is left to a default; the config already refuses a `p`, `stages`
-    or `seed` that is not a JSON integer.
+    field is left to a default; the config already refuses a `p` or
+    `stages` that is not a JSON integer.
     """
     instance = doc["instance"]
     config = InstanceConfig.from_dict(instance)
     if instance != config.to_dict():
         raise FormatError(f"instance {instance} is not exactly {config.to_dict()}")
-    rows = [_Row(m=raw["m"], omega=as_fraction(raw["omega"]), v_e=as_fraction(raw["v_e"]),
-                 b=raw["b"], v_eps=as_fraction(raw["v_eps"]))
-            for raw in doc["stages"]]
-    return config, rows, as_fraction(doc["v_c"]), as_fraction(doc["tail_guard"])
+    return config, [(as_fraction(raw["omega"]), raw["b"]) for raw in doc["stages"]]
 
 
 def _d_requirement(row: _Row, scale: int, v_c: Fraction) -> Fraction:
@@ -209,8 +219,9 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
     Image term l >= idx of stage idx weighs v_eps/p^b + p^(b_l - b) * w_l.
     Separation puts every l > idx past 1 + v_s > w, so the stage's own
     term leads and no two terms share a key: the leading value is
-    v_eps/p^b + w, the leading x-exponent is omega, and the rest of the
-    image has valuation v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
+    v_eps/p^b + w, the leading x-exponent is omega (so that fact gets no
+    finding), and the rest of the image has valuation
+    v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
     Only call this once the stage checks, separation included, all hold.
     """
     # one pass from the last stage: min over l > idx of p^(b_l) * w_l, as a
@@ -222,7 +233,7 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
             low = (n, d)
         lows.append(low)
     bound = 1 + v_s
-    for row, scale, w, low in zip(rows, scales, ws, reversed(lows)):
+    for m, (row, scale, w, low) in enumerate(zip(rows, scales, ws, reversed(lows)), start=1):
         vn, vd = row.v_eps.numerator, row.v_eps.denominator
         wn, wd = w.numerator, w.denominator
         w0 = Fraction(vn * wd + scale * wn * vd, scale * vd * wd)
@@ -231,10 +242,8 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
         if low is not None and low[0] * rd < rn * low[1]:
             rn, rd = low
         res_val = Fraction(vn * rd + rn * vd, scale * vd * rd)
-        where = f"stage {row.m} image"
+        where = f"stage {m} image"
         rep.check(0 <= w0 < v_s, where, f"leading value {w0} inside [0, {v_s})")
-        rep.check(True, where,
-                  f"leading exponent {row.omega} matches stage exponent {row.omega}")
         rep.check(res_val > bound, where, f"residual valuation {res_val} beyond {bound}")
 
 
@@ -248,118 +257,104 @@ def verify_plan(doc: dict) -> Report:
 
 
 def _check_plan(doc, rep: Report):
-    """The checks of `verify_plan`, added to rep.  Returns the plan as read,
-    (config, rows, v_c, tail guard), or None if it could not be read, so a
-    certificate or trace reads its embedded plan once."""
+    """The checks of `verify_plan`, added to rep.  Returns the plan as read
+    and derived, (config, rows, v_c), or None if it could not be read, so a
+    certificate or trace reads its embedded plan once.  Use the rows only
+    once every check has passed."""
     if not isinstance(doc, dict) or doc.get("kind") != "plan":
         rep.fail("plan", "document kind is not 'plan'")
         return None
-    if not _format_is(doc, 1, rep, "plan"):
+    want = _PLAN_FIELDS | {"summary"} if "summary" in doc else _PLAN_FIELDS
+    if not (_format_is(doc, 2, rep, "plan") and _fields_are(doc, want, rep, "plan")):
         return None
     try:
-        plan = _read_plan(doc)
-        m_base = doc["m_base"]
+        config, stages = _read_plan(doc)
     except (KeyError, TypeError, ValueError, HahndiskError) as exc:
         rep.fail("plan", f"malformed transcript: {exc}")
         return None
-    if not _is_int(m_base):
-        rep.fail("plan", f"base length {m_base!r} is not an integer")
-        return plan
-    config, rows, v_c, guard = plan
-    p, gamma_x, v_s = config.p, config.gamma_x, config.v_s
+    p, gamma_x, v_s, guard = config.p, config.gamma_x, config.v_s, config.work_prec
     field = ResidueField(GroundField(p), gamma_x)
+    v_c = smallest_zp_point(gamma_x, gamma_x + v_s, p)
+    rows = []
+    plan = config, rows, v_c
 
-    rep.check(v_c == smallest_zp_point(gamma_x, gamma_x + v_s, p), "plan",
-              f"v_c = {v_c} is the canonical point of ({gamma_x}, {gamma_x + v_s})")
-    rep.check(guard == config.work_prec, "plan",
-              f"tail guard {guard} equals work_prec {config.work_prec}")
-    base_in_range = 1 <= m_base <= len(rows)
-    rep.check(base_in_range and m_base == config.stages, "plan",
-              f"base length {m_base} consistent with {len(rows)} committed stages")
-    rep.check(len({r.omega for r in rows}) == len(rows), "plan",
+    rep.check(len({q for q, _ in stages}) == len(stages), "plan",
               "stage exponents are pairwise distinct")
-    # omega(m) computes the enumeration up to m: m_base within the stages
-    # here, and each m at its position below, keep every index in range
-    if not base_in_range:
+    # omega(m) computes the enumeration up to m, and only base stages ask
+    # for it, so no m past the committed stages is asked
+    if not rep.check(len(stages) >= config.stages, "plan",
+                     f"the plan commits {len(stages)} stages, at least the "
+                     f"{config.stages} base stages"):
         return plan
 
     # the divisibility demand and the largest b of all earlier stages; p^b
     # and the weight v_e + omega * gamma_x of every stage read so far
     demand, top_b, scales, ws = Fraction(0), None, [], []
-    for idx, row in enumerate(rows):
+    for idx, (raw, (q, b)) in enumerate(zip(doc["stages"], stages)):
         where = f"stage {idx + 1}"
+        if not _fields_are(raw, _PLAN_STAGE_FIELDS, rep, where):
+            break
         if idx:
-            prev = rows[idx - 1]
+            prev = rows[-1]
             demand = max(demand, _d_requirement(prev, scales[-1], v_c))
             top_b = prev.b if top_b is None else max(top_b, prev.b)
-        ok_member = rep.check(
-            is_in_zp(row.omega, p) and is_in_zp(row.v_e, p) and is_in_zp(row.v_eps, p),
-            where, "omega, v_e, v_eps lie in Z[1/p]")
-        # No omega(m) and no p ** b is computed before these two checks.  A
-        # later stage's demand and separation need this m and b, so a bad one
-        # ends the stage checks.
-        if not (_is_int(row.m) and row.m == idx + 1):
-            rep.fail(where, f"index {row.m!r} is the stage position {idx + 1}")
+        # No canonical point and no p ** b is computed before these two
+        # checks.  A later stage's demand and separation need this v_e and
+        # b, so a bad one ends the stage checks.
+        if not rep.check(is_in_zp(q, p), where, f"exponent {q} lies in Z[1/{p}]"):
             break
-        if not rep.check(
-                _is_int(row.b) and 0 <= row.b <= MAX_B_SEARCH, where,
-                f"index {row.m!r} is a positive integer and Frobenius exponent "
-                f"{row.b!r} an integer in [0, {MAX_B_SEARCH}]"):
+        if not rep.check(_is_int(b) and 0 <= b <= MAX_B_SEARCH, where,
+                         f"Frobenius exponent {b!r} is an integer in [0, {MAX_B_SEARCH}]"):
             break
-        scale, w = p ** row.b, row.v_e + row.omega * gamma_x
+        lo = -q * gamma_x
+        rows.append(_Row(omega=q, v_e=smallest_zp_point(lo, lo + v_s, p), b=b, v_eps=demand))
+        scale, w = p ** b, rows[-1].v_e - lo
         scales.append(scale)
         ws.append(w)
-        if not ok_member:
+        if idx < config.stages:
+            rep.check(q == omega(idx + 1, p), where,
+                      f"exponent {q} follows the fixed enumeration")
+        if idx == 0:
+            rep.check(b == 0, where, "opening stage has Frobenius exponent 0")
             continue
-        if row.m <= m_base:
-            rep.check(row.omega == omega(row.m, p), where,
-                      f"exponent {row.omega} follows the fixed enumeration")
-        lo = -row.omega * gamma_x
-        rep.check(row.v_e == smallest_zp_point(lo, lo + v_s, p), where,
-                  f"v_e = {row.v_e} is the canonical point of ({lo}, {lo + v_s})")
-        rep.check(row.v_eps == demand, where,
-                  f"v_eps = {row.v_eps} equals the divisibility demand {demand}")
-        rep.check(0 < w < v_s, where, f"stage weight seed {w} inside (0, {v_s})")
-        if row.m == 1:
-            rep.check(row.b == 0, where, "opening stage has Frobenius exponent 0")
-            continue
-        guarded = row.m > m_base
+        guarded = idx >= config.stages
         rep.check(
-            _constraints_hold(w, row.v_eps, idx, row.b, scale, top_b, p, v_s, guard,
-                              guarded),
-            where, f"growth, window and separation hold at b = {row.b}")
-        # Growth, window and separation each only get easier as b grows once
-        # w > 0 and v_eps >= 0, which this stage checks above.  A failure at
-        # b - 1 is then a failure at every smaller b, so b - 1 alone decides
-        # minimality; where w or v_eps is off, this stage has already failed.
-        minimal = row.b == 0 or not _constraints_hold(
-            w, row.v_eps, idx, row.b - 1, scale // p, top_b, p, v_s, guard, guarded)
-        rep.check(minimal, where, f"b = {row.b} is minimal")
+            _constraints_hold(w, demand, idx, b, scale, top_b, p, v_s, guard, guarded),
+            where, f"growth, window and separation hold at b = {b}")
+        # Growth, window and separation each only get easier as b grows, as
+        # w > 0 and v_eps >= 0: v_e lies inside (lo, lo + v_s) and the demand
+        # starts at 0.  A failure at b - 1 is then a failure at every smaller
+        # b, so b - 1 alone decides minimality.
+        minimal = b == 0 or not _constraints_hold(
+            w, demand, idx, b - 1, scale // p, top_b, p, v_s, guard, guarded)
+        rep.check(minimal, where, f"b = {b} is minimal")
 
     if rep.ok:
         _image_facts_closed_form(rows, scales, ws, v_s, guard, rep)
 
-    summary = doc.get("summary")
-    if summary is not None and rep.ok:
+    if "summary" in doc and rep.ok:
+        summary = doc["summary"]
         if not isinstance(summary, dict):
             rep.fail("summary", f"summary is a {type(summary).__name__}, not an object")
             return plan
-        alpha = _alpha_series(rows, p, config.work_prec, field)
-        rep.check(summary.get("alpha_valuation") == str(alpha.val_lower()),
+        if not _fields_are(summary, _SUMMARY_FIELDS, rep, "summary"):
+            return plan
+        alpha = _alpha_series(rows, p, guard, field)
+        rep.check(summary["alpha_valuation"] == str(alpha.val_lower()),
                   "summary", "alpha valuation matches")
-        rep.check(summary.get("alpha_precision") == str(alpha.precision),
+        rep.check(summary["alpha_precision"] == str(alpha.precision),
                   "summary", "alpha precision matches")
-        rep.check(summary.get("certificates_verified") == len(rows),
+        rep.check(summary["certificates_verified"] == len(rows),
                   "summary", "certificate count matches")
-        rep.check(summary.get("witness_valuation") == str(gamma_x),
+        rep.check(summary["witness_valuation"] == str(gamma_x),
                   "summary", "witness valuation is gamma_x")
-        rep.check(summary.get("witness_in_value_group") is False,
+        rep.check(summary["witness_in_value_group"] is False,
                   "summary", "witness valuation lies outside Z[1/p]")
         x_img = field.x_power(1)
         cx_inv = field.monomial(1, v_c, -1)
         relation_zero = x_img * cx_inv - field.monomial(1, v_c, 0)
         rep.check(
-            summary.get("relation_maps_to_zero") is True
+            summary["relation_maps_to_zero"] is True
             and relation_zero.is_zero and relation_zero.precision is EXACT,
             "summary", "product relation maps to the exact zero")
     return plan
@@ -382,7 +377,7 @@ def verify_certificate(doc: dict) -> Report:
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c, guard = plan
+    config, rows, v_c = plan
     p = config.p
     field = ResidueField(GroundField(p), config.gamma_x)
     ring = TateRing(GroundField(p), 3)
@@ -398,7 +393,8 @@ def verify_certificate(doc: dict) -> Report:
         return rep
     rep.check(q == rows[m - 1].omega, where, f"exponent {q} matches stage exponent")
     preimage = _preimage_series(rows, m - 1, p, v_c, ring)
-    rep.check(doc["image"] == render_series(_image_series(rows, m - 1, p, guard, field)),
+    image = _image_series(rows, m - 1, p, config.work_prec, field)
+    rep.check(doc["image"] == render_series(image),
               where, "recorded image equals the transcript-derived image")
     rep.check(doc["preimage"] == render_series(preimage), where,
               "recorded preimage equals the transcript-derived preimage")
@@ -423,8 +419,8 @@ def verify_trace(doc: dict) -> Report:
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c, guard = plan
-    p, v_s = config.p, config.v_s
+    config, rows, v_c = plan
+    p, v_s, guard = config.p, config.v_s, config.work_prec
     ground = GroundField(p)
     field = ResidueField(ground, config.gamma_x)
     ring = TateRing(ground, 3)
@@ -460,10 +456,8 @@ def verify_trace(doc: dict) -> Report:
         if not rep.check(rec.keys() == _STEP_FIELDS, where,
                          f"step fields {sorted(rec)} are {sorted(_STEP_FIELDS)}"):
             return rep
-        # beta is replayed from the target, never read from the record
-        val = beta.val_lower()
-        rep.check(val is None or val >= m + v_s, where,
-                  f"residual valuation {val} >= {m + v_s}")
+        # beta is replayed from the target, never read from the record; its
+        # valuation >= m + v_s is the target check, or step m - 1's contraction
         band = beta.window(m + v_s, m + 1 + v_s)
         if not rep.check(rec["band"] == render_series(band), where,
                          "recorded band matches"):

@@ -72,7 +72,7 @@ def schoolbook_mul(f, g):
 
 def test_criterion_1_series_engine_laws(cfg, residue):
     with criterion(1, "series engine laws on 1000 seeded random pairs", 10):
-        rng = random.Random(cfg.seed + 1)
+        rng = random.Random(1)
         profile = residue.profile
         for _ in range(1000):
             f = random_series(rng, profile, max_terms=12, max_prec=20)
@@ -116,7 +116,7 @@ def test_criterion_1_series_engine_laws(cfg, residue):
 
 def test_criterion_2_frobenius_perfectness(cfg, residue):
     with criterion(2, "Frobenius roots and ring-map laws on 1000 pairs", 5):
-        rng = random.Random(cfg.seed + 2)
+        rng = random.Random(2)
         profile = residue.profile
         for _ in range(1000):
             f = random_series(rng, profile, max_terms=10, max_prec=20)
@@ -173,7 +173,7 @@ def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
 
 def test_criterion_5_division_contraction(cfg, residue, ring3):
     with criterion(5, "certified division: 20 random + round-trip targets, 8 steps", 120):
-        rng = random.Random(cfg.seed + 5)
+        rng = random.Random(5)
         steps = 8
 
         def check_trace(beta, trace):
@@ -187,8 +187,8 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
             # f(a_M) - beta = -beta_M on the certificate route; the generic
             # substitution route must agree on every term it resolves
             sub = standard_substitution(trace.plan, residue, ring3)
-            diff = sub.apply(trace.a_final, cfg.work_prec) \
-                + trace.final_beta - beta
+            a = sum((s.e for s in trace.steps), ring3.zero())
+            diff = sub.apply(a, cfg.work_prec) + trace.final_beta - beta
             assert not diff.terms
 
         # plans are values: every division starts from the same 12 stages
@@ -216,7 +216,7 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
 
 def test_criterion_6_type_ii_lower_bound(cfg, ground):
     with criterion(6, "positive seminorm bound at 250 value-group points", 10):
-        rng = random.Random(cfg.seed + 6)
+        rng = random.Random(6)
         ring1 = TateRing(ground, 1)
         for _ in range(50):
             terms = {}
@@ -253,7 +253,7 @@ def check_determinism_and_mutations(cfg, out):
     residue, ring3 = cfg.residue(), cfg.tate(3)
     plan_doc = json.loads((out_a / "plan.json").read_text())
     plan = build_plan(cfg)
-    rng = random.Random(cfg.seed + 7)
+    rng = random.Random(7)
     beta = rand_normalized_target(rng, residue, cfg.v_s)
     trace_doc = trace_to_doc(run_division(plan, residue, ring3, beta, 5))
     assert verify_trace(trace_doc).ok
@@ -263,8 +263,9 @@ def check_determinism_and_mutations(cfg, out):
         field_name, value = rng.choice([
             ("b", doc["stages"][i]["b"] - 1),
             ("b", doc["stages"][i]["b"] + 1),
-            ("v_eps", str(Fraction(doc["stages"][i]["v_eps"]) + 1)),
-            ("v_e", str(Fraction(doc["stages"][i]["v_e"]) + 1)),
+            ("omega", str(Fraction(doc["stages"][i]["omega"]) + 1)),
+            # a field only format 1 recorded; format 2 derives it
+            ("v_eps", "0"),
         ])
         doc["stages"][i][field_name] = value
         return f"stage {i + 1}", verify_plan

@@ -14,7 +14,6 @@ import pytest
 
 from hahndisk.builder import (
     _minimal_b,
-    _quotient_t_exp,
     _tail_series,
     assemble_alpha,
     build_adapted,
@@ -65,6 +64,20 @@ def minimal_b_oracle(prior, w, v_eps, m, v_s, guard=None, p=3):
         b += 1
 
 
+def divisor_images(plan, field, ring):
+    """{stage m: (image of the stage term, image of its divisor monomial W)}
+    through the substitution map: W is x1^(omega p^b), or x2^(-omega p^b)
+    for a negative omega, so its image is read off `apply`, not off the
+    demand's closed form."""
+    sub = standard_substitution(plan, field, ring)
+    out = {}
+    for st in plan.stages:
+        x = st.omega * plan.config.p ** st.b
+        w_mono = ring.monomial(1, 0, (x, 0, 0) if x >= 0 else (0, -x, 0))
+        out[st.m] = (field.monomial(1, *plan.alpha_term_exps(st)), sub.apply(w_mono))
+    return out
+
+
 class TestBuildPlan:
     def test_opening_stage_is_pinned(self, plan):
         assert plan.stages[0].b == 0
@@ -99,15 +112,17 @@ class TestBuildPlan:
         # demand of every earlier stage must choose the same stages
         for plan in extended_plans:
             cfg = plan.config
+            images = divisor_images(plan, cfg.residue(), cfg.tate(3))
             for idx, st in enumerate(plan.stages):
                 prior = plan.stages[:idx]
-                # the demand from the weights, not from its closed form
-                assert st.v_eps == max([F(0)] + [plan.weight_fw(s) - plan.stage_weight(s)
-                                                 for s in prior])
+                # the demand from the image weights, not from its closed form
+                assert st.v_eps == max([F(0)] + [
+                    images[s.m][1].val_lower() - images[s.m][0].val_lower()
+                    for s in prior])
                 if st.m == 1:
                     continue
                 w = st.v_e + st.omega * cfg.gamma_x
-                guard = plan.tail_guard if st.m > plan.m_base else None
+                guard = cfg.work_prec if st.m > cfg.stages else None
                 assert st.b == minimal_b_oracle(
                     [s.b for s in prior], w, st.v_eps, st.m, cfg.v_s,
                     guard=guard, p=cfg.p), (cfg, st.m)
@@ -116,7 +131,7 @@ class TestBuildPlan:
         # the search compares cross-multiplied integers; inputs that put
         # growth, window, separation or the guard at equality for some b
         # must be decided as the strict Fraction inequalities decide them
-        p, v_s, guard = plan.config.p, plan.config.v_s, plan.tail_guard
+        p, v_s, guard = plan.config.p, plan.config.v_s, plan.config.work_prec
         top_b, m = plan.stages[-1].b, len(plan.stages) + 1
         ws = [(1 + v_s) / p ** 2, (1 + v_s) / p ** 3, guard / p ** 5, guard / p ** 6,
               F(1, 2 * p ** 2), F(7, 2 * p ** 3)]
@@ -209,24 +224,26 @@ class TestAdaptedCertificates:
         for m in range(1, len(plan.stages) + 1):
             assert is_integral(build_adapted(plan, m, residue, ring3).preimage)
 
-    def test_divisor_quotients_in_unit_ball(self, cfg, plan):
+    def test_divisor_quotients_in_unit_ball(self, plan, residue, ring3):
         # the exact quotients eps*stage/f(W) must have valuation >= 0
+        images = divisor_images(plan, residue, ring3)
         for idx, st in enumerate(plan.stages):
             for prev in plan.stages[:idx]:
-                assert st.v_eps + plan.stage_weight(prev) >= plan.weight_fw(prev)
+                term, fw = images[prev.m]
+                assert st.v_eps + term.val_lower() >= fw.val_lower()
 
     def test_quotients_match_series_product(self, extended_plans):
         # the canceller quotient of every earlier stage, in closed form and
         # as the series product eps * (stage term) * f(W)^-1; it is free of x
         for plan in extended_plans:
             field = plan.config.residue()
+            images = divisor_images(plan, field, plan.config.tate(3))
             for idx, st in enumerate(plan.stages):
                 eps_res = field.monomial(1, st.v_eps, 0)
                 for prev in plan.stages[:idx]:
-                    alpha_term = field.monomial(1, *plan.alpha_term_exps(prev))
-                    fw = field.monomial(1, *plan.fw_image_exps(prev))
-                    want = eps_res * alpha_term * fw.invert()
-                    got = field.monomial(1, _quotient_t_exp(plan, st, prev), 0)
+                    term, fw = images[prev.m]
+                    want = eps_res * term * fw.invert()
+                    got = field.monomial(1, st.v_eps - plan.d_requirement(prev), 0)
                     assert got == want
 
     def test_staged_sums_match_running_sums(self, extended_plans):
@@ -252,13 +269,13 @@ class TestAdaptedCertificates:
             for m, st in enumerate(plan.stages, start=1):
                 assert same(_tail_series(plan, m, field),
                             running_sum(plan, plan.stages[m - 1:], field,
-                                        cfg.p ** st.b * plan.tail_guard))
+                                        cfg.p ** st.b * cfg.work_prec))
                 head = ring.monomial(1, st.v_eps, (0, 0, 1))
                 for prev in plan.stages[: m - 1]:
                     w = prev.omega * cfg.p ** prev.b
                     x_exps = (w, 0, 0) if w >= 0 else (0, -w, 0)
                     head = head - ring.monomial(
-                        1, _quotient_t_exp(plan, st, prev), x_exps)
+                        1, st.v_eps - plan.d_requirement(prev), x_exps)
                 assert same(build_adapted(plan, m, field, ring).preimage,
                             head.frobenius(-st.b))
 
@@ -290,7 +307,7 @@ class TestExtension:
         assert cert.ok and cert.q == F(5, 9)
         w = st.v_e + st.omega * cfg.gamma_x
         for prev in grown.stages[:-1]:
-            assert Fraction(cfg.p) ** (st.b - prev.b) * w > grown.tail_guard
+            assert Fraction(cfg.p) ** (st.b - prev.b) * w > cfg.work_prec
 
     def test_extension_minimality_under_guard(self, cfg, plan):
         grown = extend(plan, F(5, 9))
@@ -298,7 +315,7 @@ class TestExtension:
         prior = [s.b for s in grown.stages[:-1]]
         w = st.v_e + st.omega * cfg.gamma_x
         assert st.b == minimal_b_oracle(
-            prior, w, st.v_eps, st.m, cfg.v_s, guard=grown.tail_guard
+            prior, w, st.v_eps, st.m, cfg.v_s, guard=cfg.work_prec
         )
 
     def test_non_padic_exponent_rejected(self, plan):
@@ -316,7 +333,7 @@ class TestExtension:
     def test_plans_and_stages_are_frozen(self, plan):
         assert isinstance(plan.stages, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.m_base = 1
+            plan.stages = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.stages[0].b = 1
 

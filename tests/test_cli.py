@@ -22,6 +22,23 @@ def run(*argv):
     return main(list(argv))
 
 
+#: The stage lines `build` prints for the default instance.
+GOLDEN_STAGE_LINES = """\
+stage 1: omega=0 v_e=1/9 b=0 v_eps=0
+stage 2: omega=1 v_e=-1/3 b=3 v_eps=0
+stage 3: omega=-1 v_e=2/3 b=5 v_eps=9
+stage 4: omega=2 v_e=-8/9 b=8 v_eps=9
+stage 5: omega=-2 v_e=10/9 b=11 v_eps=5832
+stage 6: omega=3 v_e=-4/3 b=13 v_eps=39366
+stage 7: omega=-3 v_e=5/3 b=16 v_eps=2125764
+stage 8: omega=1/3 v_e=0 b=18 v_eps=14348907
+stage 9: omega=-1/3 v_e=1/3 b=20 v_eps=14348907
+stage 10: omega=2/3 v_e=-2/9 b=23 v_eps=14348907
+stage 11: omega=-2/3 v_e=4/9 b=26 v_eps=20920706406
+stage 12: omega=4 v_e=-17/9 b=29 v_eps=20920706406
+"""
+
+
 class TestBuild:
     def test_build_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -31,6 +48,15 @@ class TestBuild:
         for i in (1, 2, 3):
             name = f"images/image_{i}.txt"
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes()
+        images = ", ".join(str(out / "images" / f"image_{i}.txt") for i in (1, 2, 3))
+        assert capsys.readouterr().out == (
+            f"plan: {out / 'plan.json'}\n"
+            f"alpha: {out / 'alpha.txt'}\n"
+            f"images: {images}\n"
+            + GOLDEN_STAGE_LINES +
+            "certificates verified: 12\n"
+            "witness valuation: 1/2 (in value group: False)\n"
+            "relation maps to zero: True\n")
 
     def test_build_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -114,10 +140,22 @@ class TestDivide:
 
 
 class TestRecordedTranscripts:
-    """Certificates recorded when certificates moved to format 2, and two
-    traces recorded when traces moved to format 3; every later version must
-    write them, the `divide` output and the `verify --verbose` reports on
-    them byte for byte."""
+    """Two certificates and two traces, last recorded when plans moved to
+    format 2 (each equal to the one before with the plan's restated values
+    dropped); every later version must write them, the `build`, `adapted`
+    and `divide` output and the `verify --verbose` reports on them byte for
+    byte."""
+
+    ADAPTED_STDOUT = {
+        "-1/3": "stage 9, exponent -1/3\n"
+                "  value_window: 83/486 in [0, v_s) 1/4 -> ok\n"
+                "  leading_exponent: -1/3 == -1/3 -> ok\n"
+                "  tail_gap: 730/243 > 5/4 -> ok\n",
+        "-5/9": "stage 13, exponent -5/9\n"
+                "  value_window: 763/13122 in [0, v_s) 1/4 -> ok\n"
+                "  leading_exponent: -5/9 == -5/9 -> ok\n"
+                "  tail_gap: 170603/6561 > 5/4 -> ok\n",
+    }
 
     @pytest.mark.parametrize("q,name", [
         ("-1/3", "adapted_minus1_3.json"),  # stage 9 of the enumeration
@@ -125,8 +163,10 @@ class TestRecordedTranscripts:
     ])
     def test_adapted(self, q, name, tmp_path, capsys):
         assert run("adapted", "--out", str(tmp_path), "--", q) == 0
-        path = capsys.readouterr().out.split("\n", 1)[0].removeprefix("certificate: ")
+        first, rest = capsys.readouterr().out.split("\n", 1)
+        path = first.removeprefix("certificate: ")
         assert Path(path).read_bytes() == (DATA / name).read_bytes()
+        assert rest == self.ADAPTED_STDOUT[q]
 
     @pytest.mark.parametrize("source,name", [
         (GOLDEN / "plan.json", "verify_golden_plan.txt"),
@@ -365,12 +405,23 @@ class TestConfigHandling:
         doc = json.loads((out / "plan.json").read_text())
         assert doc["instance"]["stages"] == 3
 
-    @pytest.mark.parametrize("key", ["stages", "seed"])
+    @pytest.mark.parametrize("key", ["stages"])
     def test_boolean_integer_is_usage_error(self, key, tmp_path):
         # JSON true is not the integer 1
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: True}))
         assert run("build", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+
+    def test_seed_is_not_an_instance_key(self, tmp_path, monkeypatch):
+        # a plan records no seed: only selftest takes one, as its own flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0}))
+        out = str(tmp_path / "out")
+        assert run("build", "--config", str(cfg), "--out", out) == 2
+        assert run("build", "--seed", "1", "--out", out) == 2
+        monkeypatch.setenv("HAHNDISK_CONFIG", str(cfg))
+        assert run("build", "--out", out) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code(self):
         assert run("no-such-command") == 2
@@ -378,4 +429,9 @@ class TestConfigHandling:
 
 def test_selftest(capsys):
     assert run("selftest") == 0
+    assert "PASS: selftest" in capsys.readouterr().out
+
+
+def test_selftest_seed(capsys):
+    assert run("selftest", "--seed", "5") == 0
     assert "PASS: selftest" in capsys.readouterr().out

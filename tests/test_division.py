@@ -97,8 +97,7 @@ class TestRunDivision:
     def test_zero_target_is_all_noops(self, plan, residue, ring3):
         beta = residue.zero()
         trace = run_division(plan, residue, ring3, beta, 5)
-        assert trace.a_final.is_zero
-        assert run_division(plan, residue, ring3, beta, 0).a_final is None
+        assert run_division(plan, residue, ring3, beta, 0).steps == []
         for step in trace.steps:
             assert step.e.is_zero and step.band.is_zero
         assert trace.final_beta.is_zero
@@ -126,7 +125,7 @@ class TestRunDivision:
             assert gap is None or gap >= m
 
     def test_contraction_on_random_targets(self, cfg, residue, ring3):
-        rng = random.Random(cfg.seed + 3)
+        rng = random.Random(3)
         for _ in range(5):
             plan = build_plan(cfg)
             beta = rand_normalized_target(rng, residue, cfg.v_s)
@@ -311,7 +310,8 @@ class TestConsistencyCheck:
         assert used_plan is trace.plan
         fresh = standard_substitution(trace.plan, residue, ring3)
         x1, x3 = ring3.var(1), ring3.var(3)
-        elements = [s.e for s in trace.steps] + [trace.a_final, x3, x1 * x3 * x3]
+        a = sum((s.e for s in trace.steps), ring3.zero())
+        elements = [s.e for s in trace.steps] + [a, x3, x1 * x3 * x3]
         # a low cap truncates the image powers before they are multiplied
         for wp in (F(2), None, cfg.work_prec):
             for f in elements:
