@@ -17,10 +17,7 @@ from .tate import (
     SubstitutionMap,
     TateRing,
     disk_seminorm,
-    finite_approx,
     is_integral,
-    load_substitution,
-    project,
     save_substitution,
     type_ii_lower_bound,
 )
@@ -42,13 +39,10 @@ __all__ = [
     "choose_c",
     "classify_disk_point",
     "disk_seminorm",
-    "finite_approx",
     "is_in_zp",
     "is_integral",
-    "load_substitution",
     "omega",
     "parse_series",
-    "project",
     "render_series",
     "save_substitution",
     "smallest_zp_point",

@@ -8,10 +8,10 @@ config file given by --config or the HAHNDISK_CONFIG environment variable;
 `selftest` also takes its own --seed (default 0) for its random series,
 which no plan records.  build, adapted and divide write into --out.  A
 format-2 plan records only its instance and each stage's omega and b.  `divide` writes a
-format-3 trace, which records no step index or bound, and prints both: a
-step's index is its position, and the final bound is steps + v_s.  Exit
-codes: 0 success, 1 contract violation or failed verification, 2 usage or
-format errors.
+format-4 trace, which records only each step's quotients, and prints what
+it leaves out, computed in process: each step's residual valuation and the
+final one against its bound steps + v_s.  Exit codes: 0 success, 1
+contract violation or failed verification, 2 usage or format errors.
 """
 
 from __future__ import annotations

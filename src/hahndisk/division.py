@@ -4,10 +4,12 @@ Given a target beta in the residue field with valuation >= v_s, step m
 consumes the band of terms with weight in [m + v_s, m + 1 + v_s): each band
 term b*x^q is matched by the adapted certificate for exponent q, the exact
 ground-field quotient d = b / (leading * t^m) has valuation > 0, and the
-correction e_m = sum d * t^m * preimage_q moves the residual strictly past
-the next band floor.  Every bound is checked as an exact rational
-comparison; a failed check aborts the run instead of degrading it.  The
-bounds follow from a step's position, so the trace records none of them.
+correction sum d * t^m * preimage_q moves the residual strictly past the
+next band floor.  Every bound is checked as an exact rational comparison;
+a failed check aborts the run instead of degrading it.  The bounds follow
+from a step's position, so the trace records none of them, and a step
+records only its quotients: the band and the residual follow from the
+target, and the correction from the quotients and the plan.
 
 Band boundaries are half-open: a term of weight exactly m + 1 + v_s belongs
 to the next band, so each term is consumed exactly once.
@@ -58,7 +60,7 @@ class DivisionStep:
     """Step m, the step's position in the trace, certifies valuation
     >= m + v_s before it and >= m + 1 + v_s after it."""
     band: TruncatedSeries    # the consumed slice of beta_m
-    e: TruncatedSeries       # correction added to the approximant
+    quotients: tuple         # (q, d) per x-exponent q of the band, split order
     beta_after: TruncatedSeries
 
 
@@ -81,7 +83,8 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
     """Run `steps` certified division steps against a normalized target.
 
     A band exponent without a stage extends the plan, and the trace carries
-    the extended plan.  Certificates are kept by exponent, and the
+    the extended plan.  Certificates are kept by exponent, and each is
+    checked against the substitution route when it is first used; the
     substitution map is rebuilt only when the plan grows.
     """
     if steps < 0:
@@ -89,7 +92,6 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
     cfg = plan.config
     v_s = cfg.v_s
     _certified_val(beta, v_s, "target is not normalized")
-    a = ring.zero()
     beta_m = beta
     records = []
     certs = {}
@@ -103,14 +105,18 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
             )
         band = beta_m.window(m + v_s, m + 1 + v_s)
         f_e = field.zero()
-        e_m = ring.zero()
+        quotients = []
         for q, part in band.split(1):
             cert = certs.get(q)
             if cert is None:
                 grown, cert = certify(plan, q, field, ring)
-                certs[q] = cert
                 if grown is not plan:
                     plan, sub = grown, None
+                if sub is None:
+                    sub = standard_substitution(plan, field, ring)
+                _check_consistency(sub.apply(cert.preimage, cfg.work_prec) - cert.image,
+                                   f"stage {cert.m}")
+                certs[q] = cert
             # d = part / lead, free of x since lead carries x^q, is the
             # quotient b / (lead * t^m) times t^m
             d = part * field.monomial(cert.leading_coeff, *cert.leading_exps).invert()
@@ -120,36 +126,26 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
                     f"step {m}: quotient for exponent {q} has valuation "
                     f"{d_val}, expected > 0"
                 )
-            e_m = e_m + ring.embed_ground(d) * cert.preimage
+            quotients.append((q, d))
             f_e = f_e + d * cert.image
         beta_next = beta_m - f_e
         _certified_val(beta_next, m + 1 + v_s, f"step {m} contraction bound")
-        step_gap = e_m.val_lower()
-        if step_gap is not None and step_gap < m:
-            raise ContractViolationError(
-                f"step {m}: approximant moved by valuation {step_gap} < {m}"
-            )
-        if sub is None:
-            sub = standard_substitution(plan, field, ring)
-        _check_consistency(sub.apply(e_m, cfg.work_prec) - f_e, f"step {m}")
-        records.append(DivisionStep(band=band, e=e_m, beta_after=beta_next))
-        beta_m, a = beta_next, a + e_m
-    if sub is None:
-        sub = standard_substitution(plan, field, ring)
-    _check_consistency(sub.apply(a, cfg.work_prec) + beta_m - beta, "final")
+        records.append(DivisionStep(band=band, quotients=tuple(quotients),
+                                    beta_after=beta_next))
+        beta_m = beta_next
     return DivisionTrace(plan=plan, target=beta, steps=records, final_beta=beta_m)
 
 
 def _check_consistency(diff: TruncatedSeries, where: str):
     """The generic substitution route must agree with the certificate route
-    on every term it can resolve: `diff` has no stored term below its
-    propagated precision.
+    on every term it can resolve: `diff`, apply(preimage) - image for one
+    certificate, has no stored term below its propagated precision.
 
-    Each step checks apply(e_m) - (beta_m - beta_{m+1}); the ring map is
-    additive, so the increments add up to the whole.  The run ends with one
-    whole check, apply(a) + beta_M - beta: terms of the increments can cancel
-    in a, and then apply(a) resolves terms that every increment check left
-    beyond its propagated precision.
+    A step's correction is the sum of d * preimage_q over its quotients,
+    with each d free of x, and the map is a ring map that fixes such d.  So
+    the image of any correction, or of the whole approximant, differs from
+    what the certificates removed by the sum of d * (apply(preimage_q) -
+    image_q), and one check per certificate covers every step that uses it.
     """
     if diff.terms:
         w, exps = min((diff.profile.weight(e), e) for e in diff.terms)
@@ -163,23 +159,17 @@ def _check_consistency(diff: TruncatedSeries, where: str):
 
 
 def trace_to_doc(trace: DivisionTrace, normalize_k: int = 0) -> dict:
-    """Trace format 3.  A trace records each fact once: step m is the m-th
-    record, the residual entering it is the previous step's `beta_after`
-    (the target for step 0), the residual after the run is the last
-    `beta_after`, and the approximant is the sum of the recorded `e`."""
+    """Trace format 4.  Step m is the m-th record, a list of [q, d] pairs in
+    `split` order: the band's x-exponents and their quotients, the only
+    free content of a step.  The band and the residuals replay from the
+    target, and the correction is the sum of d * preimage_q."""
     return {
         "kind": "trace",
-        "format": 3,
+        "format": 4,
         "plan": plan_to_doc(trace.plan),
         "target": render_series(trace.target),
         "normalize_k": normalize_k,
         "steps_requested": len(trace.steps),
-        "steps": [
-            {
-                "band": render_series(s.band),
-                "e": render_series(s.e),
-                "beta_after": render_series(s.beta_after),
-            }
-            for s in trace.steps
-        ],
+        "steps": [[[str(q), render_series(d)] for q, d in s.quotients]
+                  for s in trace.steps],
     }

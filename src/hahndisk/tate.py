@@ -97,18 +97,6 @@ def is_integral(f: TruncatedSeries) -> bool:
     return f.precision is EXACT or f.precision >= 0
 
 
-def project(f: TruncatedSeries, target: TateRing) -> TruncatedSeries:
-    """The surjection R_n -> R_m sending x_i to x_i for i <= m and to 0
-    beyond; monomials containing a dropped variable vanish."""
-    keep = target.nvars
-    if f.profile.p != target.ground.p or keep >= f.profile.dim:
-        raise ConfigError("project expects a ring over the same F_p "
-                          "with no more variables")
-    terms = {exps[: keep + 1]: c for exps, c in f.terms.items()
-             if not any(exps[keep + 1:])}
-    return TruncatedSeries._trusted(target.profile, terms, f.precision)
-
-
 def disk_seminorm(f: TruncatedSeries, rho) -> Fraction:
     """Additive seminorm of f at the disk point with radius values rho.
 
@@ -137,24 +125,6 @@ def disk_seminorm(f: TruncatedSeries, rho) -> Fraction:
             f"{f.precision}"
         )
     return value
-
-
-def finite_approx(f: TruncatedSeries, v_eps) -> TruncatedSeries:
-    """The finite sub-sum of terms with coefficient valuation <= v_eps.
-
-    Dropped terms have coefficient valuation > v_eps, hence point value
-    > v_eps at every disk point of the unit ball: the difference from f has
-    seminorm strictly beyond v_eps everywhere.
-    """
-    v_eps = as_fraction(v_eps)
-    kept = {
-        exps: c for exps, c in f.terms.items() if f.profile.weight(exps) <= v_eps
-    }
-    if f.precision is EXACT or f.precision > v_eps:
-        precision = EXACT  # all terms at or below the cutoff are resolved
-    else:
-        precision = f.precision
-    return TruncatedSeries._trusted(f.profile, kept, precision)
 
 
 def type_ii_lower_bound(f: TruncatedSeries, rho) -> Fraction:
@@ -320,14 +290,3 @@ def save_substitution(sub: SubstitutionMap, directory) -> list:
         path.write_text(render_series(img))
         paths.append(path)
     return paths
-
-
-def load_substitution(ring: TateRing, field: ResidueField, paths) -> SubstitutionMap:
-    images = []
-    for path in paths:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read image file {path}: {exc}") from exc
-        images.append(field.parse(text))
-    return SubstitutionMap(ring, field, images)

@@ -5,7 +5,7 @@ import pytest
 
 import hahndisk.config
 from hahndisk import InstanceConfig
-from hahndisk.builder import build_plan, extend
+from hahndisk.builder import build_adapted, build_plan, extend
 from hahndisk.series import TruncatedSeries
 
 #: (p, gamma_x, v_s) of the benchmark's four instances.
@@ -81,3 +81,21 @@ def rand_normalized_target(rng, field, v_s, max_terms=8):
         shift = max(0, math.ceil(v_s - w))
         terms[(t_exp + shift, q)] = rng.randint(1, p - 1)
     return TruncatedSeries(field.profile, terms, None)
+
+
+def step_corrections(trace, field, ring):
+    """Each step's correction, the sum over its quotients (q, d) of
+    d * preimage_q, with the preimages of the builder's certificates on the
+    trace's plan; the approximant is their sum.  A trace records only the
+    quotients, so tests that need the approximant expand it here."""
+    preimages = {}
+    out = []
+    for step in trace.steps:
+        e = ring.zero()
+        for q, d in step.quotients:
+            if q not in preimages:
+                m = trace.plan.find_stage(q).m
+                preimages[q] = build_adapted(trace.plan, m, field, ring).preimage
+            e = e + ring.embed_ground(d) * preimages[q]
+        out.append(e)
+    return out

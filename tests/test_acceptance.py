@@ -30,7 +30,7 @@ from hahndisk.series import TruncatedSeries, random_series
 from hahndisk.tate import TateRing, disk_seminorm, type_ii_lower_bound
 from hahndisk.verify import verify_plan, verify_trace
 
-from conftest import INSTANCES, rand_normalized_target
+from conftest import INSTANCES, rand_normalized_target, step_corrections
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,17 +177,18 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
         steps = 8
 
         def check_trace(beta, trace):
-            for m, step in enumerate(trace.steps):
+            corrections = step_corrections(trace, residue, ring3)
+            for m, (step, e) in enumerate(zip(trace.steps, corrections)):
                 val = step.beta_after.val_lower()
                 assert val is None or val >= m + 1 + cfg.v_s
-                gap = step.e.val_lower()
+                gap = e.val_lower()
                 assert gap is None or gap >= m
             final_val = trace.final_beta.val_lower()
             assert final_val is None or final_val >= steps + cfg.v_s
             # f(a_M) - beta = -beta_M on the certificate route; the generic
             # substitution route must agree on every term it resolves
             sub = standard_substitution(trace.plan, residue, ring3)
-            a = sum((s.e for s in trace.steps), ring3.zero())
+            a = sum(corrections, ring3.zero())
             diff = sub.apply(a, cfg.work_prec) + trace.final_beta - beta
             assert not diff.terms
 
@@ -271,15 +272,16 @@ def check_determinism_and_mutations(cfg, out):
         return f"stage {i + 1}", verify_plan
 
     def trace_mut(doc, rng):
-        k = rng.randrange(len(doc["steps"]))
+        k = rng.choice([j for j, rec in enumerate(doc["steps"]) if rec])
+        pair = doc["steps"][k][0]
         choice = rng.randrange(3)
-        if choice < 2:
-            # inject a term below the band floor into the band or the next
-            # residual
-            name = ("band", "beta_after")[choice]
-            doc["steps"][k][name] = doc["steps"][k][name].replace("O(", "1 t^-20\nO(", 1)
+        if choice == 0:
+            # inject a term below the band floor into a quotient
+            pair[1] = pair[1].replace("O(", "1 t^-20\nO(", 1)
+        elif choice == 1:
+            pair[0] = str(Fraction(pair[0]) + 1)
         else:
-            doc["steps"][k]["e"] = "1 t^0\nO(EXACT)\n"
+            doc["steps"][k].pop()
         return f"step {k}", verify_trace
 
     detected = 0

@@ -106,7 +106,7 @@ class TestDivide:
         beta.write_text("O(EXACT)\n")
         assert run("divide", str(beta), "3", "--out", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "trace.json").read_text())
-        assert doc["steps"][-1]["beta_after"] == "O(EXACT)\n"
+        assert doc["steps"] == [[], [], []]
         out = capsys.readouterr().out
         assert out.endswith("final residual valuation >= EXACT (bound 13/4)\n")
         assert "normalized" not in out
@@ -329,31 +329,50 @@ class TestOverLongNumerals:
         assert run("build", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
 
 
+def old_step(*drop, **fields):
+    """A step as format 3 wrote it, an object, with the fields `drop` left
+    out and `fields` set."""
+    step = {"band": "O(EXACT)\n", "e": "O(EXACT)\n", "beta_after": "O(EXACT)\n"}
+    for name in drop:
+        del step[name]
+    return {**step, **fields}
+
+
 class TestVerifyMalformedTrace:
-    """Malformed trace fields give a located FAIL (exit 1), never a traceback."""
+    """Malformed trace fields give a located FAIL (exit 1), never a traceback.
+    A step is a list of [q, d] pairs; steps 0 and 1 hold one pair each."""
 
     @pytest.mark.parametrize("where,mutate", [
-        ("step 1", lambda d: d["steps"][1].pop("band")),
-        # a step's index is its position: a step carrying `m` is format 2
-        ("step 1", lambda d: d["steps"][1].__setitem__("m", "one")),
-        ("step 2", lambda d: d["steps"][2].__setitem__("m", 2.5)),
+        # a step object, as formats 2 and 3 wrote it, fails at its step
+        ("step 1", lambda d: d["steps"].__setitem__(1, old_step("band"))),
+        ("step 1", lambda d: d["steps"].__setitem__(1, old_step(m="one"))),
+        ("step 2", lambda d: d["steps"].__setitem__(2, old_step(m=2.5))),
+        ("step 1", lambda d: d["steps"].__setitem__(1, old_step(a_after="O(EXACT)\n"))),
+        ("step 1", lambda d: d["steps"].__setitem__(1, old_step(e=f"1 t^{BIG}\nO(EXACT)\n"))),
+        ("step 2", lambda d: d["steps"].__setitem__(2, old_step(beta_after=None))),
+        ("step 2", lambda d: d["steps"].__setitem__(2, old_step("beta_after"))),
         ("trace", lambda d: d.__setitem__("steps", {"0": d["steps"][0]})),
-        # so is a trace carrying `final`: its residual is the last beta_after
+        # as is a trace carrying format 2's `final`: its residual is derived
         ("trace", lambda d: d.__setitem__("final", ["residual"])),
         ("trace", lambda d: d.__setitem__("steps_requested", 99)),
         ("trace", lambda d: d.__setitem__("normalize_k", -5)),
         ("trace", lambda d: d.__setitem__("format", 1)),
-        ("step 1", lambda d: d["steps"][1].__setitem__("a_after", "O(EXACT)\n")),
-        # recorded step text is compared, never parsed
-        ("step 1", lambda d: d["steps"][1].__setitem__("e", f"1 t^{BIG}\nO(EXACT)\n")),
-        # the top-level field set is exact, as a step's is
+        ("trace", lambda d: d.__setitem__("format", 3)),
+        # the top-level field set is exact
         ("trace", lambda d: d.__setitem__("note", "unread")),
         ("trace", lambda d: d.pop("normalize_k")),
-        ("step 2", lambda d: d["steps"][2].__setitem__("beta_after", None)),
-        ("step 2", lambda d: d["steps"][2].pop("beta_after")),
-    ], ids=["missing-band", "string-m", "float-m", "steps-not-list", "final-not-object",
-            "steps-requested", "negative-normalize-k", "format-1", "extra-a-after", "big-e",
-            "extra-key", "missing-key", "last-beta-after-not-text", "missing-beta-after"])
+        # recorded quotient text is compared, never parsed
+        ("step 1", lambda d: d["steps"][1][0].__setitem__(1, f"1 t^{BIG}\nO(EXACT)\n")),
+        ("step 1", lambda d: d["steps"].__setitem__(1, None)),
+        ("step 1", lambda d: d["steps"][1].__setitem__(0, None)),
+        ("step 1", lambda d: d["steps"][1].__setitem__(0, ["1/3"])),
+        ("step 0", lambda d: d["steps"][0].__setitem__(0, [0, "O(EXACT)\n"])),
+        ("step 2", lambda d: d["steps"][2].append(["1/3", "O(EXACT)\n"])),
+    ], ids=["missing-band", "string-m", "float-m", "extra-a-after", "big-e",
+            "last-beta-after-not-text", "missing-beta-after", "steps-not-list",
+            "final-not-object", "steps-requested", "negative-normalize-k", "format-1",
+            "format-3", "extra-key", "missing-key", "big-d", "step-null", "pair-null",
+            "pair-short", "pair-integer-q", "pair-extra"])
     def test_located_failure(self, where, mutate, trace_doc, tmp_path, capsys):
         doc = copy.deepcopy(trace_doc)
         mutate(doc)

@@ -480,78 +480,80 @@ class TestTraceVerification:
 
     @staticmethod
     def step_mutations(doc):
-        """(where, mutate) pairs, each changing one field of `doc`."""
-        step = len(doc["steps"]) // 2
-        last = len(doc["steps"]) - 1
-        # the last step whose band has two terms to reorder
-        banded = max(k for k, rec in enumerate(doc["steps"])
-                     if len(rec["band"].splitlines()) > 2)
+        """(where, mutate) pairs, each changing one value of `doc`.  A step
+        record is the list of its [q, d] pairs."""
+        p = doc["plan"]["instance"]["p"]
+        # the last step with two pairs to drop, duplicate or swap
+        k = max(j for j, rec in enumerate(doc["steps"]) if len(rec) > 1)
+        at = f"step {k}"
+        q, d = doc["steps"][k][0]
         v_s = Fraction(doc["plan"]["instance"]["v_s"])
 
         def bump_coeff(text):
-            lines = text.splitlines()
-            for i, line in enumerate(lines):
-                if not line.startswith("O("):
-                    coeff = int(line.split()[0])
-                    lines[i] = " ".join(["1" if coeff == 2 else "2"]
-                                        + line.split()[1:])
-                    return "\n".join(lines) + "\n"
-            return "O(1)\n"  # replace an empty record with junk
+            coeff, rest = text.split(" ", 1)
+            return f"{int(coeff) % (p - 1) + 1} {rest}"
+
+        def shift_t(text):
+            coeff, t_exp, rest = re.match(r"(\S+) t\^(\S+)(.*)", text, re.S).groups()
+            return f"{coeff} t^{Fraction(t_exp) + Fraction(1, p)}{rest}"
+
+        def with_pair(value):
+            return lambda doc: doc["steps"][k].__setitem__(0, value)
+
+        def swap_pairs(doc):
+            rec = doc["steps"][k]
+            rec[0], rec[1] = rec[1], rec[0]
 
         mutations = [
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "beta_after", bump_coeff(d["steps"][step]["beta_after"]))),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "e", bump_coeff(d["steps"][step]["e"]))),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "band", bump_coeff(d["steps"][step]["band"]))),
-            # the residual after the run is the last beta_after
-            (f"step {last}", lambda d: d["steps"][last].__setitem__(
-                "beta_after", bump_coeff(d["steps"][last]["beta_after"]))),
-            ("trace", lambda d: d.__setitem__("steps_requested", last)),
-            # format 3 only: no other format, no extra or missing step field
-            ("trace", lambda d: d.__setitem__("format", 1)),
-            ("trace", lambda d: d.__setitem__("format", "3")),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "a_after", d["steps"][step]["e"])),
-            (f"step {step}", lambda d: d["steps"][step].pop("band")),
-            # the fields only format 2 records, each a FAIL where it sits
+            (at, with_pair([q, bump_coeff(d)])),
+            (at, with_pair([q, shift_t(d)])),
+            (at, with_pair([q, unreduce_exponent(d)])),
+            (at, with_pair([str(Fraction(q) + Fraction(1, p)), d])),
+            (at, with_pair([str(Fraction(q) - Fraction(1, p)), d])),
+            (at, lambda doc: doc["steps"][k].pop(0)),
+            (at, lambda doc: doc["steps"][k].append([q, d])),
+            (at, swap_pairs),
+            (at, lambda doc: doc["steps"][k].clear()),
+            (at, with_pair(None)),
+            (at, with_pair(["0"])),
+            (at, with_pair([0, "O(EXACT)\n"])),
+            # a step as format 3 wrote it
+            (at, lambda doc: doc["steps"].__setitem__(k, {
+                "band": "O(EXACT)\n", "e": "O(EXACT)\n", "beta_after": "O(EXACT)\n"})),
+            ("trace", lambda d: d.__setitem__("steps_requested", len(d["steps"]) - 1)),
+            # format 4 only, with no extra field
+            ("trace", lambda d: d.__setitem__("format", 3)),
+            ("trace", lambda d: d.__setitem__("format", "4")),
             ("trace", lambda d: d.__setitem__("format", 2)),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__("m", step)),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "bound", str(step + v_s))),
             ("trace", lambda d: d.__setitem__("target_sha256", hashlib.sha256(
                 d["target"].encode()).hexdigest())),
             ("trace", lambda d: d.__setitem__("final", {
-                "bound": str(last + 1 + v_s),
-                "residual": d["steps"][last]["beta_after"],
-                "val_lower": "EXACT"})),
-            # an equal series in text that is not canonical
-            (f"step {banded}", lambda d: d["steps"][banded].__setitem__(
-                "band", swap_terms(d["steps"][banded]["band"]))),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "e", unreduce_exponent(d["steps"][step]["e"]))),
-            (f"step {step}", lambda d: d["steps"][step].__setitem__(
-                "beta_after", d["steps"][step]["beta_after"][:-1])),
+                "bound": str(len(d["steps"]) + v_s), "residual": "O(EXACT)\n"})),
         ]
-        if len(doc["steps"][last]["beta_after"].splitlines()) > 2:
-            mutations.append((f"step {last}", lambda d: d["steps"][last].__setitem__(
-                "beta_after", swap_terms(d["steps"][last]["beta_after"]))))
+        # the terms of a quotient with two, in an order that is not canonical
+        for j, rec in enumerate(doc["steps"]):
+            for i, (q2, d2) in enumerate(rec):
+                if len(d2.splitlines()) > 2:
+                    mutations.append((f"step {j}", lambda d, j=j, i=i, q2=q2, d2=d2:
+                                      d["steps"][j].__setitem__(i, [q2, swap_terms(d2)])))
         return mutations
 
     def test_step_mutations_are_localized(self, cfg, residue, ring3):
-        fresh = self.make_trace_doc(cfg, residue, ring3)
-        # the recorded p = 5 run ends at O(27), with no two terms to reorder
-        # in its last residual; the fresh p = 3 run has them
-        assert len(fresh["steps"][-1]["beta_after"].splitlines()) > 2
+        fresh = self.make_trace_doc(cfg, residue, ring3, seed=17)
+        # the recorded p = 5 run divides by no quotient of two terms; the
+        # fresh p = 3 run has two
         recorded = json.loads((DATA / "divide_p5_steps4.json").read_text())
+        counts = []
         for doc in (fresh, recorded):
-            for where, mutate in self.step_mutations(doc):
+            mutations = self.step_mutations(doc)
+            counts.append(len(mutations))
+            for where, mutate in mutations:
                 tampered = copy.deepcopy(doc)
                 mutate(tampered)
                 assert tampered != doc, where
                 report = verify_trace(tampered)
                 assert [f.where for f in report.failures()] == [where], report.text()
+        assert counts == [21, 19]
 
     def test_only_the_target_is_parsed(self, monkeypatch):
         # recorded series are compared as text, so a trace parses its
@@ -735,7 +737,7 @@ def test_document_mutation_sweep_never_raises():
                 report = verify_document(tampered)
                 assert report.findings, (name, path, value)
                 swept += 1
-    assert swept == 352
+    assert swept == 344
     elapsed = time.monotonic() - start
     assert elapsed < 5, f"mutation sweep took {elapsed:.2f}s, budget 5s"
 
