@@ -23,9 +23,10 @@ above plus a tail guard: every appended stage must clear `work_prec`
 prefix, and enforces the guard, so certificates issued against the shorter
 plan stay valid verbatim.
 
-A plan document (format 2) records only the free choices: the instance and
+A plan document (format 3) records only the free choices: the instance and
 each stage's omega and b.  v_c, each stage's index, v_e and v_eps follow
-from them, and the verifier derives them again.
+from them, and the verifier derives them again.  It also derives the two
+facts of `kernel_witness` from the instance, so no plan records them.
 
 For each committed stage the builder produces an `AdaptedCertificate`: an
 integral preimage whose image has valuation in [0, v_s), leading monomial
@@ -363,40 +364,15 @@ def kernel_witness(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
 # -- serialization ------------------------------------------------------------
 
 
-def plan_to_doc(plan: AlphaPlan, summary: dict | None = None) -> dict:
-    """Plan format 2: the instance and each stage's omega and b, the only
+def plan_to_doc(plan: AlphaPlan) -> dict:
+    """Plan format 3: the instance and each stage's omega and b, the only
     free choices.  A stage's index is its position; v_c, v_e and v_eps
     follow from the instance and the earlier stages."""
-    doc = {
+    return {
         "kind": "plan",
-        "format": 2,
+        "format": 3,
         "instance": plan.config.to_dict(),
         "stages": [{"omega": str(st.omega), "b": st.b} for st in plan.stages],
-    }
-    if summary is not None:
-        doc["summary"] = summary
-    return doc
-
-
-def plan_summary(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
-    """Verification summary for a transcript: certificate count plus the
-    kernel witness facts, the latter recomputed exactly through `sub`, the
-    plan's `standard_substitution`, whose third image is the staged sum.
-
-    No certificate is built here.  The count is of the stages whose three
-    adapted facts the independent `verify_plan` checks in closed form: it
-    ran on the fresh plan inside `build_plan`, and it runs again on every
-    document that carries this summary.
-    """
-    alpha = sub.images[2]
-    witness = kernel_witness(plan, sub)
-    return {
-        "alpha_valuation": str(alpha.val_lower()),
-        "alpha_precision": str(alpha.precision),
-        "certificates_verified": len(plan.stages),
-        "witness_valuation": str(witness["witness_valuation"]),
-        "witness_in_value_group": witness["witness_in_value_group"],
-        "relation_maps_to_zero": witness["relation_maps_to_zero"],
     }
 
 

@@ -6,9 +6,12 @@ code, only the series engine and the shared value-group helpers.  A check
 failure is reported with the stage or step it belongs to, so a single
 mutated field in a document is pinpointed rather than merely rejected.
 
-A plan (format 2) records only its instance and each stage's omega and b;
+A plan (format 3) records only its instance and each stage's omega and b;
 v_c, and each stage's index, v_e and v_eps, are derived here, the latter
-two in the stage loop, so no recorded value is compared with them.
+two in the stage loop, so no recorded value is compared with them.  Every
+plan report, and so every certificate and trace report, also derives the
+two kernel witnesses from the instance: the valuation gamma_x of x lies
+outside Z[1/p], and x * c x^-1 - c is the exact zero.
 
 Only a plan and a trace's target are parsed.  A recorded series or
 valuation is compared, as text, with `render_series` or `str` of the value
@@ -99,14 +102,10 @@ _TRACE_FIELDS = frozenset({"kind", "format", "plan", "target", "normalize_k",
                            "steps_requested", "steps"})
 
 
-#: The fields of a format-2 plan, which may also carry a `summary` of
-#: exactly _SUMMARY_FIELDS, and of each of its stages.  A stage's index is
-#: its position, and v_c, v_e and v_eps are derived here.
+#: The fields of a format-3 plan and of each of its stages.  A stage's
+#: index is its position, and v_c, v_e and v_eps are derived here.
 _PLAN_FIELDS = frozenset({"kind", "format", "instance", "stages"})
 _PLAN_STAGE_FIELDS = frozenset({"omega", "b"})
-_SUMMARY_FIELDS = frozenset({"alpha_valuation", "alpha_precision", "certificates_verified",
-                             "witness_valuation", "witness_in_value_group",
-                             "relation_maps_to_zero"})
 
 
 @dataclass
@@ -262,8 +261,7 @@ def _check_plan(doc, rep: Report):
     if not isinstance(doc, dict) or doc.get("kind") != "plan":
         rep.fail("plan", "document kind is not 'plan'")
         return None
-    want = _PLAN_FIELDS | {"summary"} if "summary" in doc else _PLAN_FIELDS
-    if not (_format_is(doc, 2, rep, "plan") and _fields_are(doc, want, rep, "plan")):
+    if not (_format_is(doc, 3, rep, "plan") and _fields_are(doc, _PLAN_FIELDS, rep, "plan")):
         return None
     try:
         config, stages = _read_plan(doc)
@@ -275,6 +273,14 @@ def _check_plan(doc, rep: Report):
     v_c = smallest_zp_point(gamma_x, gamma_x + v_s, p)
     rows = []
     plan = config, rows, v_c
+    # the two kernel witnesses, from the instance alone
+    x = field.x_power(1)
+    val = x.val_lower()
+    rep.check(not field.ground.contains_value(val), "plan",
+              f"witness valuation {val} of x lies outside Z[1/{p}]")
+    relation = x * field.monomial(1, v_c, -1) - field.monomial(1, v_c, 0)
+    rep.check(relation.is_zero and relation.precision is EXACT, "plan",
+              "x * c x^-1 - c is the exact zero")
 
     rep.check(len({q for q, _ in stages}) == len(stages), "plan",
               "stage exponents are pairwise distinct")
@@ -330,31 +336,6 @@ def _check_plan(doc, rep: Report):
     if rep.ok:
         _image_facts_closed_form(rows, scales, ws, v_s, guard, rep)
 
-    if "summary" in doc and rep.ok:
-        summary = doc["summary"]
-        if not isinstance(summary, dict):
-            rep.fail("summary", f"summary is a {type(summary).__name__}, not an object")
-            return plan
-        if not _fields_are(summary, _SUMMARY_FIELDS, rep, "summary"):
-            return plan
-        alpha = _alpha_series(rows, p, guard, field)
-        rep.check(summary["alpha_valuation"] == str(alpha.val_lower()),
-                  "summary", "alpha valuation matches")
-        rep.check(summary["alpha_precision"] == str(alpha.precision),
-                  "summary", "alpha precision matches")
-        rep.check(summary["certificates_verified"] == len(rows),
-                  "summary", "certificate count matches")
-        rep.check(summary["witness_valuation"] == str(gamma_x),
-                  "summary", "witness valuation is gamma_x")
-        rep.check(summary["witness_in_value_group"] is False,
-                  "summary", "witness valuation lies outside Z[1/p]")
-        x_img = field.x_power(1)
-        cx_inv = field.monomial(1, v_c, -1)
-        relation_zero = x_img * cx_inv - field.monomial(1, v_c, 0)
-        rep.check(
-            summary["relation_maps_to_zero"] is True
-            and relation_zero.is_zero and relation_zero.precision is EXACT,
-            "summary", "product relation maps to the exact zero")
     return plan
 
 
@@ -441,10 +422,14 @@ def verify_trace(doc: dict) -> Report:
     requested = doc["steps_requested"]
     rep.check(_is_int(requested) and requested == len(steps), "trace",
               f"steps_requested {requested!r} equals the {len(steps)} recorded steps")
+    # normalize_target shifts only a nonzero target of valuation below v_s,
+    # by the least k that lifts it to v_s or beyond, so below 1 + v_s
     shift = doc["normalize_k"]
-    rep.check(_is_int(shift) and shift >= 0, "trace",
-              f"normalize_k {shift!r} is a nonnegative integer")
     val0 = target.val_lower()
+    rep.check(_is_int(shift) and (shift == 0 or (shift > 0 and not target.is_zero
+                                                 and val0 < 1 + v_s)), "trace",
+              f"normalize_k {shift!r} is a nonnegative integer, and 0 unless "
+              f"the target is nonzero of valuation below {1 + v_s}")
     rep.check(val0 is None or val0 >= v_s, "trace",
               f"target valuation {val0} is normalized to >= {v_s}")
 

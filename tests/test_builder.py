@@ -161,6 +161,15 @@ class TestBuildPlan:
         with pytest.raises(PrecisionExhaustedError):
             build_plan(tiny)
 
+    def test_doc_shape(self, plan):
+        # format 3 records only the free choices: no v_c, per-stage index,
+        # v_e or v_eps, and no kernel witnesses, which the verifier derives
+        doc = plan_to_doc(plan)
+        assert set(doc) == {"kind", "format", "instance", "stages"}
+        assert doc["kind"] == "plan"
+        assert doc["format"] == 3
+        assert [set(st) for st in doc["stages"]] == [{"omega", "b"}] * len(plan.stages)
+
     def test_determinism(self, cfg, plan):
         again = build_plan(cfg)
         assert plan_to_doc(again) == plan_to_doc(plan)

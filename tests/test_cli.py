@@ -124,6 +124,8 @@ class TestDivide:
         assert run("divide", str(beta), "2", "--out", str(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "normalized target by t^1" in out
+        assert json.loads((tmp_path / "trace.json").read_text())["normalize_k"] == 1
+        assert run("verify", str(tmp_path / "trace.json")) == 0
 
     def test_missing_file(self, tmp_path):
         assert run("divide", str(tmp_path / "nope.txt"), "2") == 2
@@ -140,11 +142,42 @@ class TestDivide:
 
 
 class TestRecordedTranscripts:
-    """Two certificates and two traces, last recorded when plans moved to
-    format 2 (each equal to the one before with the plan's restated values
-    dropped); every later version must write them, the `build`, `adapted`
-    and `divide` output and the `verify --verbose` reports on them byte for
-    byte."""
+    r"""Two certificates and two traces, last recorded when plans moved to
+    format 3 (each equal to the one before with the embedded plan's
+    `format` 3); every later version must write them, the `build`,
+    `adapted` and `divide` output and the `verify --verbose` reports on
+    them byte for byte.
+
+    These commands re-record every pinned file: `tests/golden/*`, the
+    transcripts in `tests/data/*.json`, their `verify --verbose` reports in
+    `tests/data/verify_*.txt` and `verify_plan_perturbations.txt`.  Run
+    them in order from the repository root, in a POSIX shell:
+
+        D=$(mktemp -d); export PYTHONPATH=src:tests
+        python -m hahndisk.cli build --out tests/golden
+        python -m hahndisk.cli adapted --out $D -- -1/3
+        cp $D/adapted_9.json tests/data/adapted_minus1_3.json
+        python -m hahndisk.cli adapted --out $D -- -5/9
+        cp $D/adapted_13.json tests/data/adapted_minus5_9.json
+        python -c "import random, conftest; from hahndisk import *; \
+            c = InstanceConfig(); print(render_series(conftest.rand_normalized_target( \
+            random.Random(11), c.residue(), c.v_s)), end='')" > $D/target.txt
+        python -m hahndisk.cli divide --out $D $D/target.txt 4
+        cp $D/trace.json tests/data/divide_seed11_steps4.json
+        python -m hahndisk.cli divide --p 5 --gamma-x 1/3 --v-s 1/2 --out $D \
+            tests/data/divide_p5_target.txt 4
+        cp $D/trace.json tests/data/divide_p5_steps4.json
+        python -m hahndisk.cli verify --verbose tests/golden/plan.json \
+            > tests/data/verify_golden_plan.txt
+        for f in adapted_minus1_3 adapted_minus5_9 divide_seed11_steps4 divide_p5_steps4; do
+            python -m hahndisk.cli verify --verbose tests/data/$f.json \
+                > tests/data/verify_$f.txt
+        done
+        python -c "import test_verify as t; print(t.perturbation_reports(), end='')" \
+            > tests/data/verify_plan_perturbations.txt
+
+    `tests/data/divide_p5_target.txt` is the input of the p = 5 run, not an
+    output, and is never re-recorded."""
 
     ADAPTED_STDOUT = {
         "-1/3": "stage 9, exponent -1/3\n"
@@ -389,19 +422,36 @@ class TestVerifyMalformedTrace:
         assert run("verify", str(good)) == 0
 
 
-class TestVerifyMalformedSummary:
-    """A plan summary that is not an object is a FAIL at `summary` (exit 1)."""
+#: The `summary` that `build` wrote into the default format-2 plan.
+HONEST_SUMMARY = {"alpha_precision": "13", "alpha_valuation": "1/9",
+                  "certificates_verified": 12, "relation_maps_to_zero": True,
+                  "witness_in_value_group": False, "witness_valuation": "1/2"}
+EXTRA_SUMMARY = ("FAIL [plan] fields ['format', 'instance', 'kind', 'stages', 'summary'] "
+                 "are ['format', 'instance', 'kind', 'stages']\nFAIL: 2 checks, 1 failures\n")
 
-    @pytest.mark.parametrize("summary", ["x", 1.5, [], True],
-                             ids=["string", "float", "list", "true"])
-    def test_located_failure(self, summary, tmp_path, capsys):
+
+class TestVerifyMalformedSummary:
+    """A plan records no `summary`: its kernel witnesses are derived.  A plan
+    carrying one, whatever its value, is one FAIL at `plan` (exit 1)."""
+
+    @pytest.mark.parametrize("change,want", [
+        ({"summary": "x"}, EXTRA_SUMMARY),
+        ({"summary": 1.5}, EXTRA_SUMMARY),
+        ({"summary": []}, EXTRA_SUMMARY),
+        ({"summary": True}, EXTRA_SUMMARY),
+        ({"summary": HONEST_SUMMARY}, EXTRA_SUMMARY),
+        # the default plan as format 2 wrote it
+        ({"format": 2, "summary": HONEST_SUMMARY},
+         "FAIL [plan] format 2 is 3\nFAIL: 1 checks, 1 failures\n"),
+    ], ids=["string", "float", "list", "true", "honest", "format-2-golden"])
+    def test_located_failure(self, change, want, tmp_path, capsys):
         doc = json.loads((GOLDEN / "plan.json").read_text())
-        doc["summary"] = summary
+        doc.update(change)
         bad = tmp_path / "plan.json"
         bad.write_text(json.dumps(doc))
         assert run("verify", str(bad)) == 1
         out, err = capsys.readouterr()
-        assert "FAIL [summary]" in out
+        assert out == want
         assert "Traceback" not in out + err
 
 

@@ -26,9 +26,7 @@ from hahndisk.builder import (
     build_plan,
     certificate_to_doc,
     extend,
-    plan_summary,
     plan_to_doc,
-    standard_substitution,
 )
 from hahndisk.config import MAX_B_SEARCH, MAX_P
 from hahndisk.errors import ConfigError, HahndiskError
@@ -70,13 +68,8 @@ def unreduce_exponent(text):
     return " ".join([coeff, "t^" + unreduced(t_exp[2:]), *xs]) + "\n" + rest
 
 
-def full_plan_doc(plan, residue, ring3):
-    sub = standard_substitution(plan, residue, ring3)
-    return plan_to_doc(plan, summary=plan_summary(plan, sub))
-
-
 def derived_stages(doc):
-    """(m, omega, v_e, b, v_eps) of every stage of a format-2 plan document,
+    """(m, omega, v_e, b, v_eps) of every stage of a format-3 plan document,
     derived here: v_e the canonical point of the stage window, and v_eps
     the largest demand weight(f(W)) - weight(stage term) of the earlier
     stages, with the weights written out."""
@@ -166,19 +159,18 @@ def built_image_findings(doc):
 
 def findings_and_reference(doc):
     """verify_plan's findings, and the same with the image facts taken from
-    built images in its order: plan and stage checks, the image facts once
-    those all hold, then the summary."""
+    built images in its order: plan and stage checks, then the image facts
+    once those all hold."""
     got = [(f.ok, f.where, f.message) for f in verify_plan(doc).findings]
-    checks = [f for f in got if not f[1].endswith(" image") and f[1] != "summary"]
-    summary = [f for f in got if f[1] == "summary"]
+    checks = [f for f in got if not f[1].endswith(" image")]
     if all(ok for ok, _, _ in checks):
         checks += built_image_findings(doc)
-    return got, checks + summary
+    return got, checks
 
 
 class TestPlanVerification:
     def test_accepts_fresh_plan(self, plan, residue, ring3):
-        report = verify_plan(full_plan_doc(plan, residue, ring3))
+        report = verify_plan(plan_to_doc(plan))
         assert report.ok, report.text()
 
     def test_rejects_wrong_kind(self):
@@ -186,7 +178,7 @@ class TestPlanVerification:
         assert not report.ok
 
     def test_stage_mutations_are_localized(self, plan, residue, ring3):
-        doc = full_plan_doc(plan, residue, ring3)
+        doc = plan_to_doc(plan)
         mutations = [
             ("stage 5", lambda d: d["stages"][4].__setitem__("b", 10)),
             ("stage 5", lambda d: d["stages"][4].__setitem__("b", 12)),
@@ -209,6 +201,7 @@ class TestPlanVerification:
             ("plan", lambda d: d.__setitem__("m_base", 12)),
             ("plan", lambda d: d.__setitem__("format", "banana")),
             ("plan", lambda d: d.__setitem__("format", 1)),
+            ("plan", lambda d: d.__setitem__("format", 2)),
             ("plan", lambda d: d.__setitem__("format", True)),
             ("plan", lambda d: d.pop("format")),
             # the instance is checked as recorded, not through its defaults
@@ -220,9 +213,8 @@ class TestPlanVerification:
             ("plan", lambda d: d["instance"].__setitem__("stages", 13)),
             # e-notation is not rational text
             ("plan", lambda d: d["stages"][2].__setitem__("omega", "1e3")),
-            ("summary", lambda d: d["summary"].__setitem__("alpha_valuation", "2/9")),
-            ("summary", lambda d: d["summary"].pop("alpha_valuation")),
-            ("summary", lambda d: d.__setitem__("summary", None)),
+            # the kernel witnesses are derived, never recorded
+            ("plan", lambda d: d.__setitem__("summary", {})),
         ]
         for where, mutate in mutations:
             tampered = copy.deepcopy(doc)
@@ -239,7 +231,6 @@ class TestPlanVerification:
         for where, doc, mutate in [
             ("plan", golden, lambda d: d.__setitem__("note", "unread")),
             ("stage 4", golden, lambda d: d["stages"][3].__setitem__("note", "unread")),
-            ("summary", golden, lambda d: d["summary"].__setitem__("note", "unread")),
             ("plan", trace, lambda d: d["plan"].__setitem__("note", "unread")),
         ]:
             tampered = copy.deepcopy(doc)
@@ -349,7 +340,7 @@ class TestPlanVerification:
 
     def test_closed_form_image_facts_match_built_images(self, extended_plans, plan,
                                                          residue, ring3):
-        docs = [full_plan_doc(plan, residue, ring3)]
+        docs = [plan_to_doc(plan)]
         docs += [plan_to_doc(extended) for extended in extended_plans]
         for doc in docs:
             got, want = findings_and_reference(doc)
@@ -478,6 +469,19 @@ class TestTraceVerification:
         report = verify_trace(self.make_trace_doc(cfg, residue, ring3))
         assert report.ok, report.text()
 
+    def test_normalize_k_needs_a_low_nonzero_target(self, plan, residue, ring3):
+        # normalize_target shifts only a nonzero target of valuation below
+        # v_s, by the least power of t that lifts it to v_s, so the shifted
+        # target lies below 1 + v_s = 5/4
+        high = residue.monomial(1, 2, 0) * build_adapted(plan, 1, residue, ring3).image
+        assert high.val_lower() == F(19, 9)
+        for target, shifts in [(high, (1, 3)), (residue.zero(), (5,))]:
+            doc = trace_to_doc(run_division(plan, residue, ring3, target, 4))
+            assert verify_trace(doc).ok
+            for k in shifts:
+                report = verify_trace({**doc, "normalize_k": k})
+                assert [f.where for f in report.failures()] == ["trace"], report.text()
+
     @staticmethod
     def step_mutations(doc):
         """(where, mutate) pairs, each changing one value of `doc`.  A step
@@ -603,6 +607,15 @@ def perturbation_plans():
     return plans
 
 
+def rational_moves(q, p, k):
+    """(label, value) pairs: q moved by +-1/p and +-1/p^k, by a factor p and
+    by a sign flip."""
+    ks = sorted({1, k})
+    return ([(f"+1/{p}^{j}", q + Fraction(1, p ** j)) for j in ks]
+            + [(f"-1/{p}^{j}", q - Fraction(1, p ** j)) for j in ks]
+            + [(f"*{p}", q * p), ("*-1", -q)])
+
+
 def value_perturbations(doc):
     """(label, perturbed document) pairs, each changing one value of `doc`
     and keeping its type.  The omega of the first, a middle, the last base
@@ -611,13 +624,6 @@ def value_perturbations(doc):
     move by +-1 and its work_prec by +-1/p."""
     p, base = doc["instance"]["p"], doc["instance"]["stages"]
     picked = sorted({1, (base + 1) // 2, base, len(doc["stages"])})
-
-    def moved(text, k):
-        q = Fraction(text)
-        ks = sorted({1, k})
-        return ([(f"+1/{p}^{j}", q + Fraction(1, p ** j)) for j in ks]
-                + [(f"-1/{p}^{j}", q - Fraction(1, p ** j)) for j in ks]
-                + [(f"*{p}", q * p), ("*-1", -q)])
 
     def with_value(path, value):
         tampered = copy.deepcopy(doc)
@@ -629,7 +635,7 @@ def value_perturbations(doc):
 
     for m in picked:
         stage = doc["stages"][m - 1]
-        for how, q in moved(stage["omega"], stage["b"] + 1):
+        for how, q in rational_moves(Fraction(stage["omega"]), p, stage["b"] + 1):
             yield f"stage {m} omega {how}", with_value(("stages", m - 1, "omega"), str(q))
         for step in (-1, 1):
             yield f"stage {m} b {step:+d}", with_value(("stages", m - 1, "b"), stage["b"] + step)
@@ -660,9 +666,8 @@ def perturbation_reports():
 def test_value_perturbations_are_pinned():
     # failure paths (b - 1 below the largest earlier b, a b that is not
     # minimal, a base stage checked under the tail guard once the instance
-    # has one stage fewer) verified by value, byte for byte; regenerate with
-    # PYTHONPATH=src:tests python -c "import test_verify as t;
-    #   print(t.perturbation_reports(), end='')" > tests/data/verify_plan_perturbations.txt
+    # has one stage fewer) verified by value, byte for byte; re-record with
+    # the command in test_cli.TestRecordedTranscripts
     start = time.monotonic()
     got = perturbation_reports()
     elapsed = time.monotonic() - start
@@ -672,10 +677,9 @@ def test_value_perturbations_are_pinned():
 
 def builder_doc(doc, cache):
     """The document the builder writes for the instance and the appended
-    exponents of `doc` (build_plan, then extend, then plan_to_doc, with a
-    summary if `doc` has one), or None where the builder refuses them."""
-    key = json.dumps([doc["instance"], [st["omega"] for st in doc["stages"]],
-                      "summary" in doc])
+    exponents of `doc` (build_plan, then extend, then plan_to_doc), or None
+    where the builder refuses them."""
+    key = json.dumps([doc["instance"], [st["omega"] for st in doc["stages"]]])
     if key not in cache:
         try:
             cfg = InstanceConfig.from_dict(doc["instance"])
@@ -685,8 +689,7 @@ def builder_doc(doc, cache):
         except HahndiskError:
             cache[key] = None
         else:
-            cache[key] = (full_plan_doc(built, cfg.residue(), cfg.tate(3))
-                          if "summary" in doc else plan_to_doc(built))
+            cache[key] = plan_to_doc(built)
     return cache[key]
 
 
@@ -709,6 +712,47 @@ def test_value_perturbations_pass_only_as_built():
     # honest documents and the perturbations that leave them as the builder
     # writes them (a zero scaled or negated, a work_prec that moves no stage)
     assert passed > 0
+
+
+def certificate_perturbations(doc):
+    """(label, perturbed certificate) pairs, each changing one value of
+    `doc`: q moves as a stage's omega does in `value_perturbations`; in
+    image and in preimage the first term is dropped, its t-exponent moves
+    by 1/p, or the coefficient of the first term below p - 1 moves by +1."""
+    p = doc["plan"]["instance"]["p"]
+    b = doc["plan"]["stages"][doc["m"] - 1]["b"]
+    for how, q in rational_moves(Fraction(doc["q"]), p, b + 1):
+        yield f"q {how}", {**doc, "q": str(q)}
+    for name in ("image", "preimage"):
+        lines = doc[name].splitlines(keepends=True)
+        coeff, t_exp, *xs = lines[0].split()
+        shifted = " ".join([coeff, f"t^{Fraction(t_exp[2:]) + Fraction(1, p)}", *xs])
+        i = next(i for i, line in enumerate(lines) if int(line.split()[0]) < p - 1)
+        coeff, rest = lines[i].split(" ", 1)
+        bumped = lines[:i] + [f"{int(coeff) + 1} {rest}"] + lines[i + 1:]
+        yield f"{name} drop", {**doc, name: "".join(lines[1:])}
+        yield f"{name} t +1/{p}", {**doc, name: "".join([shifted + "\n"] + lines[1:])}
+        yield f"{name} coeff +1", {**doc, name: "".join(bumped)}
+
+
+def test_certificate_value_perturbations_fail_at_the_certificate():
+    # each perturbed certificate fails at the certificate or its stage and
+    # never raises; no perturbation leaves a pinned certificate unchanged
+    start = time.monotonic()
+    unchanged = []
+    for name in ("adapted_minus1_3.json", "adapted_minus5_9.json"):
+        doc = json.loads((DATA / name).read_text())
+        located = {"certificate", f"certificate stage {doc['m']}"}
+        for label, tampered in certificate_perturbations(doc):
+            if tampered == doc:
+                unchanged.append((name, label))
+                continue
+            report = verify_certificate(tampered)
+            wheres = {f.where for f in report.failures()}
+            assert wheres and wheres <= located, (name, label, report.text())
+    assert unchanged == []
+    elapsed = time.monotonic() - start
+    assert elapsed < 5, f"certificate perturbations took {elapsed:.2f}s, budget 5s"
 
 
 _DELETE = object()
@@ -737,14 +781,34 @@ def test_document_mutation_sweep_never_raises():
                 report = verify_document(tampered)
                 assert report.findings, (name, path, value)
                 swept += 1
-    assert swept == 344
+    # 36 field paths, 8 values each
+    assert swept == 288
     elapsed = time.monotonic() - start
     assert elapsed < 5, f"mutation sweep took {elapsed:.2f}s, budget 5s"
 
 
+def test_every_report_derives_the_kernel_witnesses(instance_plans):
+    # a plan, a certificate and a trace report each carry the two witness
+    # findings at `plan` right after the plan's format, at every instance;
+    # criterion 4 checks the builder's kernel_witness there
+    for plan, residue, ring3 in instance_plans:
+        cfg = plan.config
+        want = [(True, "plan", f"witness valuation {cfg.gamma_x} of x lies outside "
+                 f"Z[1/{cfg.p}]"), (True, "plan", "x * c x^-1 - c is the exact zero")]
+        trace = run_division(plan, residue, ring3, residue.zero(), 1)
+        for doc in (plan_to_doc(plan),
+                    certificate_to_doc(plan, build_adapted(plan, 2, residue, ring3)),
+                    trace_to_doc(trace)):
+            report = verify_document(doc)
+            assert report.ok, report.text()
+            got = [(f.ok, f.where, f.message) for f in report.findings]
+            at = got.index((True, "plan", "format 3 is 3")) + 1
+            assert got[at:at + 2] == want, report.text()
+
+
 class TestDispatch:
     def test_routes_by_kind(self, plan, residue, ring3):
-        assert verify_document(full_plan_doc(plan, residue, ring3)).ok
+        assert verify_document(plan_to_doc(plan)).ok
         cert = build_adapted(plan, 1, residue, ring3)
         assert verify_document(certificate_to_doc(plan, cert)).ok
         assert not verify_document({"kind": "mystery"}).ok
