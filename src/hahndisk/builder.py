@@ -21,7 +21,9 @@ above plus a tail guard: every appended stage must clear `work_prec`
 (instead of merely 1 + v_s) in the separation inequality.  Plans are values:
 `extend` returns a new plan with the appended stage, shares the stage
 prefix, and enforces the guard, so certificates issued against the shorter
-plan stay valid verbatim.
+plan stay valid verbatim.  A plan derives its residue field, R_3, v_c and
+substitution map once, on first use, so no caller passes them; an
+extended plan shares the first three and builds its own map.
 
 A plan document (format 3) records only the free choices: the instance and
 each stage's omega and b.  v_c, each stage's index, v_e and v_eps follow
@@ -39,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import (
@@ -67,8 +70,29 @@ class AlphaPlan:
     """The tail guard is `config.work_prec`, and the first `config.stages`
     stages are the base stages."""
     config: InstanceConfig
-    v_c: Fraction
     stages: tuple
+
+    # -- derived objects ------------------------------------------------------
+
+    @cached_property
+    def field(self) -> ResidueField:
+        return self.config.residue()
+
+    @cached_property
+    def ring(self) -> TateRing:
+        return self.config.tate()
+
+    @cached_property
+    def v_c(self) -> Fraction:
+        """Valuation of the constant c in the second generator's image."""
+        return choose_c(self.field, self.config.v_s)
+
+    @cached_property
+    def substitution(self) -> SubstitutionMap:
+        """Generator images: x1 -> x, x2 -> c x^{-1}, x3 -> the staged sum."""
+        field = self.field
+        return SubstitutionMap(self.ring, field, (
+            field.x_power(1), field.monomial(1, self.v_c, -1), assemble_alpha(self)))
 
     # -- stage arithmetic ---------------------------------------------------
 
@@ -149,7 +173,12 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
     else:
         b = _minimal_b(plan, m, v_e - lo, v_eps, base)  # w = v_e + q * gamma_x
     st = PlanStage(m=m, omega=q, v_e=v_e, b=b, v_eps=v_eps)
-    return replace(plan, stages=plan.stages + (st,))
+    grown = replace(plan, stages=plan.stages + (st,))
+    # field, ring and v_c follow from the config alone
+    for name in ("field", "ring", "v_c"):
+        if name in vars(plan):
+            vars(grown)[name] = vars(plan)[name]
+    return grown
 
 
 def build_plan(config: InstanceConfig) -> AlphaPlan:
@@ -163,9 +192,7 @@ def build_plan(config: InstanceConfig) -> AlphaPlan:
         raise PrecisionExhaustedError(
             f"work_prec = {config.work_prec} cannot resolve any stage tail"
         )
-    field = config.residue()
-    v_c = choose_c(field, config.v_s)
-    plan = AlphaPlan(config=config, v_c=v_c, stages=())
+    plan = AlphaPlan(config=config, stages=())
     for m in range(1, config.stages + 1):
         plan = _append_stage(plan, omega(m, config.p), base=True)
     from . import verify  # deferred: verify must stay import-free of builder
@@ -187,17 +214,17 @@ def extend(plan: AlphaPlan, q) -> AlphaPlan:
     return _append_stage(plan, q, base=False)
 
 
-def certify(plan: AlphaPlan, q, field: ResidueField, ring: TateRing):
+def certify(plan: AlphaPlan, q):
     """(plan, certificate) for exponent q: the plan `extend` returns and the
     certificate of its stage for q."""
     plan = extend(plan, q)
-    return plan, build_adapted(plan, plan.find_stage(as_fraction(q)).m, field, ring)
+    return plan, build_adapted(plan, plan.find_stage(as_fraction(q)).m)
 
 
 # -- assembled objects --------------------------------------------------------
 
 
-def assemble_alpha(plan: AlphaPlan, field: ResidueField) -> TruncatedSeries:
+def assemble_alpha(plan: AlphaPlan) -> TruncatedSeries:
     """The committed part of the staged sum.
 
     Omitted stages have weight beyond their index by the growth constraint,
@@ -205,23 +232,14 @@ def assemble_alpha(plan: AlphaPlan, field: ResidueField) -> TruncatedSeries:
     """
     m_committed = len(plan.stages)
     prec = min(plan.config.work_prec, Fraction(m_committed + 1))
-    return _stage_sum(plan, plan.stages, field, prec)
+    return _stage_sum(plan, plan.stages, prec)
 
 
-def _stage_sum(plan: AlphaPlan, stages, field: ResidueField, prec) -> TruncatedSeries:
+def _stage_sum(plan: AlphaPlan, stages, prec) -> TruncatedSeries:
     """sum of the stage terms of `stages` at precision prec, built once:
     the terms, and their order, of a running sum."""
     return TruncatedSeries.from_terms(
-        field.profile, ((plan.alpha_term_exps(st), 1) for st in stages), prec)
-
-
-def standard_substitution(plan: AlphaPlan, field: ResidueField, ring: TateRing) -> SubstitutionMap:
-    """Generator images: x1 -> x, x2 -> c x^{-1}, x3 -> the staged sum."""
-    if ring.nvars != 3:
-        raise StageUnavailableError("the construction lives in three variables")
-    x_img = field.x_power(1)
-    cx_inv = field.monomial(1, plan.v_c, -1)
-    return SubstitutionMap(ring, field, (x_img, cx_inv, assemble_alpha(plan, field)))
+        plan.field.profile, ((plan.alpha_term_exps(st), 1) for st in stages), prec)
 
 
 # -- adapted certificates -----------------------------------------------------
@@ -251,15 +269,15 @@ class AdaptedCertificate:
         return all(c.ok for c in self.checks)
 
 
-def _tail_series(plan: AlphaPlan, m: int, field: ResidueField) -> TruncatedSeries:
+def _tail_series(plan: AlphaPlan, m: int) -> TruncatedSeries:
     """sum of committed stage terms from stage m on, with the precision
     justified by the tail guard viewed from stage m."""
     st_m = plan.stages[m - 1]
     prec = plan.config.p ** st_m.b * plan.config.work_prec
-    return _stage_sum(plan, plan.stages[m - 1:], field, prec)
+    return _stage_sum(plan, plan.stages[m - 1:], prec)
 
 
-def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) -> AdaptedCertificate:
+def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
     """Build and exactly check the certificate for committed stage m.
 
     The preimage scales the third generator by eps_m and cancels every
@@ -270,7 +288,7 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     """
     if not 1 <= m <= len(plan.stages):
         raise StageUnavailableError(f"stage {m} is not committed")
-    cfg = plan.config
+    cfg, field, ring = plan.config, plan.field, plan.ring
     st = plan.stages[m - 1]
     eps_res = field.monomial(1, st.v_eps, 0)
 
@@ -293,7 +311,7 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     if not is_integral(preimage):
         raise AdaptednessFailedError(f"stage {m} preimage left the unit-ball subring")
 
-    image = (eps_res * _tail_series(plan, m, field)).frobenius(-st.b)
+    image = (eps_res * _tail_series(plan, m)).frobenius(-st.b)
 
     lead = image.leading()
     if lead is None:
@@ -340,23 +358,22 @@ def build_adapted(plan: AlphaPlan, m: int, field: ResidueField, ring: TateRing) 
     return cert
 
 
-def kernel_witness(plan: AlphaPlan, sub: SubstitutionMap) -> dict:
+def kernel_witness(plan: AlphaPlan) -> dict:
     """The two exact facts separating the kernel from every evaluation ideal.
 
     The image of the first generator has valuation gamma_x, which lies
     outside the ground value group, so the quotient field properly extends
     the ground field; and the product relation x1*x2 - c maps to the exact
-    zero, so the map factors through the quotient by that relation.  `sub`
-    is the plan's `standard_substitution`.
+    zero, so the map factors through the quotient by that relation.
     """
-    ring = sub.ring
+    sub, ring = plan.substitution, plan.ring
     x1_img = sub.apply(ring.var(1))
     val = x1_img.val_lower()
     rel = ring.var(1) * ring.var(2) - ring.monomial(1, plan.v_c, (0, 0, 0))
     rel_img = sub.apply(rel)
     return {
         "witness_valuation": val,
-        "witness_in_value_group": sub.field.ground.contains_value(val),
+        "witness_in_value_group": plan.field.ground.contains_value(val),
         "relation_maps_to_zero": rel_img.is_zero and rel_img.precision is EXACT,
     }
 

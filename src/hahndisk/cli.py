@@ -8,31 +8,32 @@ config file given by --config or the HAHNDISK_CONFIG environment variable;
 `selftest` also takes its own --seed (default 0) for its random series,
 which no plan records.  build, adapted and divide write into --out.  A
 format-3 plan records only its instance and each stage's omega and b;
-`build` prints the stage count and the two kernel witnesses, which
-`verify` derives from the instance of every plan.  `divide` writes a
-format-4 trace, which records only each step's quotients, and prints what
-it leaves out, computed in process: each step's residual valuation and the
-final one against its bound steps + v_s.  Exit codes: 0 success, 1
-contract violation or failed verification, 2 usage or format errors.
+`build` writes the plan's substitution map beside it and prints the stage
+count and the two kernel witnesses, which `verify` derives from the
+instance of every plan.  `divide` writes a format-4 trace, which records
+only each step's quotients, and prints what it leaves out, computed in
+process: each step's residual valuation and the final one against its
+bound steps + v_s.  Exit codes: 0 success, 1 contract violation or failed
+verification, 2 usage or format errors, among them an input file that is
+not UTF-8 and JSON nested too deeply.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import random
 import sys
 from pathlib import Path
 
 from . import builder, division, verify
-from .config import CONFIG_ENV, InstanceConfig
+from .config import CONFIG_ENV, InstanceConfig, read_json, read_text
 from .errors import ConfigError, FormatError, HahndiskError
 from .fields import classify_disk_point
 from .series import random_series, render_series
 from .tate import save_substitution
-from .valgroup import as_fraction, is_in_zp, too_many_digits
+from .valgroup import as_fraction, is_in_zp
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -59,7 +60,8 @@ def _output_parser() -> argparse.ArgumentParser:
 
 def build_config(args) -> InstanceConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
-    base = InstanceConfig.from_file(path) if path else InstanceConfig()
+    data = read_json(path, f"config file {path}") if path else {}
+    base = InstanceConfig.from_dict(data)
     flags = {"p": args.p, "gamma_x": args.gamma_x, "v_s": args.v_s,
              "stages": args.stages, "work_prec": args.prec}
     changes = {k: v for k, v in flags.items() if v is not None}
@@ -75,18 +77,14 @@ def _outdir(args) -> Path:
 
 
 def cmd_build(args) -> int:
-    config = build_config(args)
-    field = config.residue()
-    ring = config.tate(3)
-    plan = builder.build_plan(config)
-    sub = builder.standard_substitution(plan, field, ring)
-    witness = builder.kernel_witness(plan, sub)
+    plan = builder.build_plan(build_config(args))
+    witness = builder.kernel_witness(plan)
     out = _outdir(args)
     plan_path = out / "plan.json"
     alpha_path = out / "alpha.txt"
     plan_path.write_text(builder.dump_doc(builder.plan_to_doc(plan)))
-    alpha_path.write_text(render_series(sub.images[2]))
-    image_paths = save_substitution(sub, out / "images")
+    alpha_path.write_text(render_series(plan.substitution.images[2]))
+    image_paths = save_substitution(plan.substitution, out / "images")
     print(f"plan: {plan_path}")
     print(f"alpha: {alpha_path}")
     print(f"images: {', '.join(str(p) for p in image_paths)}")
@@ -105,9 +103,7 @@ def cmd_adapted(args) -> int:
     q = as_fraction(args.q)
     if not is_in_zp(q, config.p):
         raise FormatError(f"q = {q} is not in Z[1/{config.p}]")
-    field = config.residue()
-    ring = config.tate(3)
-    plan, cert = builder.certify(builder.build_plan(config), q, field, ring)
+    plan, cert = builder.certify(builder.build_plan(config), q)
     doc = builder.certificate_to_doc(plan, cert)
     out = _outdir(args)
     path = out / f"adapted_{cert.m}.json"
@@ -122,18 +118,12 @@ def cmd_adapted(args) -> int:
 
 def cmd_divide(args) -> int:
     config = build_config(args)
-    field = config.residue()
-    ring = config.tate(3)
-    try:
-        text = Path(args.target).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read target file {args.target}: {exc}")
-    beta = field.parse(text)
+    beta = config.residue().parse(read_text(args.target, f"target file {args.target}"))
     plan = builder.build_plan(config)
-    k, normalized = division.normalize_target(field, beta, config.v_s)
+    k, normalized = division.normalize_target(plan, beta)
     if k:
         print(f"normalized target by t^{k}")
-    trace = division.run_division(plan, field, ring, normalized, args.steps)
+    trace = division.run_division(plan, normalized, args.steps)
     doc = division.trace_to_doc(trace, normalize_k=k)
     out = _outdir(args)
     path = out / "trace.json"
@@ -173,15 +163,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = json.loads(Path(args.file).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.file}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{args.file} is not valid JSON: {exc}")
-    except ValueError as exc:  # a JSON integer past the digit limit
-        raise too_many_digits(f"an integer in {args.file}")
-    report = verify.verify_document(doc)
+    report = verify.verify_document(read_json(args.file, args.file))
     print(report.text(verbose=args.verbose))
     return EXIT_OK if report.ok else EXIT_CONTRACT
 
@@ -189,8 +171,6 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     config = build_config(args)
     rng = random.Random(args.seed)
-    field = config.residue()
-    ring = config.tate(3)
     failures = []
 
     def run(name, fn):
@@ -203,7 +183,7 @@ def cmd_selftest(args) -> int:
             print(f"ok   {name}")
 
     def series_laws():
-        profile = field.profile
+        profile = config.residue().profile
         for _ in range(100):
             f = random_series(rng, profile, max_terms=8, max_num=12, max_k=2)
             g = random_series(rng, profile, max_terms=8, max_num=12, max_k=2)
@@ -218,11 +198,10 @@ def cmd_selftest(args) -> int:
     def construction():
         plan = builder.build_plan(config)
         for m in range(1, len(plan.stages) + 1):
-            cert = builder.build_adapted(plan, m, field, ring)
+            cert = builder.build_adapted(plan, m)
             report = verify.verify_certificate(builder.certificate_to_doc(plan, cert))
             assert report.ok, report.text()
-        sub = builder.standard_substitution(plan, field, ring)
-        witness = builder.kernel_witness(plan, sub)
+        witness = builder.kernel_witness(plan)
         assert witness["witness_in_value_group"] is False
         assert witness["relation_maps_to_zero"] is True
         report = verify.verify_plan(builder.plan_to_doc(plan))
@@ -230,9 +209,9 @@ def cmd_selftest(args) -> int:
 
     def divide_roundtrip():
         plan = builder.build_plan(config)
-        cert = builder.build_adapted(plan, 1, field, ring)
-        beta = field.monomial(1, 1, 0) * cert.image
-        trace = division.run_division(plan, field, ring, beta, 4)
+        cert = builder.build_adapted(plan, 1)
+        beta = plan.field.monomial(1, 1, 0) * cert.image
+        trace = division.run_division(plan, beta, 4)
         doc = division.trace_to_doc(trace)
         report = verify.verify_trace(doc)
         assert report.ok, report.text()

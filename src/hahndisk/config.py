@@ -1,4 +1,5 @@
-"""Instance configuration shared by the CLI and the test suites."""
+"""Instance configuration shared by the CLI and the test suites, and the
+readers the CLI opens its input files with."""
 
 from __future__ import annotations
 
@@ -79,8 +80,9 @@ class InstanceConfig:
     def residue(self) -> ResidueField:
         return ResidueField(self.ground(), self.gamma_x)
 
-    def tate(self, nvars: int = 3) -> TateRing:
-        return TateRing(self.ground(), nvars)
+    def tate(self) -> TateRing:
+        """R_3, the ring the construction maps from."""
+        return TateRing(self.ground(), 3)
 
     # -- serialization ------------------------------------------------------
 
@@ -109,14 +111,27 @@ class InstanceConfig:
             kwargs[key] = value
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path) -> "InstanceConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-        except ValueError as exc:  # a JSON integer past the digit limit
-            raise too_many_digits(f"an integer in config file {path}") from exc
-        return cls.from_dict(data)
+
+def read_text(path, name: str) -> str:
+    """The text of the file at `path`, called `name` in errors: a ConfigError
+    if it cannot be read, a FormatError if it is not UTF-8."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name} is not UTF-8 text: {exc}") from exc
+
+
+def read_json(path, name: str):
+    """The JSON value in the file at `path`, called `name` in errors; text
+    json cannot read, even nested past the recursion limit, is a FormatError."""
+    text = read_text(path, name)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{name} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSON integer past the digit limit
+        raise too_many_digits(f"an integer in {name}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{name} nests too deeply to read") from exc

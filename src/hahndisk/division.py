@@ -21,25 +21,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import (
-    AlphaPlan,
-    certify,
-    plan_to_doc,
-    standard_substitution,
-)
+from .builder import AlphaPlan, certify, plan_to_doc
 from .errors import (
     ConfigError,
     ContractViolationError,
     InsufficientPrecisionError,
     UnresolvedError,
 )
-from .fields import ResidueField
 from .series import TruncatedSeries, render_series
-from .tate import TateRing
-from .valgroup import EXACT, as_fraction
+from .valgroup import EXACT
 
 
-def normalize_target(field: ResidueField, beta: TruncatedSeries, v_s) -> tuple:
+def normalize_target(plan: AlphaPlan, beta: TruncatedSeries) -> tuple:
     """Smallest integer shift k >= 0 with valuation(t^k * beta) >= v_s.
 
     The exact zero has valuation +infinity and needs no shift; a zero known
@@ -48,11 +41,10 @@ def normalize_target(field: ResidueField, beta: TruncatedSeries, v_s) -> tuple:
         if beta.precision is EXACT:
             return 0, beta
         raise UnresolvedError("target has no resolved leading term")
-    k = max(0, math.ceil(as_fraction(v_s) - beta.val_lower()))
+    k = max(0, math.ceil(plan.config.v_s - beta.val_lower()))
     if k == 0:
         return 0, beta
-    shifted = field.monomial(1, k, 0) * beta
-    return k, shifted
+    return k, plan.field.monomial(1, k, 0) * beta
 
 
 @dataclass
@@ -78,24 +70,24 @@ def _certified_val(beta: TruncatedSeries, floor: Fraction, what: str):
         raise ContractViolationError(f"{what}: valuation {val} < certified {floor}")
 
 
-def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
-                 beta: TruncatedSeries, steps: int) -> DivisionTrace:
+def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> DivisionTrace:
     """Run `steps` certified division steps against a normalized target.
 
     A band exponent without a stage extends the plan, and the trace carries
-    the extended plan.  Certificates are kept by exponent, and each is
-    checked against the substitution route when it is first used; the
-    substitution map is rebuilt only when the plan grows.
+    the extended plan.  Certificates are kept by exponent.  After the last
+    step each is checked once, in first-use order, against the substitution
+    route of the plan the trace carries: a stage `extend` appends clears
+    the tail guard, so an earlier certificate's image is unchanged, and the
+    final map resolves at least what an earlier one did.
     """
     if steps < 0:
         raise ConfigError(f"the step count must be nonnegative, got {steps}")
-    cfg = plan.config
+    cfg, field = plan.config, plan.field
     v_s = cfg.v_s
     _certified_val(beta, v_s, "target is not normalized")
     beta_m = beta
     records = []
     certs = {}
-    sub = None
     for m in range(steps):
         # beta_m >= m + v_s: the target check, or step m - 1's contraction
         if beta_m.precision is not EXACT and beta_m.precision < m + 1 + v_s:
@@ -109,13 +101,7 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         for q, part in band.split(1):
             cert = certs.get(q)
             if cert is None:
-                grown, cert = certify(plan, q, field, ring)
-                if grown is not plan:
-                    plan, sub = grown, None
-                if sub is None:
-                    sub = standard_substitution(plan, field, ring)
-                _check_consistency(sub.apply(cert.preimage, cfg.work_prec) - cert.image,
-                                   f"stage {cert.m}")
+                plan, cert = certify(plan, q)
                 certs[q] = cert
             # d = part / lead, free of x since lead carries x^q, is the
             # quotient b / (lead * t^m) times t^m
@@ -133,6 +119,9 @@ def run_division(plan: AlphaPlan, field: ResidueField, ring: TateRing,
         records.append(DivisionStep(band=band, quotients=tuple(quotients),
                                     beta_after=beta_next))
         beta_m = beta_next
+    for cert in certs.values():
+        _check_consistency(plan.substitution.apply(cert.preimage, cfg.work_prec)
+                           - cert.image, f"stage {cert.m}")
     return DivisionTrace(plan=plan, target=beta, steps=records, final_beta=beta_m)
 
 

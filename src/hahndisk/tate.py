@@ -62,20 +62,6 @@ class TateRing:
         exps[i] = Fraction(1)
         return TruncatedSeries.monomial(self.profile, 1, tuple(exps))
 
-    def embed_ground(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Lift an element free of variables into R_n: a ground-field
-        series, or a residue-field series whose x-exponents are all zero.
-        Term weights are then t-exponents, so valuation and precision carry
-        over."""
-        if f.profile.p != self.ground.p:
-            raise ConfigError("embed_ground expects an element over the same F_p")
-        if any(q for exps in f.terms for q in exps[1:]):
-            raise ExponentError("embed_ground expects an element free of variables")
-        pad = (Fraction(0),) * self.nvars
-        return TruncatedSeries._trusted(
-            self.profile, {(exps[0],) + pad: c for exps, c in f.terms.items()},
-            f.precision)
-
     def check_element(self, f: TruncatedSeries) -> TruncatedSeries:
         """Validate the variable-exponent sign constraint of this ring."""
         if f.profile != self.profile:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import FormatError, HahndiskError
-from .fields import GroundField, ResidueField
+from .fields import ResidueField
 from .series import TruncatedSeries, render_series
 from .tate import SubstitutionMap, TateRing
 from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point
@@ -255,9 +255,9 @@ def verify_plan(doc: dict) -> Report:
 
 def _check_plan(doc, rep: Report):
     """The checks of `verify_plan`, added to rep.  Returns the plan as read
-    and derived, (config, rows, v_c), or None if it could not be read, so a
-    certificate or trace reads its embedded plan once.  Use the rows only
-    once every check has passed."""
+    and derived, (config, rows, v_c, residue field), or None if it could not
+    be read, so a certificate or trace reads its embedded plan, and builds
+    its field, once.  Use the rows only once every check has passed."""
     if not isinstance(doc, dict) or doc.get("kind") != "plan":
         rep.fail("plan", "document kind is not 'plan'")
         return None
@@ -269,10 +269,10 @@ def _check_plan(doc, rep: Report):
         rep.fail("plan", f"malformed transcript: {exc}")
         return None
     p, gamma_x, v_s, guard = config.p, config.gamma_x, config.v_s, config.work_prec
-    field = ResidueField(GroundField(p), gamma_x)
+    field = config.residue()
     v_c = smallest_zp_point(gamma_x, gamma_x + v_s, p)
     rows = []
-    plan = config, rows, v_c
+    plan = config, rows, v_c, field
     # the two kernel witnesses, from the instance alone
     x = field.x_power(1)
     val = x.val_lower()
@@ -356,10 +356,8 @@ def verify_certificate(doc: dict) -> Report:
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c = plan
+    config, rows, v_c, field = plan
     p = config.p
-    field = ResidueField(GroundField(p), config.gamma_x)
-    ring = TateRing(GroundField(p), 3)
     try:
         m = doc["m"]
         q = as_fraction(doc["q"])
@@ -371,7 +369,7 @@ def verify_certificate(doc: dict) -> Report:
                      "stage index is committed"):
         return rep
     rep.check(q == rows[m - 1].omega, where, f"exponent {q} matches stage exponent")
-    preimage = _preimage_series(rows, m - 1, p, v_c, ring)
+    preimage = _preimage_series(rows, m - 1, p, v_c, config.tate())
     image = _image_series(rows, m - 1, p, config.work_prec, field)
     rep.check(doc["image"] == render_series(image),
               where, "recorded image equals the transcript-derived image")
@@ -400,11 +398,9 @@ def verify_trace(doc: dict) -> Report:
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c = plan
+    config, rows, v_c, field = plan
     p, v_s, guard = config.p, config.v_s, config.work_prec
-    ground = GroundField(p)
-    field = ResidueField(ground, config.gamma_x)
-    ring = TateRing(ground, 3)
+    ring = config.tate()
     sub = SubstitutionMap(ring, field, (field.x_power(1), field.monomial(1, v_c, -1),
                                         _alpha_series(rows, p, guard, field)))
     by_exponent = {row.omega: idx for idx, row in enumerate(rows)}

@@ -34,7 +34,7 @@ def residue(cfg):
 
 @pytest.fixture(scope="session")
 def ring3(cfg):
-    return cfg.tate(3)
+    return cfg.tate()
 
 
 @pytest.fixture(scope="session")
@@ -83,19 +83,22 @@ def rand_normalized_target(rng, field, v_s, max_terms=8):
     return TruncatedSeries(field.profile, terms, None)
 
 
-def step_corrections(trace, field, ring):
+def step_corrections(trace):
     """Each step's correction, the sum over its quotients (q, d) of
     d * preimage_q, with the preimages of the builder's certificates on the
     trace's plan; the approximant is their sum.  A trace records only the
     quotients, so tests that need the approximant expand it here."""
+    plan, ring = trace.plan, trace.plan.ring
     preimages = {}
     out = []
     for step in trace.steps:
         e = ring.zero()
         for q, d in step.quotients:
             if q not in preimages:
-                m = trace.plan.find_stage(q).m
-                preimages[q] = build_adapted(trace.plan, m, field, ring).preimage
-            e = e + ring.embed_ground(d) * preimages[q]
+                preimages[q] = build_adapted(plan, plan.find_stage(q).m).preimage
+            # d is free of x, so it lifts to R_3 term by term
+            lift = TruncatedSeries(ring.profile, {(exps[0], 0, 0, 0): c
+                                                  for exps, c in d.terms.items()}, d.precision)
+            e = e + lift * preimages[q]
         out.append(e)
     return out

@@ -21,7 +21,6 @@ from hahndisk.builder import (
     build_plan,
     kernel_witness,
     plan_to_doc,
-    standard_substitution,
 )
 from hahndisk.cli import main as cli_main
 from hahndisk.division import run_division, trace_to_doc
@@ -132,12 +131,12 @@ def test_criterion_3_counterexample_construction(cfg):
             3, F(1, 2), F(1, 4), 12, F(26))
         for p, gamma_x, v_s in INSTANCES:
             inst = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
-            residue, ring3 = inst.residue(), inst.tate(3)
             plan = build_plan(inst)
+            residue = plan.field
             report = verify_plan(plan_to_doc(plan))
             assert report.ok, report.text()
             for m in range(1, 13):
-                cert = build_adapted(plan, m, residue, ring3)
+                cert = build_adapted(plan, m)
                 assert cert.ok
                 lead_w = residue.profile.weight(cert.leading_exps)
                 assert 0 <= lead_w < v_s
@@ -148,9 +147,9 @@ def test_criterion_3_counterexample_construction(cfg):
                 assert rv is None or rv > 1 + v_s
 
 
-def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
+def test_criterion_4_non_evaluation_witness(residue, plan):
     with criterion(4, "kernel witness: valuation gamma_x outside Z[1/p], relation to 0", 1):
-        facts = kernel_witness(plan, standard_substitution(plan, residue, ring3))
+        facts = kernel_witness(plan)
         assert facts["witness_valuation"] == F(1, 2)
         assert facts["witness_in_value_group"] is False
         assert not residue.ground.contains_value(F(1, 2))
@@ -158,13 +157,11 @@ def test_criterion_4_non_evaluation_witness(cfg, residue, ring3, plan):
         # x1*x2 - c takes the two-variable x-part of the map at every prime
         for p, gamma_x, v_s in INSTANCES:
             inst = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
-            field = inst.residue()
             inst_plan = build_plan(inst)
-            facts = kernel_witness(
-                inst_plan, standard_substitution(inst_plan, field, inst.tate(3)))
+            facts = kernel_witness(inst_plan)
             assert facts["witness_valuation"] == gamma_x
             assert facts["witness_in_value_group"] is False
-            assert not field.ground.contains_value(gamma_x)
+            assert not inst_plan.field.ground.contains_value(gamma_x)
             assert facts["relation_maps_to_zero"] is True
 
 
@@ -174,7 +171,7 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
         steps = 8
 
         def check_trace(beta, trace):
-            corrections = step_corrections(trace, residue, ring3)
+            corrections = step_corrections(trace)
             for m, (step, e) in enumerate(zip(trace.steps, corrections)):
                 val = step.beta_after.val_lower()
                 assert val is None or val >= m + 1 + cfg.v_s
@@ -184,7 +181,7 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
             assert final_val is None or final_val >= steps + cfg.v_s
             # f(a_M) - beta = -beta_M on the certificate route; the generic
             # substitution route must agree on every term it resolves
-            sub = standard_substitution(trace.plan, residue, ring3)
+            sub = trace.plan.substitution
             a = sum(corrections, ring3.zero())
             diff = sub.apply(a, cfg.work_prec) + trace.final_beta - beta
             assert not diff.terms
@@ -193,13 +190,13 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
         plan = build_plan(cfg)
         for _ in range(20):
             beta = rand_normalized_target(rng, residue, cfg.v_s, max_terms=8)
-            trace = run_division(plan, residue, ring3, beta, steps)
+            trace = run_division(plan, beta, steps)
             check_trace(beta, trace)
 
         # round-trips through builder-produced integral elements
-        c1 = build_adapted(plan, 1, residue, ring3)
-        c2 = build_adapted(plan, 2, residue, ring3)
-        c3 = build_adapted(plan, 3, residue, ring3)
+        c1 = build_adapted(plan, 1)
+        c2 = build_adapted(plan, 2)
+        c3 = build_adapted(plan, 3)
         targets = [
             residue.monomial(1, 1, 0) * c1.image,
             residue.monomial(1, 1, 0) * c2.image
@@ -208,7 +205,7 @@ def test_criterion_5_division_contraction(cfg, residue, ring3):
             + residue.monomial(1, 1, 0) * c3.image,
         ]
         for beta in targets:
-            trace = run_division(plan, residue, ring3, beta, steps)
+            trace = run_division(plan, beta, steps)
             check_trace(beta, trace)
 
 
@@ -248,12 +245,12 @@ def check_determinism_and_mutations(cfg, out):
             assert (out_a / name).read_bytes() == (GOLDEN / name).read_bytes()
     assert cli_main(["verify", str(out_a / "plan.json")]) == 0
 
-    residue, ring3 = cfg.residue(), cfg.tate(3)
+    residue = cfg.residue()
     plan_doc = json.loads((out_a / "plan.json").read_text())
     plan = build_plan(cfg)
     rng = random.Random(7)
     beta = rand_normalized_target(rng, residue, cfg.v_s)
-    trace_doc = trace_to_doc(run_division(plan, residue, ring3, beta, 5))
+    trace_doc = trace_to_doc(run_division(plan, beta, 5))
     assert verify_trace(trace_doc).ok
 
     def plan_mut(doc, rng):

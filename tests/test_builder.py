@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+import hahndisk.builder
 from hahndisk.builder import (
+    AlphaPlan,
     _minimal_b,
     _tail_series,
     assemble_alpha,
@@ -22,7 +24,6 @@ from hahndisk.builder import (
     extend,
     kernel_witness,
     plan_to_doc,
-    standard_substitution,
 )
 from hahndisk.errors import PrecisionExhaustedError, StageUnavailableError
 from hahndisk.tate import is_integral
@@ -64,12 +65,12 @@ def minimal_b_oracle(prior, w, v_eps, m, v_s, guard=None, p=3):
         b += 1
 
 
-def divisor_images(plan, field, ring):
+def divisor_images(plan):
     """{stage m: (image of the stage term, image of its divisor monomial W)}
     through the substitution map: W is x1^(omega p^b), or x2^(-omega p^b)
     for a negative omega, so its image is read off `apply`, not off the
     demand's closed form."""
-    sub = standard_substitution(plan, field, ring)
+    field, ring, sub = plan.field, plan.ring, plan.substitution
     out = {}
     for st in plan.stages:
         x = st.omega * plan.config.p ** st.b
@@ -112,7 +113,7 @@ class TestBuildPlan:
         # demand of every earlier stage must choose the same stages
         for plan in extended_plans:
             cfg = plan.config
-            images = divisor_images(plan, cfg.residue(), cfg.tate(3))
+            images = divisor_images(plan)
             for idx, st in enumerate(plan.stages):
                 prior = plan.stages[:idx]
                 # the demand from the image weights, not from its closed form
@@ -178,36 +179,34 @@ class TestBuildPlan:
 class TestAssembleAlpha:
     def test_single_stage_is_one_monomial(self):
         cfg1 = InstanceConfig(stages=1, work_prec=F(6))
-        plan1 = build_plan(cfg1)
-        field = cfg1.residue()
-        alpha = assemble_alpha(plan1, field)
+        alpha = assemble_alpha(build_plan(cfg1))
         assert alpha.terms == {(F(1, 9), F(0)): 1}
         assert alpha.precision == 2
 
-    def test_valuation_in_window(self, cfg, plan, residue):
-        alpha = assemble_alpha(plan, residue)
+    def test_valuation_in_window(self, cfg, plan):
+        alpha = assemble_alpha(plan)
         st1 = plan.stages[0]
         assert alpha.val_lower() == st1.v_e + st1.omega * cfg.gamma_x
         assert 0 < alpha.val_lower() < cfg.v_s
 
-    def test_integrality_and_tail(self, cfg, plan, residue):
-        alpha = assemble_alpha(plan, residue)
+    def test_integrality_and_tail(self, cfg, plan):
+        alpha = assemble_alpha(plan)
         assert alpha.val_lower() >= 0
         assert alpha.precision == min(cfg.work_prec, F(len(plan.stages) + 1))
         assert alpha.terms == {(F(1, 9), F(0)): 1, (F(-9), F(27)): 1}
 
 
 class TestAdaptedCertificates:
-    def test_stage_one_shape(self, plan, residue, ring3):
-        cert = build_adapted(plan, 1, residue, ring3)
+    def test_stage_one_shape(self, plan, ring3):
+        cert = build_adapted(plan, 1)
         # the preimage is the bare third generator (eps_1 = 1, b_1 = 0)
         assert cert.preimage == ring3.var(3)
         assert cert.leading_exps == (F(1, 9), F(0))
         assert cert.leading_coeff == 1
 
-    def test_all_stages_verify(self, cfg, plan, residue, ring3):
+    def test_all_stages_verify(self, cfg, plan, residue):
         for m in range(1, len(plan.stages) + 1):
-            cert = build_adapted(plan, m, residue, ring3)
+            cert = build_adapted(plan, m)
             assert cert.ok
             st = plan.stages[m - 1]
             lead_w = residue.profile.weight(cert.leading_exps)
@@ -219,23 +218,23 @@ class TestAdaptedCertificates:
             rv = residual.val_lower()
             assert rv is None or rv > 1 + cfg.v_s
 
-    def test_doc_shape(self, plan, residue, ring3):
+    def test_doc_shape(self, plan):
         # format 2 records each fact once: no v_s, leading monomial or check
         # records, which the verifier derives from the plan
-        doc = certificate_to_doc(plan, build_adapted(plan, 3, residue, ring3))
+        doc = certificate_to_doc(plan, build_adapted(plan, 3))
         assert set(doc) == {"kind", "format", "plan", "m", "q", "preimage", "image"}
         assert doc["kind"] == "certificate"
         assert doc["format"] == 2
         assert doc["plan"] == plan_to_doc(plan)
         assert (doc["m"], doc["q"]) == (3, "-1")
 
-    def test_preimages_integral(self, plan, residue, ring3):
+    def test_preimages_integral(self, plan):
         for m in range(1, len(plan.stages) + 1):
-            assert is_integral(build_adapted(plan, m, residue, ring3).preimage)
+            assert is_integral(build_adapted(plan, m).preimage)
 
-    def test_divisor_quotients_in_unit_ball(self, plan, residue, ring3):
+    def test_divisor_quotients_in_unit_ball(self, plan):
         # the exact quotients eps*stage/f(W) must have valuation >= 0
-        images = divisor_images(plan, residue, ring3)
+        images = divisor_images(plan)
         for idx, st in enumerate(plan.stages):
             for prev in plan.stages[:idx]:
                 term, fw = images[prev.m]
@@ -245,8 +244,8 @@ class TestAdaptedCertificates:
         # the canceller quotient of every earlier stage, in closed form and
         # as the series product eps * (stage term) * f(W)^-1; it is free of x
         for plan in extended_plans:
-            field = plan.config.residue()
-            images = divisor_images(plan, field, plan.config.tate(3))
+            field = plan.field
+            images = divisor_images(plan)
             for idx, st in enumerate(plan.stages):
                 eps_res = field.monomial(1, st.v_eps, 0)
                 for prev in plan.stages[:idx]:
@@ -271,12 +270,12 @@ class TestAdaptedCertificates:
 
         for plan in extended_plans:
             cfg = plan.config
-            field, ring = cfg.residue(), cfg.tate(3)
+            field, ring = plan.field, plan.ring
             prec = min(cfg.work_prec, F(len(plan.stages) + 1))
-            assert same(assemble_alpha(plan, field),
+            assert same(assemble_alpha(plan),
                         running_sum(plan, plan.stages, field, prec))
             for m, st in enumerate(plan.stages, start=1):
-                assert same(_tail_series(plan, m, field),
+                assert same(_tail_series(plan, m),
                             running_sum(plan, plan.stages[m - 1:], field,
                                         cfg.p ** st.b * cfg.work_prec))
                 head = ring.monomial(1, st.v_eps, (0, 0, 1))
@@ -285,20 +284,20 @@ class TestAdaptedCertificates:
                     x_exps = (w, 0, 0) if w >= 0 else (0, -w, 0)
                     head = head - ring.monomial(
                         1, st.v_eps - plan.d_requirement(prev), x_exps)
-                assert same(build_adapted(plan, m, field, ring).preimage,
+                assert same(build_adapted(plan, m).preimage,
                             head.frobenius(-st.b))
 
-    def test_image_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
+    def test_image_consistency_with_substitution_route(self, cfg, plan):
         # the generic route evaluates the preimage through the map; the
         # recorded image must agree on every term both sides resolve
-        sub = standard_substitution(plan, residue, ring3)
+        sub = plan.substitution
         for m in range(1, len(plan.stages) + 1):
-            cert = build_adapted(plan, m, residue, ring3)
+            cert = build_adapted(plan, m)
             assert not (sub.apply(cert.preimage, cfg.work_prec) - cert.image).terms
 
-    def test_image_precision_covers_division_depth(self, cfg, plan, residue, ring3):
+    def test_image_precision_covers_division_depth(self, cfg, plan):
         for m in range(1, len(plan.stages) + 1):
-            cert = build_adapted(plan, m, residue, ring3)
+            cert = build_adapted(plan, m)
             assert cert.image.precision >= cfg.work_prec
 
 
@@ -308,11 +307,11 @@ class TestExtension:
         assert plan.find_stage(F(1)).m == 2
         assert len(plan.stages) == 12
 
-    def test_new_exponent_appends_verified_stage(self, cfg, plan, residue, ring3):
+    def test_new_exponent_appends_verified_stage(self, cfg, plan):
         grown = extend(plan, F(5, 9))
         assert len(grown.stages) == len(plan.stages) + 1
         st = grown.stages[-1]
-        cert = build_adapted(grown, st.m, residue, ring3)
+        cert = build_adapted(grown, st.m)
         assert cert.ok and cert.q == F(5, 9)
         w = st.v_e + st.omega * cfg.gamma_x
         for prev in grown.stages[:-1]:
@@ -347,9 +346,33 @@ class TestExtension:
             plan.stages[0].b = 1
 
 
+class TestDerivedObjects:
+    def test_a_plan_is_its_config_and_stages(self):
+        assert [f.name for f in dataclasses.fields(AlphaPlan)] == ["config", "stages"]
+        assert not hasattr(hahndisk.builder, "standard_substitution")
+
+    def test_derived_once_per_plan_value(self, cfg):
+        plan = build_plan(cfg)
+        assert plan.field is plan.field and plan.ring is plan.ring
+        assert plan.substitution is plan.substitution
+        assert plan.v_c == F(2, 3)
+        assert plan.substitution.images[2] == assemble_alpha(plan)
+        assert plan.substitution.images[1] == plan.field.monomial(1, plan.v_c, -1)
+
+    def test_extension_shares_the_instance_objects(self, cfg):
+        plan = build_plan(cfg)
+        sub = plan.substitution
+        grown = extend(plan, F(5, 9))
+        # field, ring and v_c follow from the config; the map from the stages
+        assert grown.field is plan.field and grown.ring is plan.ring
+        assert grown.substitution is not sub
+        assert grown.substitution.images[2] == assemble_alpha(grown)
+        assert plan.substitution is sub
+
+
 class TestKernelWitness:
-    def test_witness_facts(self, plan, residue, ring3):
-        facts = kernel_witness(plan, standard_substitution(plan, residue, ring3))
+    def test_witness_facts(self, plan):
+        facts = kernel_witness(plan)
         assert facts["witness_valuation"] == F(1, 2)
         assert facts["witness_in_value_group"] is False
         assert facts["relation_maps_to_zero"] is True

@@ -362,6 +362,56 @@ class TestOverLongNumerals:
         assert run("build", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
 
 
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+class TestUnreadableInput:
+    """JSON nested past the recursion limit, and a file that is not UTF-8,
+    are format errors: exit 2, an `error:` line, and no traceback."""
+
+    @staticmethod
+    def check(capsys, *argv, message="nests too deeply"):
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err, err
+        assert "Traceback" not in out + err
+
+    def test_verify_document(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text(nested(200_000))
+        self.check(capsys, "verify", str(bad))
+
+    def test_verify_plan_instance(self, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "plan.json").read_text())
+        doc["instance"] = "deep"
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(doc).replace('"deep"', nested(5000)))
+        self.check(capsys, "verify", str(bad))
+
+    def test_config_file(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"p": {nested(5000)}}}')
+        out = str(tmp_path / "out")
+        self.check(capsys, "build", "--config", str(cfg), "--out", out)
+        monkeypatch.setenv("HAHNDISK_CONFIG", str(cfg))
+        self.check(capsys, "build", "--out", out)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{bad}"],
+        ["build", "--config", "{bad}", "--out", "{out}"],
+        ["divide", "{bad}", "--out", "{out}"],
+    ], ids=["verify", "config", "divide-target"])
+    def test_not_utf8(self, argv, tmp_path, capsys):
+        # a divide target raised UnicodeDecodeError, and the JSON readers
+        # blamed the integer digit limit
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+        self.check(capsys, *argv, message="is not UTF-8 text")
+
+
 def old_step(*drop, **fields):
     """A step as format 3 wrote it, an object, with the fields `drop` left
     out and `fields` set."""

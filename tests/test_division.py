@@ -6,13 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hahndisk import InstanceConfig, builder, division
-from hahndisk.builder import (
-    assemble_alpha,
-    build_adapted,
-    build_plan,
-    dump_doc,
-    standard_substitution,
-)
+from hahndisk.builder import build_adapted, build_plan, dump_doc
 from hahndisk.division import (
     normalize_target,
     run_division,
@@ -20,6 +14,7 @@ from hahndisk.division import (
 )
 from hahndisk.errors import ConfigError, ContractViolationError, UnresolvedError
 from hahndisk.series import TruncatedSeries
+from hahndisk.tate import SubstitutionMap
 from hahndisk.valgroup import EXACT, padic_denominator_exponent
 from hahndisk.verify import verify_trace
 
@@ -29,34 +24,34 @@ F = Fraction
 
 
 class TestNormalizeTarget:
-    def test_already_normalized(self, residue, cfg):
+    def test_already_normalized(self, plan, residue):
         beta = residue.monomial(1, 1, 0)
-        assert normalize_target(residue, beta, cfg.v_s) == (0, beta)
+        assert normalize_target(plan, beta) == (0, beta)
 
-    def test_shallow_target_shifts_once(self, residue, cfg):
+    def test_shallow_target_shifts_once(self, plan, residue):
         beta = residue.x_power(F(1, 3))  # valuation 1/6 < 1/4
-        k, shifted = normalize_target(residue, beta, cfg.v_s)
+        k, shifted = normalize_target(plan, beta)
         assert k == 1
         assert shifted.val_lower() == F(1, 6) + 1
 
-    def test_deep_target_untouched(self, residue, cfg):
+    def test_deep_target_untouched(self, plan, residue):
         beta = residue.monomial(1, 2, 0)
-        assert normalize_target(residue, beta, cfg.v_s)[0] == 0
+        assert normalize_target(plan, beta)[0] == 0
 
-    def test_negative_valuation(self, residue, cfg):
+    def test_negative_valuation(self, plan, residue):
         beta = residue.monomial(1, -3, 0)
-        k, shifted = normalize_target(residue, beta, cfg.v_s)
+        k, shifted = normalize_target(plan, beta)
         assert k == 4 and shifted.val_lower() == 1
 
-    def test_unresolved_rejected(self, residue, cfg):
+    def test_unresolved_rejected(self, plan, residue):
         with pytest.raises(UnresolvedError):
-            normalize_target(residue, residue.zero(precision=2), cfg.v_s)
+            normalize_target(plan, residue.zero(precision=2))
 
-    def test_exact_zero_needs_no_shift(self, residue, cfg):
+    def test_exact_zero_needs_no_shift(self, plan, residue):
         # the exact zero has valuation +infinity
         zero = residue.zero()
         assert zero.precision is None
-        assert normalize_target(residue, zero, cfg.v_s) == (0, zero)
+        assert normalize_target(plan, zero) == (0, zero)
 
 
 class TestSliceBand:
@@ -97,42 +92,42 @@ class TestSliceBand:
 
 
 class TestRunDivision:
-    def test_zero_target_is_all_noops(self, plan, residue, ring3):
+    def test_zero_target_is_all_noops(self, plan, residue):
         beta = residue.zero()
-        trace = run_division(plan, residue, ring3, beta, 5)
-        assert run_division(plan, residue, ring3, beta, 0).steps == []
+        trace = run_division(plan, beta, 5)
+        assert run_division(plan, beta, 0).steps == []
         for step in trace.steps:
             assert step.quotients == () and step.band.is_zero
         assert trace.final_beta.is_zero
 
-    def test_single_monomial_one_step(self, cfg, plan, residue, ring3):
+    def test_single_monomial_one_step(self, cfg, plan, residue):
         # one band-0 term; the consumed certificate leaves its residual
         # beyond 1 + v_s
         beta = residue.monomial(1, F(10, 9), 0)
-        trace = run_division(plan, residue, ring3, beta, 1)
+        trace = run_division(plan, beta, 1)
         step = trace.steps[0]
         assert step.band == beta
         rv = step.beta_after.val_lower()
         assert rv is None or rv > 1 + cfg.v_s
 
-    def test_round_trip_on_builder_images(self, cfg, plan, residue, ring3):
-        c1 = build_adapted(plan, 1, residue, ring3)
-        c2 = build_adapted(plan, 2, residue, ring3)
+    def test_round_trip_on_builder_images(self, cfg, plan, residue):
+        c1 = build_adapted(plan, 1)
+        c2 = build_adapted(plan, 2)
         beta = residue.monomial(1, 1, 0) * c1.image \
             + residue.monomial(1, 2, 0) * c2.image
         steps = 8
-        trace = run_division(plan, residue, ring3, beta, steps)
+        trace = run_division(plan, beta, steps)
         assert trace.final_beta.val_lower() >= steps + cfg.v_s
-        for m, e in enumerate(step_corrections(trace, residue, ring3)):
+        for m, e in enumerate(step_corrections(trace)):
             gap = e.val_lower()
             assert gap is None or gap >= m
 
-    def test_contraction_on_random_targets(self, cfg, residue, ring3):
+    def test_contraction_on_random_targets(self, cfg, residue):
         rng = random.Random(3)
         for _ in range(5):
             plan = build_plan(cfg)
             beta = rand_normalized_target(rng, residue, cfg.v_s)
-            trace = run_division(plan, residue, ring3, beta, 6)
+            trace = run_division(plan, beta, 6)
             for m, step in enumerate(trace.steps):
                 val = step.beta_after.val_lower()
                 assert val is None or val >= m + 1 + cfg.v_s
@@ -142,42 +137,41 @@ class TestRunDivision:
     def test_consistency_with_substitution_route(self, cfg, plan, residue, ring3):
         rng = random.Random(19)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan, residue, ring3, beta, 4)
-        sub = standard_substitution(trace.plan, residue, ring3)
+        trace = run_division(plan, beta, 4)
+        sub = trace.plan.substitution
         a = ring3.zero()
-        for m, (step, e) in enumerate(zip(trace.steps, step_corrections(trace, residue,
-                                                                       ring3))):
+        for m, (step, e) in enumerate(zip(trace.steps, step_corrections(trace))):
             gap = e.val_lower()
             assert gap is None or gap >= m
             a = a + e
             diff = sub.apply(a, cfg.work_prec) + step.beta_after - beta
             assert not diff.terms
 
-    def test_unnormalized_target_rejected(self, plan, residue, ring3):
+    def test_unnormalized_target_rejected(self, plan, residue):
         beta = residue.x_power(F(1, 3))  # valuation 1/6 < v_s
         with pytest.raises(ContractViolationError):
-            run_division(plan, residue, ring3, beta, 2)
+            run_division(plan, beta, 2)
 
-    def test_negative_steps_rejected_first(self, plan, residue, ring3):
+    def test_negative_steps_rejected_first(self, plan, residue):
         with pytest.raises(ConfigError, match="step count"):
-            run_division(plan, residue, ring3, residue.monomial(1, 1, 0), -1)
+            run_division(plan, residue.monomial(1, 1, 0), -1)
         # the step count is checked before the target's own bound
         with pytest.raises(ConfigError):
-            run_division(plan, residue, ring3, residue.x_power(F(1, 3)), -3)
+            run_division(plan, residue.x_power(F(1, 3)), -3)
 
 
 class TestTraceSerialization:
-    def test_replay_round_trip(self, cfg, plan, residue, ring3):
+    def test_replay_round_trip(self, cfg, plan, residue):
         rng = random.Random(29)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan, residue, ring3, beta, 5)
+        trace = run_division(plan, beta, 5)
         doc = trace_to_doc(trace)
         report = verify_trace(doc)
         assert report.ok, report.text()
 
-    def test_doc_shape(self, plan, residue, ring3):
+    def test_doc_shape(self, plan, residue):
         beta = residue.monomial(1, 1, 0)
-        trace = run_division(plan, residue, ring3, beta, 2)
+        trace = run_division(plan, beta, 2)
         doc = trace_to_doc(trace, normalize_k=0)
         assert set(doc) == {"kind", "format", "plan", "target", "normalize_k",
                             "steps_requested", "steps"}
@@ -188,7 +182,7 @@ class TestTraceSerialization:
         assert doc["steps"] == [[["0", "1 t^8/9\nO(EXACT)\n"]], []]
         assert doc["plan"]["kind"] == "plan"
 
-    def test_size_at_128_target_terms(self, cfg, plan, residue, ring3):
+    def test_size_at_128_target_terms(self, cfg, plan, residue):
         # each term shifted by a whole power of t into a band the division
         # reaches; format 3 recorded 314 kB for this trace
         rng = random.Random(128)
@@ -199,7 +193,7 @@ class TestTraceSerialization:
             t_exp += math.ceil(rng.randrange(8) + cfg.v_s - t_exp - q * cfg.gamma_x)
             terms[(t_exp, q)] = rng.randint(1, 2)
         beta = TruncatedSeries(residue.profile, terms, None)
-        doc = trace_to_doc(run_division(plan, residue, ring3, beta, 8))
+        doc = trace_to_doc(run_division(plan, beta, 8))
         report = verify_trace(doc)
         assert report.ok, report.text()
         assert len(dump_doc(doc)) < 20_000
@@ -207,14 +201,14 @@ class TestTraceSerialization:
 
 @pytest.fixture
 def built_maps(monkeypatch):
-    """(plan, map) for every substitution map a division builds."""
+    """Every substitution map a plan builds, in order."""
     built = []
 
-    def spy(plan, field, ring):
-        built.append((plan, standard_substitution(plan, field, ring)))
-        return built[-1][1]
+    def spy(*args):
+        built.append(SubstitutionMap(*args))
+        return built[-1]
 
-    monkeypatch.setattr(division, "standard_substitution", spy)
+    monkeypatch.setattr(builder, "SubstitutionMap", spy)
     return built
 
 
@@ -248,10 +242,9 @@ def _bump(c, p):
 
 class TestConsistencyCheck:
     @pytest.mark.parametrize("part", ["image", "preimage"])
-    def test_corrupted_certificate_is_caught(self, part, cfg, plan, residue,
-                                             ring3, monkeypatch):
+    def test_corrupted_certificate_is_caught(self, part, cfg, plan, residue, monkeypatch):
         beta = residue.monomial(1, 1, 0)  # band 0, exponent 0 = stage 1
-        cert = build_adapted(plan, 1, residue, ring3)
+        cert = build_adapted(plan, 1)
         series = getattr(cert, part)
         # image: its lightest non-leading term; preimage: its heaviest term.
         # Either way the division still reads the recorded leading monomial,
@@ -261,22 +254,22 @@ class TestConsistencyCheck:
         terms[exps] = _bump(c, cfg.p)
         bad = dataclasses.replace(
             cert, **{part: type(series)(series.profile, terms, series.precision)})
-        monkeypatch.setattr(builder, "build_adapted", lambda plan, m, field, ring: (
-            bad if m == 1 else build_adapted(plan, m, field, ring)))
+        monkeypatch.setattr(builder, "build_adapted", lambda plan, m: (
+            bad if m == 1 else build_adapted(plan, m)))
         with pytest.raises(ContractViolationError, match="stage 1: substitution route"):
-            run_division(plan, residue, ring3, beta, 2)
+            run_division(plan, beta, 2)
 
         # unchecked, the run records the honest quotients: neither bumped
         # term reaches a quotient in 2 steps, so the trace equals the one
         # run on the honest certificate and verifies
         monkeypatch.setattr(division, "_check_consistency", lambda diff, where: None)
-        doc = trace_to_doc(run_division(plan, residue, ring3, beta, 2))
+        doc = trace_to_doc(run_division(plan, beta, 2))
         monkeypatch.undo()  # the honest certificate and check
-        assert doc == trace_to_doc(run_division(plan, residue, ring3, beta, 2))
+        assert doc == trace_to_doc(run_division(plan, beta, 2))
         report = verify_trace(doc)
         assert report.ok, report.text()
 
-    def test_checks_each_used_stage_once(self, cfg, plan, residue, ring3, monkeypatch):
+    def test_checks_each_used_stage_once(self, cfg, plan, residue, monkeypatch):
         seen = []
         check = division._check_consistency
 
@@ -287,57 +280,53 @@ class TestConsistencyCheck:
         monkeypatch.setattr(division, "_check_consistency", spy)
         # steps 1 and 2 both divide by the stage of exponent -3
         beta = rand_normalized_target(random.Random(35), residue, cfg.v_s)
-        trace = run_division(plan, residue, ring3, beta, 3)
+        trace = run_division(plan, beta, 3)
         qs = [q for step in trace.steps for q, _ in step.quotients]
         used = dict.fromkeys(qs)
         assert 1 < len(used) < len(qs)
         assert seen == [f"stage {trace.plan.find_stage(q).m}" for q in used]
 
-    def test_stage_appended_mid_division(self, cfg, plan, residue, ring3, built_maps):
+    def test_stage_appended_mid_division(self, cfg, residue, built_maps):
         # t^1 is divided at step 0 by stage 1; t x^(5/9) lies in band 1 and
         # its exponent is off the enumeration, so step 1 appends a stage
+        plan = build_plan(cfg)
         beta = residue.monomial(1, 1, 0) + residue.monomial(2, 1, F(5, 9))
         n0 = len(plan.stages)
-        trace = run_division(plan, residue, ring3, beta, 3)
+        trace = run_division(plan, beta, 3)
         assert len(plan.stages) == n0
         assert len(trace.plan.stages) == n0 + 1
         assert trace.plan.stages[-1].omega == F(5, 9)
         assert trace.steps[1].band.terms == {(F(1), F(5, 9)): 2}
-        # stage 1 is checked against the plan as given, the appended stage
-        # against the extended one
-        assert [len(p.stages) for p, _ in built_maps] == [n0, n0 + 1]
-        assert built_maps[-1][1].images[2] == assemble_alpha(trace.plan, residue)
+        # stage 1 and the appended stage are both checked against the map
+        # of the extended plan, the one map the run builds
+        assert len(built_maps) == 1 and built_maps[0] is trace.plan.substitution
+        assert "substitution" not in vars(plan)
         report = verify_trace(trace_to_doc(trace))
         assert report.ok, report.text()
 
-    def test_divisions_on_a_shared_plan_match_fresh_plans(self, cfg, plan, residue,
-                                                           ring3):
+    def test_divisions_on_a_shared_plan_match_fresh_plans(self, cfg, plan, residue):
         # the first target appends the stage 5/9; the second division must
         # not see it
         targets = [residue.monomial(1, 1, 0) + residue.monomial(2, 1, F(5, 9)),
                    rand_normalized_target(random.Random(37), residue, cfg.v_s)]
         n0 = len(plan.stages)
-        shared = [trace_to_doc(run_division(plan, residue, ring3, beta, 3))
-                  for beta in targets]
-        fresh = [trace_to_doc(run_division(build_plan(cfg), residue, ring3, beta, 3))
-                 for beta in targets]
+        shared = [trace_to_doc(run_division(plan, beta, 3)) for beta in targets]
+        fresh = [trace_to_doc(run_division(build_plan(cfg), beta, 3)) for beta in targets]
         assert len(shared[0]["plan"]["stages"]) == n0 + 1
         assert shared == fresh
 
-    def test_cached_map_matches_fresh_and_reference(self, cfg, plan, residue,
-                                                    ring3, built_maps):
+    def test_cached_map_matches_fresh_and_reference(self, cfg, residue, ring3, built_maps):
         rng = random.Random(23)
         beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan, residue, ring3, beta, 4)
-        # a map is rebuilt only when the plan has grown, and a grown plan's
-        # new stage is checked at once, so the last map is on the final plan
-        counts = [len(p.stages) for p, _ in built_maps]
-        assert counts == sorted(set(counts))
-        used_plan, cached = built_maps[-1]
-        assert used_plan is trace.plan
-        fresh = standard_substitution(trace.plan, residue, ring3)
+        trace = run_division(build_plan(cfg), beta, 4)
+        # the run builds one map, that of the plan it returns; an equal plan
+        # value builds its own
+        (cached,) = built_maps
+        assert cached is trace.plan.substitution
+        fresh = dataclasses.replace(trace.plan).substitution
+        assert fresh is not cached
         x1, x3 = ring3.var(1), ring3.var(3)
-        corrections = step_corrections(trace, residue, ring3)
+        corrections = step_corrections(trace)
         a = sum(corrections, ring3.zero())
         elements = corrections + [a, x3, x1 * x3 * x3]
         # a low cap truncates the image powers before they are multiplied
@@ -354,12 +343,11 @@ class TestConsistencyCheck:
 ])
 def test_division_round_trip_other_instances(p, gamma_x, v_s):
     cfg = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
-    field, ring = cfg.residue(), cfg.tate(3)
     plan = build_plan(cfg)
     rng = random.Random(p)
     for _ in range(2):
-        beta = rand_normalized_target(rng, field, v_s, max_terms=5)
-        trace = run_division(plan, field, ring, beta, 4)
+        beta = rand_normalized_target(rng, plan.field, v_s, max_terms=5)
+        trace = run_division(plan, beta, 4)
         for m, step in enumerate(trace.steps):
             val = step.beta_after.val_lower()
             assert val is None or val >= m + 1 + v_s

@@ -55,16 +55,6 @@ class TestRingConstraints:
         assert not is_integral(ring1.monomial(1, Fraction(-1, 3), (1,)))
         assert not is_integral(ring1.zero(precision=Fraction(-1)))
 
-    def test_embed_ground_lifts_elements_free_of_variables(self, ground, residue, ring3):
-        f = (residue.monomial(2, Fraction(1, 3), 0, precision=4)
-             + residue.monomial(1, 2, 0, precision=4))
-        got = ring3.embed_ground(f)
-        assert got == TruncatedSeries(
-            ring3.profile, {(e[0], 0, 0, 0): c for e, c in f.terms.items()}, 4)
-        assert ring3.embed_ground(ground.monomial(1, 1)) == ring3.monomial(1, 1, (0, 0, 0))
-        with pytest.raises(ExponentError):
-            ring3.embed_ground(residue.monomial(1, 1, Fraction(1, 3)))
-
 
 class TestDiskSeminorm:
     def test_single_variable(self, ring1):
@@ -110,7 +100,7 @@ class TestTypeIILowerBound:
         assert disk_seminorm(f, (Fraction(1),)) == 1
 
     def test_chooses_smaller_term(self, ring1):
-        f = ring1.embed_ground(ring1.ground.monomial(1, 1)) + ring1.var(1)
+        f = ring1.monomial(1, 1, (0,)) + ring1.var(1)
         assert type_ii_lower_bound(f, 2) == 1
 
     def test_fractional_exponent(self, ring1):
@@ -127,28 +117,23 @@ class TestTypeIILowerBound:
 
 
 class TestSubstitution:
-    def make_sub(self, plan, residue, ring3):
-        from hahndisk.builder import standard_substitution
-
-        return standard_substitution(plan, residue, ring3)
-
     def test_first_generator(self, plan, residue, ring3):
-        sub = self.make_sub(plan, residue, ring3)
+        sub = plan.substitution
         assert sub.apply(ring3.var(1)) == residue.x_power(1)
 
     def test_product_relation_hits_constant(self, plan, residue, ring3):
-        sub = self.make_sub(plan, residue, ring3)
+        sub = plan.substitution
         got = sub.apply(ring3.var(1) * ring3.var(2))
         assert got == residue.monomial(1, plan.v_c, 0)
 
     def test_fractional_power_via_root(self, plan, residue, ring3):
-        sub = self.make_sub(plan, residue, ring3)
+        sub = plan.substitution
         f = ring3.monomial(1, 0, (Fraction(1, 3), 0, 0))
         assert sub.apply(f) == residue.x_power(Fraction(1, 3))
 
-    def test_homomorphism_to_precision(self, plan, residue, ring3):
+    def test_homomorphism_to_precision(self, plan, ring3):
         rng = random.Random(9)
-        sub = self.make_sub(plan, residue, ring3)
+        sub = plan.substitution
         wp = plan.config.work_prec
         for _ in range(40):
             f = rand_tate(rng, ring3, max_terms=4)
@@ -158,9 +143,9 @@ class TestSubstitution:
             diff = lhs - rhs
             assert not diff.terms
 
-    def test_integral_maps_to_nonnegative_valuation(self, plan, residue, ring3):
+    def test_integral_maps_to_nonnegative_valuation(self, plan, ring3):
         rng = random.Random(10)
-        sub = self.make_sub(plan, residue, ring3)
+        sub = plan.substitution
         for _ in range(60):
             f = rand_tate(rng, ring3, max_terms=4)
             if not is_integral(f):
@@ -173,10 +158,10 @@ class TestSubstitution:
         with pytest.raises(ConfigError):
             SubstitutionMap(ring3, residue, (bad, bad, bad))
 
-    def test_file_round_trip(self, plan, residue, ring3, tmp_path):
+    def test_file_round_trip(self, plan, residue, tmp_path):
         from hahndisk.tate import save_substitution
 
-        sub = self.make_sub(plan, residue, ring3)
+        sub = plan.substitution
         paths = save_substitution(sub, tmp_path / "images")
         assert [p.name for p in paths] == ["image_1.txt", "image_2.txt", "image_3.txt"]
         assert tuple(residue.parse(p.read_text()) for p in paths) == sub.images

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import hahndisk.builder
+import hahndisk.cli
+import hahndisk.config
 import hahndisk.division
 import hahndisk.fields
 import hahndisk.series
@@ -169,7 +171,7 @@ def findings_and_reference(doc):
 
 
 class TestPlanVerification:
-    def test_accepts_fresh_plan(self, plan, residue, ring3):
+    def test_accepts_fresh_plan(self, plan):
         report = verify_plan(plan_to_doc(plan))
         assert report.ok, report.text()
 
@@ -177,7 +179,7 @@ class TestPlanVerification:
         report = verify_plan({"kind": "nonsense"})
         assert not report.ok
 
-    def test_stage_mutations_are_localized(self, plan, residue, ring3):
+    def test_stage_mutations_are_localized(self, plan):
         doc = plan_to_doc(plan)
         mutations = [
             ("stage 5", lambda d: d["stages"][4].__setitem__("b", 10)),
@@ -238,7 +240,7 @@ class TestPlanVerification:
             report = verify_document(tampered)
             assert [f.where for f in report.failures()] == [where], report.text()
 
-    def test_format_1_plans_fail_at_plan(self, plan, residue, ring3):
+    def test_format_1_plans_fail_at_plan(self, plan):
         # a plan as format 1 wrote it, with every restated value honest, alone
         # and embedded in a certificate
         doc = plan_to_doc(plan)
@@ -247,7 +249,7 @@ class TestPlanVerification:
         doc["instance"]["seed"] = 0
         doc["stages"] = [{"m": st.m, "omega": str(st.omega), "v_e": str(st.v_e),
                           "b": st.b, "v_eps": str(st.v_eps)} for st in plan.stages]
-        cert = certificate_to_doc(plan, build_adapted(plan, 2, residue, ring3))
+        cert = certificate_to_doc(plan, build_adapted(plan, 2))
         cert["plan"] = doc
         for tampered in (doc, cert):
             report = verify_document(tampered)
@@ -257,9 +259,10 @@ class TestPlanVerification:
         golden = json.loads((DATA.parent / "golden" / "plan.json").read_text())
         for built, doc in [(plan, golden)] + [(p, plan_to_doc(p)) for p in extended_plans]:
             rep = Report()
-            config, rows, v_c = hahndisk.verify._check_plan(doc, rep)
+            config, rows, v_c, field = hahndisk.verify._check_plan(doc, rep)
             assert rep.ok, rep.text()
             assert (config, v_c) == (built.config, built.v_c)
+            assert field.profile == built.field.profile
             assert ([(r.omega, r.v_e, r.b, r.v_eps) for r in rows]
                     == [(st.omega, st.v_e, st.b, st.v_eps) for st in built.stages])
 
@@ -338,8 +341,7 @@ class TestPlanVerification:
             assert not [f.message for f in report.findings
                         if float_text.search(f.message)], (m, b, report.text())
 
-    def test_closed_form_image_facts_match_built_images(self, extended_plans, plan,
-                                                         residue, ring3):
+    def test_closed_form_image_facts_match_built_images(self, extended_plans, plan):
         docs = [plan_to_doc(plan)]
         docs += [plan_to_doc(extended) for extended in extended_plans]
         for doc in docs:
@@ -395,26 +397,22 @@ class TestPlanVerification:
 
 @pytest.fixture(scope="module")
 def instance_plans():
-    """(plan, residue field, Tate ring) at 12 stages for every instance of
-    INSTANCES; read-only."""
-    out = []
-    for p, gamma_x, v_s in INSTANCES:
-        cfg = InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s)
-        out.append((build_plan(cfg), cfg.residue(), cfg.tate(3)))
-    return out
+    """The plan at 12 stages of every instance of INSTANCES; read-only."""
+    return [build_plan(InstanceConfig(p=p, gamma_x=gamma_x, v_s=v_s))
+            for p, gamma_x, v_s in INSTANCES]
 
 
 class TestCertificateVerification:
     def test_accepts_fresh_certificates(self, instance_plans):
-        for plan, residue, ring3 in instance_plans:
+        for plan in instance_plans:
             for m in (1, 2, 7, 12):
-                cert = build_adapted(plan, m, residue, ring3)
+                cert = build_adapted(plan, m)
                 report = verify_certificate(certificate_to_doc(plan, cert))
                 assert report.ok, report.text()
 
     def test_image_tamper_detected(self, instance_plans):
-        for plan, residue, ring3 in instance_plans:
-            cert = build_adapted(plan, 2, residue, ring3)
+        for plan in instance_plans:
+            cert = build_adapted(plan, 2)
             doc = certificate_to_doc(plan, cert)
             doc["image"] = doc["image"].replace("1 t^", "2 t^", 1)
             report = verify_certificate(doc)
@@ -423,8 +421,8 @@ class TestCertificateVerification:
 
     def test_malformed_fields_are_located(self, instance_plans):
         # a located FAIL, never a KeyError or AttributeError
-        for plan, residue, ring3 in instance_plans:
-            cert = build_adapted(plan, 2, residue, ring3)
+        for plan in instance_plans:
+            cert = build_adapted(plan, 2)
             # the three fields format 1 recorded, with their honest values
             format_1 = {
                 "v_s": str(plan.config.v_s),
@@ -458,29 +456,53 @@ class TestCertificateVerification:
 
 
 class TestTraceVerification:
-    def make_trace_doc(self, cfg, residue, ring3, seed=29, steps=5):
+    def make_trace_doc(self, cfg, seed=29, steps=5):
         plan = build_plan(cfg)
         rng = random.Random(seed)
-        beta = rand_normalized_target(rng, residue, cfg.v_s)
-        trace = run_division(plan, residue, ring3, beta, steps)
+        beta = rand_normalized_target(rng, plan.field, cfg.v_s)
+        trace = run_division(plan, beta, steps)
         return trace_to_doc(trace)
 
-    def test_accepts_fresh_trace(self, cfg, residue, ring3):
-        report = verify_trace(self.make_trace_doc(cfg, residue, ring3))
+    def test_accepts_fresh_trace(self, cfg):
+        report = verify_trace(self.make_trace_doc(cfg))
         assert report.ok, report.text()
 
-    def test_normalize_k_needs_a_low_nonzero_target(self, plan, residue, ring3):
+    def test_normalize_k_needs_a_low_nonzero_target(self, plan, residue):
         # normalize_target shifts only a nonzero target of valuation below
         # v_s, by the least power of t that lifts it to v_s, so the shifted
         # target lies below 1 + v_s = 5/4
-        high = residue.monomial(1, 2, 0) * build_adapted(plan, 1, residue, ring3).image
+        high = residue.monomial(1, 2, 0) * build_adapted(plan, 1).image
         assert high.val_lower() == F(19, 9)
         for target, shifts in [(high, (1, 3)), (residue.zero(), (5,))]:
-            doc = trace_to_doc(run_division(plan, residue, ring3, target, 4))
+            doc = trace_to_doc(run_division(plan, target, 4))
             assert verify_trace(doc).ok
             for k in shifts:
                 report = verify_trace({**doc, "normalize_k": k})
                 assert [f.where for f in report.failures()] == ["trace"], report.text()
+
+    def test_normalize_k_moves_on_the_pinned_traces(self):
+        # normalize_k - 1 is no shift normalize_target writes, so it FAILs
+        # at trace.  normalize_k + 1 verifies PASS: each target lies below
+        # 1 + v_s, so it is also the shift of an input one more power of t
+        # lower, and the trace records no input, so this move changes
+        # nothing the verifier can derive.  No move raises.
+        start = time.monotonic()
+        passed = []
+        for name in ("divide_seed11_steps4.json", "divide_p5_steps4.json"):
+            doc = json.loads((DATA / name).read_text())
+            v_s = Fraction(doc["plan"]["instance"]["v_s"])
+            target = InstanceConfig.from_dict(doc["plan"]["instance"]).residue().parse(
+                doc["target"])
+            assert target.terms and target.val_lower() < 1 + v_s
+            for move in (-1, 1):
+                report = verify_trace({**doc, "normalize_k": doc["normalize_k"] + move})
+                if report.ok:
+                    passed.append((name, move))
+                else:
+                    assert [f.where for f in report.failures()] == ["trace"], report.text()
+        assert passed == [("divide_seed11_steps4.json", 1), ("divide_p5_steps4.json", 1)]
+        elapsed = time.monotonic() - start
+        assert elapsed < 5, f"normalize_k moves took {elapsed:.2f}s, budget 5s"
 
     @staticmethod
     def step_mutations(doc):
@@ -542,8 +564,8 @@ class TestTraceVerification:
                                       d["steps"][j].__setitem__(i, [q2, swap_terms(d2)])))
         return mutations
 
-    def test_step_mutations_are_localized(self, cfg, residue, ring3):
-        fresh = self.make_trace_doc(cfg, residue, ring3, seed=17)
+    def test_step_mutations_are_localized(self, cfg):
+        fresh = self.make_trace_doc(cfg, seed=17)
         # the recorded p = 5 run divides by no quotient of two terms; the
         # fresh p = 3 run has two
         recorded = json.loads((DATA / "divide_p5_steps4.json").read_text())
@@ -791,13 +813,13 @@ def test_every_report_derives_the_kernel_witnesses(instance_plans):
     # a plan, a certificate and a trace report each carry the two witness
     # findings at `plan` right after the plan's format, at every instance;
     # criterion 4 checks the builder's kernel_witness there
-    for plan, residue, ring3 in instance_plans:
+    for plan in instance_plans:
         cfg = plan.config
         want = [(True, "plan", f"witness valuation {cfg.gamma_x} of x lies outside "
                  f"Z[1/{cfg.p}]"), (True, "plan", "x * c x^-1 - c is the exact zero")]
-        trace = run_division(plan, residue, ring3, residue.zero(), 1)
+        trace = run_division(plan, plan.field.zero(), 1)
         for doc in (plan_to_doc(plan),
-                    certificate_to_doc(plan, build_adapted(plan, 2, residue, ring3)),
+                    certificate_to_doc(plan, build_adapted(plan, 2)),
                     trace_to_doc(trace)):
             report = verify_document(doc)
             assert report.ok, report.text()
@@ -807,9 +829,9 @@ def test_every_report_derives_the_kernel_witnesses(instance_plans):
 
 
 class TestDispatch:
-    def test_routes_by_kind(self, plan, residue, ring3):
+    def test_routes_by_kind(self, plan):
         assert verify_document(plan_to_doc(plan)).ok
-        cert = build_adapted(plan, 1, residue, ring3)
+        cert = build_adapted(plan, 1)
         assert verify_document(certificate_to_doc(plan, cert)).ok
         assert not verify_document({"kind": "mystery"}).ok
 
@@ -834,12 +856,27 @@ def test_verify_imports_neither_builder_nor_division():
     assert not [n for n in names if {"builder", "division"} & set(n.split("."))]
 
 
+def test_only_the_config_builds_fields_and_rings():
+    # a plan derives its field, ring and map from its config, so no builder
+    # or division function takes one, and only config.py constructs them
+    built = {"GroundField", "ResidueField", "TateRing"}
+    for module in (hahndisk.builder, hahndisk.division, hahndisk.verify, hahndisk.cli,
+                   hahndisk.config, hahndisk.tate, hahndisk.fields):
+        calls = [node.lineno for node in ast.walk(_module_tree(module))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in built]
+        assert bool(calls) == (module is hahndisk.config), (module.__name__, calls)
+    for module in (hahndisk.builder, hahndisk.division):
+        params = {arg.arg for node in ast.walk(_module_tree(module))
+                  if isinstance(node, ast.FunctionDef) for arg in node.args.args}
+        assert not params & {"field", "ring", "sub"}, module.__name__
+
+
 @pytest.mark.parametrize("module", [hahndisk.builder, hahndisk.division, hahndisk.tate,
                                     hahndisk.verify],
                          ids=lambda m: m.__name__)
 def test_computed_series_skip_the_validating_constructor(module):
-    # computed terms become a series through from_terms, window, split or
-    # embed_ground; TruncatedSeries(...) is for input from outside
+    # computed terms become a series through from_terms, window or split;
+    # TruncatedSeries(...) is for input from outside
     calls = [node.lineno for node in ast.walk(_module_tree(module))
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None))
