@@ -44,12 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .config import MAX_B_SEARCH, InstanceConfig
-from .errors import (
-    AdaptednessFailedError,
-    ContractViolationError,
-    PrecisionExhaustedError,
-    StageUnavailableError,
-)
+from .errors import AdaptednessFailedError, ContractViolationError, StageUnavailableError
 from .fields import ResidueField, choose_c
 from .series import TruncatedSeries, render_series
 from .tate import SubstitutionMap, TateRing, is_integral
@@ -188,10 +183,6 @@ def build_plan(config: InstanceConfig) -> AlphaPlan:
     and separation; the constraints are re-verified on the finished plan by
     the independent checker.
     """
-    if config.work_prec <= 1 + config.v_s:
-        raise PrecisionExhaustedError(
-            f"work_prec = {config.work_prec} cannot resolve any stage tail"
-        )
     plan = AlphaPlan(config=config, stages=())
     for m in range(1, config.stages + 1):
         plan = _append_stage(plan, omega(m, config.p), base=True)

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: build | adapted | divide | classify | verify | selftest.
-Instance flags (--p, --gamma-x, --v-s, --prec, --stages) override a JSON
-config file given by --config or the HAHNDISK_CONFIG environment variable;
+Instance flags (--p, --gamma-x, --v-s, --prec, --stages) replace their own
+keys of a JSON config file given by --config or the HAHNDISK_CONFIG
+environment variable;
 `verify` takes none of them, since a transcript carries its instance, and
 `classify` takes only its own --p (default 3), the one value it reads.
 `selftest` also takes its own --seed (default 0) for its random series,
@@ -21,7 +22,6 @@ not UTF-8 and JSON nested too deeply.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import random
 import sys
@@ -59,15 +59,13 @@ def _output_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args) -> InstanceConfig:
+    """The config file's instance with each given flag replacing its key;
+    the config checks the merged record once."""
     path = args.config or os.environ.get(CONFIG_ENV)
     data = read_json(path, f"config file {path}") if path else {}
-    base = InstanceConfig.from_dict(data)
     flags = {"p": args.p, "gamma_x": args.gamma_x, "v_s": args.v_s,
              "stages": args.stages, "work_prec": args.prec}
-    changes = {k: v for k, v in flags.items() if v is not None}
-    if args.stages is not None and args.prec is None:
-        changes["work_prec"] = None  # re-derived from stages
-    return dataclasses.replace(base, **changes)
+    return InstanceConfig.from_dict(data, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _outdir(args) -> Path:

@@ -96,9 +96,11 @@ class InstanceConfig:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "InstanceConfig":
+    def from_dict(cls, data: dict, **overrides) -> "InstanceConfig":
+        """The config of a JSON object, each of `overrides` replacing its key."""
         if not isinstance(data, dict):
             raise FormatError("config must be a JSON object")
+        data = {**data, **overrides}
         known = {"p", "gamma_x", "v_s", "stages", "work_prec"}
         unknown = set(data) - known
         if unknown:

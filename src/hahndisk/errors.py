@@ -49,10 +49,6 @@ class UnresolvedError(HahndiskError):
     """No term of the element is resolved below the precision floor."""
 
 
-class PrecisionExhaustedError(HahndiskError):
-    """The working precision cannot resolve the requested number of stages."""
-
-
 class AdaptednessFailedError(HahndiskError):
     """An exact adaptedness check failed; the plan is inconsistent."""
 

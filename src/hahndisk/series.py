@@ -23,13 +23,15 @@ checks every exponent and reduces every coefficient.  Terms a closed
 operation computed go through `_trusted` or its public forms, which skip
 that check: `from_terms` sums (exponents, coefficient) pairs mod p,
 `window` keeps the terms of a weight interval and `split` groups them by
-one exponent.  Only this module combines terms mod p.
+one exponent.  `from_terms` is the one loop that combines terms mod p;
+`+` and `*` hand it their pairs too.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     AmbiguousLeadingError,
@@ -260,16 +262,9 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check_profile(other)
-        prec = min_precision(self.precision, other.precision)
-        acc = dict(self.terms)
-        p = self.profile.p
-        for exps, c in other.terms.items():
-            s = (acc.get(exps, 0) + c) % p
-            if s:
-                acc[exps] = s
-            else:
-                acc.pop(exps, None)
-        return TruncatedSeries._trusted(self.profile, acc, prec)
+        return TruncatedSeries.from_terms(
+            self.profile, chain(self.terms.items(), other.terms.items()),
+            min_precision(self.precision, other.precision))
 
     def __neg__(self):
         p = self.profile.p
@@ -286,17 +281,9 @@ class TruncatedSeries:
             shift_precision(self.precision, other.val_lower()),
             shift_precision(other.precision, self.val_lower()),
         )
-        acc = {}
-        p = self.profile.p
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = (acc.get(e, 0) + c1 * c2) % p
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return TruncatedSeries._trusted(self.profile, acc, prec)
+        pairs = ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                 for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
+        return TruncatedSeries.from_terms(self.profile, pairs, prec)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -320,9 +307,7 @@ class TruncatedSeries:
         w = self.profile.weight(exps)
         prec = shift_precision(self.precision, -2 * w)
         inv = pow(c, -1, self.profile.p)
-        return TruncatedSeries.monomial(
-            self.profile, inv, tuple(-e for e in exps), prec
-        )
+        return TruncatedSeries._trusted(self.profile, {tuple(-e for e in exps): inv}, prec)
 
     def truncate(self, new_prec):
         """Drop terms of weight >= new_prec and record the lower bound."""
@@ -502,4 +487,7 @@ def parse_series(profile: WeightProfile, text: str) -> TruncatedSeries:
         terms[key] = coeff
     if precision == "missing":
         raise FormatError("missing precision sentinel O(...)")
-    return TruncatedSeries(profile, terms, precision)
+    try:
+        return TruncatedSeries(profile, terms, precision)
+    except ExponentError as exc:  # an exponent outside Z[1/p] is malformed text
+        raise FormatError(str(exc)) from exc

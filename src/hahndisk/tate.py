@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .errors import (
     ConfigError,
-    ContractViolationError,
     ExponentError,
     IndeterminateFromPrecisionError,
     UnresolvedError,
@@ -114,12 +113,11 @@ def disk_seminorm(f: TruncatedSeries, rho) -> Fraction:
 
 
 def type_ii_lower_bound(f: TruncatedSeries, rho) -> Fraction:
-    """Certified bound for a one-variable element at a value-group radius.
+    """The disk seminorm of a one-variable element at a value-group radius.
 
-    Returns the point value of the weight-minimal resolved term; the
-    seminorm at rho can only be smaller or equal (additively), so the norm
-    of f at the point is at least the positive quantity the bound encodes.
-    Raising UnresolvedError means no term was resolved below precision.
+    The value is a finite rational v, so the norm of f at that Type II
+    point is e^-v > 0.  Raising UnresolvedError means no term, or no
+    minimum, is resolved below precision.
     """
     if f.profile.dim != 2:
         raise ConfigError("the bound is stated for one-variable elements")
@@ -130,16 +128,10 @@ def type_ii_lower_bound(f: TruncatedSeries, rho) -> Fraction:
         )
     if not f.terms:
         raise UnresolvedError("no term resolved below the precision floor")
-    bound = min(exps[0] + exps[1] * rho for exps in f.terms)
     try:
-        sem = disk_seminorm(f, (rho,))
+        return disk_seminorm(f, (rho,))
     except IndeterminateFromPrecisionError as exc:
         raise UnresolvedError(str(exc)) from exc
-    if sem > bound:
-        raise ContractViolationError(
-            f"seminorm {sem} exceeded its certified bound {bound}"
-        )
-    return bound
 
 
 class SubstitutionMap:
@@ -191,8 +183,8 @@ class SubstitutionMap:
             prec = image.precision
             if prec is not EXACT:
                 prec = (prec + (u - 1) * image.profile.weight(exps)) / p ** k
-            out = TruncatedSeries._trusted(
-                image.profile, {tuple(q * e for e in exps): pow(c, u, p)}, prec)
+            out = TruncatedSeries.from_terms(
+                image.profile, [(tuple(q * e for e in exps), pow(c, u, p))], prec)
         else:
             out = image.frobenius(-k) ** u
         if (

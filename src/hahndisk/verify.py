@@ -76,12 +76,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _format_is(doc: dict, want: int, rep: Report, where: str) -> bool:
-    """The document's `format` is the JSON integer `want`: a document of
-    another format may carry fields this checker would leave unread."""
+def _document_is(doc, kind: str, fmt: int, fields: frozenset, rep: Report) -> bool:
+    """The document is an object of this kind whose `format` is the JSON
+    integer `fmt` and whose fields are exactly `fields`: a document of
+    another format may carry fields this checker would leave unread.
+    Findings go to `kind`."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        rep.fail(kind, f"document kind is not {kind!r}")
+        return False
     got = doc.get("format")
-    return rep.check(_is_int(got) and got == want, where,
-                     f"format {got!r} is {want}")
+    return (rep.check(_is_int(got) and got == fmt, kind, f"format {got!r} is {fmt}")
+            and _fields_are(doc, fields, rep, kind))
 
 
 def _fields_are(record: dict, want: frozenset, rep: Report, where: str) -> bool:
@@ -258,10 +263,7 @@ def _check_plan(doc, rep: Report):
     and derived, (config, rows, v_c, residue field), or None if it could not
     be read, so a certificate or trace reads its embedded plan, and builds
     its field, once.  Use the rows only once every check has passed."""
-    if not isinstance(doc, dict) or doc.get("kind") != "plan":
-        rep.fail("plan", "document kind is not 'plan'")
-        return None
-    if not (_format_is(doc, 3, rep, "plan") and _fields_are(doc, _PLAN_FIELDS, rep, "plan")):
+    if not _document_is(doc, "plan", 3, _PLAN_FIELDS, rep):
         return None
     try:
         config, stages = _read_plan(doc)
@@ -347,11 +349,7 @@ def verify_certificate(doc: dict) -> Report:
     adapted facts, and `image` and `preimage` are the rendered series the
     plan gives for stage `m`."""
     rep = Report()
-    if doc.get("kind") != "certificate":
-        rep.fail("certificate", "document kind is not 'certificate'")
-        return rep
-    if not (_format_is(doc, 2, rep, "certificate")
-            and _fields_are(doc, _CERT_FIELDS, rep, "certificate")):
+    if not _document_is(doc, "certificate", 2, _CERT_FIELDS, rep):
         return rep
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
@@ -389,11 +387,7 @@ def verify_trace(doc: dict) -> Report:
     route is checked once for each stage a step uses: the map is a ring map
     that fixes the x-free quotients, so that covers every correction."""
     rep = Report()
-    if doc.get("kind") != "trace":
-        rep.fail("trace", "document kind is not 'trace'")
-        return rep
-    if not (_format_is(doc, 4, rep, "trace")
-            and _fields_are(doc, _TRACE_FIELDS, rep, "trace")):
+    if not _document_is(doc, "trace", 4, _TRACE_FIELDS, rep):
         return rep
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:

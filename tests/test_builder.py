@@ -25,7 +25,7 @@ from hahndisk.builder import (
     kernel_witness,
     plan_to_doc,
 )
-from hahndisk.errors import PrecisionExhaustedError, StageUnavailableError
+from hahndisk.errors import StageUnavailableError
 from hahndisk.tate import is_integral
 from hahndisk.valgroup import smallest_zp_point
 from hahndisk import InstanceConfig
@@ -149,18 +149,11 @@ class TestBuildPlan:
         from hahndisk.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            # work_prec <= stages + 1 is rejected at the config level
+            # work_prec <= stages + 1 is rejected at the config level, so
+            # build_plan needs no guard: work_prec > stages + 1 >= 2 > 1 + v_s
             InstanceConfig(stages=12, work_prec=13)
         with pytest.raises(ConfigError):
             InstanceConfig(stages=1, work_prec=F(9, 8))
-
-    def test_tiny_work_prec_exhausts(self):
-        # the builder guard backs up the config invariant; reach it by
-        # bypassing config validation
-        tiny = InstanceConfig(stages=1, work_prec=F(6))
-        object.__setattr__(tiny, "work_prec", F(9, 8))
-        with pytest.raises(PrecisionExhaustedError):
-            build_plan(tiny)
 
     def test_doc_shape(self, plan):
         # format 3 records only the free choices: no v_c, per-stage index,

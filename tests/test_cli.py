@@ -130,6 +130,20 @@ class TestDivide:
     def test_missing_file(self, tmp_path):
         assert run("divide", str(tmp_path / "nope.txt"), "2") == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 t^1/2\nO(EXACT)\n", "exponent 1/2 is not in Z[1/3]"),
+        ("1 t^1\n2 t^1\nO(EXACT)\n", "duplicate exponent vector"),
+        ("1 t^1 x2^1\nO(EXACT)\n", "variable 'x2' outside profile"),
+    ], ids=["exponent-outside-zp", "duplicate-term", "unknown-variable"])
+    def test_malformed_target_is_usage_error(self, text, message, tmp_path, capsys):
+        # an exponent outside Z[1/p] is malformed input, not a contract violation
+        target = tmp_path / "target.txt"
+        target.write_text(text)
+        assert run("divide", str(target), "--out", str(tmp_path / "out")) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err, err
+        assert "Traceback" not in out + err
+
     def test_negative_steps_is_usage_error(self, tmp_path, capsys):
         beta = tmp_path / "beta.txt"
         beta.write_text("1 t^10/9\nO(EXACT)\n")
@@ -466,6 +480,15 @@ class TestVerifyMalformedTrace:
         assert f"FAIL [{where}]" in out
         assert "Traceback" not in out + err
 
+    def test_target_exponent_outside_zp(self, trace_doc, tmp_path, capsys):
+        doc = copy.deepcopy(trace_doc)
+        doc["target"] = "1 t^1/2\nO(EXACT)\n"
+        bad = tmp_path / "trace.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad)) == 1
+        assert ("FAIL [trace] malformed trace: exponent 1/2 is not in Z[1/3]"
+                in capsys.readouterr().out)
+
     def test_honest_trace_passes(self, trace_doc, tmp_path):
         good = tmp_path / "trace.json"
         good.write_text(json.dumps(trace_doc))
@@ -523,6 +546,26 @@ class TestConfigHandling:
         assert run("build", "--stages", "3", "--out", str(out)) == 0
         doc = json.loads((out / "plan.json").read_text())
         assert doc["instance"]["stages"] == 3
+
+    def test_file_work_prec_survives_stages_flag(self, tmp_path):
+        # a file value survives unless its own flag replaces it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"work_prec": "40"}))
+        out = tmp_path / "out"
+        assert run("build", "--config", str(cfg), "--stages", "5", "--out", str(out)) == 0
+        instance = json.loads((out / "plan.json").read_text())["instance"]
+        assert (instance["stages"], instance["work_prec"]) == (5, "40")
+
+    def test_file_work_prec_conflicting_with_stages_flag(self, tmp_path, capsys):
+        # the file alone is valid; the merged record is checked once, and
+        # work_prec 5 <= 30 + 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": 2, "work_prec": "5"}))
+        out = tmp_path / "out"
+        assert run("build", "--config", str(cfg), "--stages", "30", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must exceed stages + 1" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["stages"])
     def test_boolean_integer_is_usage_error(self, key, tmp_path):

@@ -14,13 +14,16 @@ from pathlib import Path
 
 import pytest
 
+import hahndisk
 import hahndisk.builder
 import hahndisk.cli
 import hahndisk.config
 import hahndisk.division
+import hahndisk.errors
 import hahndisk.fields
 import hahndisk.series
 import hahndisk.tate
+import hahndisk.valgroup
 import hahndisk.verify
 from hahndisk import InstanceConfig
 from hahndisk.builder import (
@@ -835,6 +838,16 @@ class TestDispatch:
         assert verify_document(certificate_to_doc(plan, cert)).ok
         assert not verify_document({"kind": "mystery"}).ok
 
+    @pytest.mark.parametrize("doc", [[1], "x", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize("check,where", [(verify_plan, "plan"),
+                                             (verify_certificate, "certificate"),
+                                             (verify_trace, "trace")],
+                             ids=["plan", "certificate", "trace"])
+    def test_non_object_is_one_failure(self, check, where, doc):
+        # a checker reports a document that is not an object, never raises
+        report = check(doc)
+        assert [(f.ok, f.where) for f in report.findings] == [(False, where)]
+
 
 def _module_tree(module):
     return ast.parse(Path(module.__file__).read_text())
@@ -871,14 +884,18 @@ def test_only_the_config_builds_fields_and_rings():
         assert not params & {"field", "ring", "sub"}, module.__name__
 
 
-@pytest.mark.parametrize("module", [hahndisk.builder, hahndisk.division, hahndisk.tate,
-                                    hahndisk.verify],
+@pytest.mark.parametrize("module", [hahndisk, hahndisk.builder, hahndisk.cli, hahndisk.config,
+                                    hahndisk.division, hahndisk.errors, hahndisk.fields,
+                                    hahndisk.tate, hahndisk.valgroup, hahndisk.verify],
                          ids=lambda m: m.__name__)
 def test_computed_series_skip_the_validating_constructor(module):
     # computed terms become a series through from_terms, window or split;
-    # TruncatedSeries(...) is for input from outside
-    calls = [node.lineno for node in ast.walk(_module_tree(module))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None))
-             == "TruncatedSeries"]
-    assert calls == []
+    # TruncatedSeries(...) is for input from outside, and only the series
+    # module itself wraps terms with _trusted
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    nodes = list(ast.walk(_module_tree(module)))
+    assert [n.lineno for n in nodes
+            if isinstance(n, ast.Call) and name(n.func) == "TruncatedSeries"] == []
+    assert [n.lineno for n in nodes if name(n) == "_trusted"] == []
