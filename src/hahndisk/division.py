@@ -99,13 +99,13 @@ def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> Division
         f_e = field.zero()
         quotients = []
         for q, part in band.split(1):
-            cert = certs.get(q)
-            if cert is None:
+            if q not in certs:
                 plan, cert = certify(plan, q)
-                certs[q] = cert
+                certs[q] = cert, field.monomial(cert.leading_coeff, *cert.leading_exps).invert()
+            cert, lead_inv = certs[q]
             # d = part / lead, free of x since lead carries x^q, is the
             # quotient b / (lead * t^m) times t^m
-            d = part * field.monomial(cert.leading_coeff, *cert.leading_exps).invert()
+            d = part * lead_inv
             d_val = d.val_lower() - m
             if not d_val > 0:
                 raise ContractViolationError(
@@ -119,7 +119,7 @@ def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> Division
         records.append(DivisionStep(band=band, quotients=tuple(quotients),
                                     beta_after=beta_next))
         beta_m = beta_next
-    for cert in certs.values():
+    for cert, _ in certs.values():
         _check_consistency(plan.substitution.apply(cert.preimage, cfg.work_prec)
                            - cert.image, f"stage {cert.m}")
     return DivisionTrace(plan=plan, target=beta, steps=records, final_beta=beta_m)

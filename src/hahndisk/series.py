@@ -23,15 +23,21 @@ checks every exponent and reduces every coefficient.  Terms a closed
 operation computed go through `_trusted` or its public forms, which skip
 that check: `from_terms` sums (exponents, coefficient) pairs mod p,
 `window` keeps the terms of a weight interval and `split` groups them by
-one exponent.  `from_terms` is the one loop that combines terms mod p;
-`+` and `*` hand it their pairs too.
+one exponent.  `from_terms` is the one loop that combines terms mod p:
+`+` and `-` fold the right operand into a copy of the left's terms, and
+`*` hands it the pairs below the product's precision.
+
+A closed operation hashes an exponent vector only as it stores a new
+term: a dict copy keeps its stored hashes, the precision filter deletes
+the dropped keys in place, and `from_terms` hashes a new vector once.
+Dict order is still that of a running sum over the operands' terms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from operator import add
 
 from .errors import (
     AmbiguousLeadingError,
@@ -159,12 +165,14 @@ class TruncatedSeries:
 
         The caller guarantees what `__init__` checks: exponent tuples of the
         profile's dimension with entries in Z[1/p], coefficients reduced
-        mod p and nonzero, and a Fraction or EXACT precision.  Only the
-        precision filter runs, since it depends on the result's own bound.
+        mod p and nonzero, a Fraction or EXACT precision, and a `terms` dict
+        no one else holds.  Only the precision filter runs, since it depends
+        on the result's own bound; it deletes the dropped keys from `terms`.
         """
         if precision is not EXACT:
             weight = profile.weight
-            terms = {e: c for e, c in terms.items() if weight(e) < precision}
+            for e in [e for e in terms if weight(e) >= precision]:
+                del terms[e]
         out = object.__new__(cls)
         out.profile = profile
         out.terms = terms
@@ -172,21 +180,25 @@ class TruncatedSeries:
         return out
 
     @classmethod
-    def from_terms(cls, profile, pairs, precision):
-        """The sum of the monomials c * t^a x^q given as (exponents, c) pairs.
+    def from_terms(cls, profile, pairs, precision, terms=None):
+        """The sum of the monomials c * t^a x^q given as (exponents, c)
+        pairs, added onto a copy of the terms dict `terms` if one is given.
 
-        Repeated exponent vectors add mod p and a sum of zero drops out,
-        exactly as a running sum of monomials would; the caller guarantees
-        what `_trusted` asks of the exponents and the precision.
-        """
+        A new vector is hashed once, as it is stored; only a repeated one is
+        summed mod p, and dropped at zero, so the terms and their dict order
+        are a running sum's.  The caller guarantees what `_trusted` asks of
+        exponents and precision, and that no c is divisible by p."""
         p = profile.p
-        acc = {}
+        acc = {} if terms is None else terms.copy()
         for exps, c in pairs:
-            s = (acc.get(exps, 0) + c) % p
-            if s:
-                acc[exps] = s
-            else:
-                acc.pop(exps, None)
+            size = len(acc)
+            s = acc.setdefault(exps, c % p)
+            if len(acc) == size:  # a repeated vector
+                s = (s + c) % p
+                if s:
+                    acc[exps] = s
+                else:
+                    del acc[exps]
         return cls._trusted(profile, acc, precision)
 
     # -- inspection --------------------------------------------------------
@@ -263,26 +275,32 @@ class TruncatedSeries:
     def __add__(self, other):
         self._check_profile(other)
         return TruncatedSeries.from_terms(
-            self.profile, chain(self.terms.items(), other.terms.items()),
-            min_precision(self.precision, other.precision))
+            self.profile, other.terms.items(),
+            min_precision(self.precision, other.precision), self.terms)
 
     def __neg__(self):
-        p = self.profile.p
-        return TruncatedSeries._trusted(
-            self.profile, {e: p - c for e, c in self.terms.items()}, self.precision
-        )
+        return TruncatedSeries.zero(self.profile, self.precision) - self
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_profile(other)
+        return TruncatedSeries.from_terms(
+            self.profile, ((e, -c) for e, c in other.terms.items()),
+            min_precision(self.precision, other.precision), self.terms)
 
     def __mul__(self, other):
         self._check_profile(other)
+        # a pair at or past the precision is dropped by its weight, the sum
+        # of the operands' weights, before its exponent vector is built
+        weight = self.profile.weight
+        left = [(weight(e), e, c) for e, c in self.terms.items()]
+        right = [(weight(e), e, c) for e, c in other.terms.items()]
         prec = min_precision(
-            shift_precision(self.precision, other.val_lower()),
-            shift_precision(other.precision, self.val_lower()),
+            shift_precision(self.precision, min(right)[0] if right else other.precision),
+            shift_precision(other.precision, min(left)[0] if left else self.precision),
         )
-        pairs = ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                 for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2)
+                 for w1, e1, c1 in left for w2, e2, c2 in right
+                 if prec is EXACT or w1 + w2 < prec)
         return TruncatedSeries.from_terms(self.profile, pairs, prec)
 
     def __pow__(self, n: int):
@@ -316,7 +334,7 @@ class TruncatedSeries:
             raise PrecisionIncreaseError(
                 f"cannot raise precision from {self.precision} to {new_prec}"
             )
-        return TruncatedSeries._trusted(self.profile, self.terms, new_prec)
+        return TruncatedSeries._trusted(self.profile, self.terms.copy(), new_prec)
 
     def frobenius(self, k: int):
         """Scale exponents and precision by p^k; p-th powers/roots of F_p
@@ -352,9 +370,12 @@ class TruncatedSeries:
                 f"an inverse to precision {target}"
             )
         lead = TruncatedSeries.monomial(self.profile, c, exps)
+        rest = self - lead
+        if rest.terms and rest.val_lower() <= w:  # a tie, off a generic radius
+            raise NotAUnitError(f"another term has the leading weight {w}; not a unit")
         lead_inv = lead._monomial_inverse()
         rel = target + w
-        u = _clip(lead_inv * (self - lead), rel)
+        u = _clip(lead_inv * rest, rel)
         acc = TruncatedSeries.one(self.profile)
         term = TruncatedSeries.one(self.profile)
         while True:

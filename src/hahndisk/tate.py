@@ -187,11 +187,7 @@ class SubstitutionMap:
                 image.profile, [(tuple(q * e for e in exps), pow(c, u, p))], prec)
         else:
             out = image.frobenius(-k) ** u
-        if (
-            work_prec is not None
-            and out.precision is not EXACT
-            and out.precision > work_prec
-        ):
+        if work_prec is not None and out.precision is not EXACT and out.precision > work_prec:
             out = out.truncate(work_prec)
         return out
 
@@ -220,36 +216,37 @@ class SubstitutionMap:
         scales weights by 1/p^k, a product adds them, and truncation only
         drops terms.  So the second pass skips each term with
         a + sum q_i v_i >= prec, and each term on an image with no stored
-        terms; neither reaches a key below prec.  The rest go to
-        `from_terms` once, which keeps exactly the terms, and the dict
-        order, of a running sum over every term.
+        terms; neither reaches a key below prec.  It takes the first pass's
+        x-parts by term position, so no key of f is hashed.  The rest go to
+        `from_terms` once, which hashes each key as it stores it and keeps
+        exactly the terms, and the dict order, of a running sum.
         """
         self.ring.check_element(f)
         if work_prec is not None:
             work_prec = as_fraction(work_prec)
         images, vals = self.images, self._vals
-        parts = {}
+        terms = list(f.terms.items())
+        parts = [None] * len(terms)
         prec = f.precision
-        for exps in f.terms:
-            qs = exps[1:]
+        for j, (exps, _) in enumerate(terms):
+            a, qs = exps[0], exps[1:]
             if any(q and images[i].precision is not EXACT for i, q in enumerate(qs)):
-                if qs not in parts:
-                    parts[qs] = self._x_part(qs, work_prec)
-                prec = min_precision(prec, shift_precision(parts[qs].precision, exps[0]))
+                parts[j] = self._x_part(qs, work_prec)
+                prec = min_precision(prec, shift_precision(parts[j].precision, a))
         if work_prec is not None and prec is not EXACT and prec > work_prec:
             prec = work_prec
 
         def kept_terms():
-            for exps, coeff in f.terms.items():
+            for (exps, coeff), part in zip(terms, parts):
                 a, qs = exps[0], exps[1:]
                 used = [(q, v) for q, v in zip(qs, vals) if q]
                 if any(v is None for _, v in used):
                     continue
                 if prec is not EXACT and a + sum(q * v for q, v in used) >= prec:
                     continue
-                if qs not in parts:
-                    parts[qs] = self._x_part(qs, work_prec)
-                for (e0, *rest), c in parts[qs].terms.items():
+                if part is None:
+                    part = self._x_part(qs, work_prec)
+                for (e0, *rest), c in part.terms.items():
                     yield (e0 + a, *rest), coeff * c
 
         return TruncatedSeries.from_terms(self.field.profile, kept_terms(), prec)

@@ -196,22 +196,10 @@ def _preimage_series(rows, idx, p, v_c, ring: TateRing) -> TruncatedSeries:
     zero = Fraction(0)
     terms = [((row.v_eps / scale, zero, zero, Fraction(1, scale)), 1)]
     for prev in rows[:idx]:
-        if prev.omega >= 0:
-            d_t = row.v_eps + p ** prev.b * prev.v_e
-            x1 = Fraction(prev.omega * p ** prev.b, scale)
-            x2 = zero
-        else:
-            d_t = row.v_eps + p ** prev.b * (prev.v_e + prev.omega * v_c)
-            x1 = zero
-            x2 = Fraction(-prev.omega * p ** prev.b, scale)
-        terms.append(((d_t / scale, x1, x2, zero), -1))
+        d_t = (row.v_eps - _d_requirement(prev, p ** prev.b, v_c)) / scale
+        x = Fraction(prev.omega * p ** prev.b, scale)  # x1^x, or x2^-x for x < 0
+        terms.append(((d_t, x, zero, zero) if x >= 0 else (d_t, zero, -x, zero), -1))
     return TruncatedSeries.from_terms(ring.profile, terms, EXACT)
-
-
-def _alpha_series(rows, p, work_prec, field: ResidueField) -> TruncatedSeries:
-    exps = ((p ** row.b * row.v_e, Fraction(row.omega * p ** row.b)) for row in rows)
-    return TruncatedSeries.from_terms(field.profile, ((e, 1) for e in exps),
-                                      min(work_prec, Fraction(len(rows) + 1)))
 
 
 def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
@@ -395,10 +383,11 @@ def verify_trace(doc: dict) -> Report:
     config, rows, v_c, field = plan
     p, v_s, guard = config.p, config.v_s, config.work_prec
     ring = config.tate()
-    sub = SubstitutionMap(ring, field, (field.x_power(1), field.monomial(1, v_c, -1),
-                                        _alpha_series(rows, p, guard, field)))
+    # alpha is stage 1's image (b = 0, no demand) at the committed precision
+    alpha = _image_series(rows, 0, p, guard, field).truncate(min(guard, Fraction(len(rows) + 1)))
+    sub = SubstitutionMap(ring, field, (field.x_power(1), field.monomial(1, v_c, -1), alpha))
     by_exponent = {row.omega: idx for idx, row in enumerate(rows)}
-    images = {}  # stage index -> image series, built on first use
+    images = {}  # stage index -> (image, inverse of its lead), built on first use
 
     try:
         target = field.parse(doc["target"])
@@ -436,15 +425,16 @@ def verify_trace(doc: dict) -> Report:
             if idx is None:
                 rep.fail(where, f"no committed stage for exponent {q}")
                 return rep
-            image = images.get(idx)
-            if image is None:
-                image = images[idx] = _image_series(rows, idx, p, guard, field)
+            if idx not in images:
+                image = _image_series(rows, idx, p, guard, field)
                 preimage = _preimage_series(rows, idx, p, v_c, ring)
                 rep.check(not (sub.apply(preimage, guard) - image).terms, f"stage {idx + 1}",
                           "substitution route agrees with the certificate route")
-            w0, lexps, lcoeff = image.leading()
+                _, lexps, lcoeff = image.leading()
+                images[idx] = image, field.monomial(lcoeff, *lexps).invert()
+            image, lead_inv = images[idx]
             # part / lead is the quotient times t^m
-            d = part * field.monomial(lcoeff, *lexps).invert()
+            d = part * lead_inv
             d_val = d.val_lower() - m
             if not rep.check(d_val > 0, where,
                              f"quotient for exponent {q} has valuation {d_val} > 0"):

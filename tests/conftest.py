@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,18 @@ def step_corrections(trace):
             e = e + lift * preimages[q]
         out.append(e)
     return out
+
+
+@pytest.fixture
+def counted():
+    """(Counted, hashes): a Fraction subclass whose instances count, in
+    hashes[id(x)], every hash taken of them; exponent tuples made of them
+    show which vectors an operation hashes, and how often."""
+    hashes = Counter()
+
+    class Counted(Fraction):
+        def __hash__(self):
+            hashes[id(self)] += 1
+            return super().__hash__()
+
+    return Counted, hashes

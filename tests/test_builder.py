@@ -16,7 +16,6 @@ import hahndisk.builder
 from hahndisk.builder import (
     AlphaPlan,
     _minimal_b,
-    _tail_series,
     assemble_alpha,
     build_adapted,
     build_plan,
@@ -248,9 +247,9 @@ class TestAdaptedCertificates:
                     assert got == want
 
     def test_staged_sums_match_running_sums(self, extended_plans):
-        # alpha, every stage tail and every preimage head are summed in one
-        # dict; a sum built one `+` at a time has the same terms, in the
-        # same order, and the same precision
+        # alpha, every image and every preimage are summed in one dict; a
+        # sum built one `+` at a time has the same terms, in the same order,
+        # and the same precision
         def running_sum(plan, stages, field, prec):
             total = field.zero(precision=prec)
             for st in stages:
@@ -268,9 +267,12 @@ class TestAdaptedCertificates:
             assert same(assemble_alpha(plan),
                         running_sum(plan, plan.stages, field, prec))
             for m, st in enumerate(plan.stages, start=1):
-                assert same(_tail_series(plan, m),
-                            running_sum(plan, plan.stages[m - 1:], field,
-                                        cfg.p ** st.b * cfg.work_prec))
+                # the image is built in closed form; the running sum of the
+                # stage tail, times eps and under the root, is the same
+                tail = running_sum(plan, plan.stages[m - 1:], field,
+                                   cfg.p ** st.b * cfg.work_prec)
+                assert same(build_adapted(plan, m).image,
+                            (field.monomial(1, st.v_eps, 0) * tail).frobenius(-st.b))
                 head = ring.monomial(1, st.v_eps, (0, 0, 1))
                 for prev in plan.stages[: m - 1]:
                     w = prev.omega * cfg.p ** prev.b

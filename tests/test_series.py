@@ -1,6 +1,8 @@
 """Engine laws: ring operations, precision contracts, text round-trips."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hahndisk.errors import (
     PrecisionIncreaseError,
     ProfileMismatchError,
 )
+from hahndisk.config import InstanceConfig
 from hahndisk.series import (
     TruncatedSeries,
     WeightProfile,
@@ -180,6 +183,41 @@ class TestInvert:
         f = TruncatedSeries(P3, {(Fraction(0),): 1, (Fraction(1),): 1}, 2)
         with pytest.raises(InsufficientPrecisionError):
             f.invert(3)
+
+    def test_tied_leading_weight_is_not_a_unit(self):
+        # Off a generic radius a tail term can share the leading weight;
+        # the geometric series in the tail would then never end.  1 + x1 is
+        # not a unit of R_3.  The time limit turns a hang into a failure.
+        ring = InstanceConfig().tate()
+        gauss5 = WeightProfile(5, (1, 0))
+        tied = [ring.one() + ring.var(1),
+                TruncatedSeries(gauss5, {(Fraction(0), Fraction(0)): 2,
+                                         (Fraction(0), Fraction(1, 25)): 1,
+                                         (Fraction(1), Fraction(0)): 3}, 4)]
+        for f in tied:
+            with time_limit(5), pytest.raises(NotAUnitError):
+                f.invert(3)
+
+    def test_untied_tail_inverts_off_a_generic_radius(self):
+        ring = InstanceConfig().tate()
+        f = ring.one() + ring.monomial(1, 1, (1, 0, 0))
+        r = f * f.invert(5) - ring.one()
+        assert r.is_zero and r.precision == 5
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFrobenius:
@@ -408,3 +446,129 @@ def test_precision_monotonicity_no_stored_term_at_bound():
                 assert all(
                     h.profile.weight(e) < h.precision for e in h.terms
                 )
+
+
+# -- the divide regime: exponents i/p^k with k up to 40 -------------------------
+
+
+def plain_weight(profile, exps):
+    """The weight as a plain dot product with the profile's weights."""
+    return sum((w * e for w, e in zip(profile.weights, exps)), Fraction(0))
+
+
+def running_sum(profile, pairs, precision):
+    """Reference for every closed operation: the monomials added one at a
+    time to a plain dict, then the terms at or past the precision dropped.
+    Returns the (exponents, coefficient) list in dict order and the
+    precision."""
+    acc = {}
+    for exps, c in pairs:
+        s = (acc.get(exps, 0) + c) % profile.p
+        if s:
+            acc[exps] = s
+        else:
+            acc.pop(exps, None)
+    return [(e, c) for e, c in acc.items()
+            if precision is None or plain_weight(profile, e) < precision], precision
+
+
+def listed(f):
+    return list(f.terms.items()), f.precision
+
+
+@st.composite
+def divide_regime(draw):
+    """A residue-field or R_3 profile at p in {3, 5, 7}; (exponents, c)
+    pairs that repeat and cancel; two series; and a cut and a window, all
+    drawn from one small pool of vectors with entries i/p^k, k <= 40, so
+    that the series share vectors and the cuts fall on term weights."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    profile = WeightProfile(p, draw(st.sampled_from([(1, Fraction(1, 2)), (1, 0, 0, 0)])))
+    rational = st.builds(lambda i, k: Fraction(i, p ** k),
+                         st.integers(-40, 40), st.integers(0, 40))
+    pool = draw(st.lists(st.tuples(*[rational] * profile.dim),
+                         min_size=1, max_size=6, unique=True))
+    coeff = st.integers(1, p - 1)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=10))
+    # cancel some of them mod p, wherever they fall in the order
+    pairs += [(e, p - c) for e, c in pairs if draw(st.booleans())]
+    pairs = draw(st.permutations(pairs))
+    cuts = sorted({plain_weight(profile, e) + d for e in pool for d in (0, 1)})
+    cut = st.sampled_from(cuts)
+
+    def series():
+        keys = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+        return TruncatedSeries(profile, {e: draw(coeff) for e in keys},
+                               draw(st.one_of(st.none(), cut)))
+
+    lo = draw(cut)
+    return profile, pairs, series(), series(), draw(cut), lo, lo + draw(cut) - cuts[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=divide_regime())
+def test_closed_operations_are_running_sums(case):
+    # every fast path keeps the terms, their dict order and the precision
+    # of a running sum over the same monomials
+    profile, pairs, f, g, cut, lo, hi = case
+    fs, gs = list(f.terms.items()), list(g.terms.items())
+    assert listed(TruncatedSeries.from_terms(profile, pairs, cut)) == \
+        running_sum(profile, pairs, cut)
+    assert listed(TruncatedSeries.from_terms(profile, pairs, None)) == \
+        running_sum(profile, pairs, None)
+    both = min_precision(f.precision, g.precision)
+    assert listed(f + g) == running_sum(profile, fs + gs, both)
+    assert listed(f - g) == running_sum(profile, fs + [(e, -c) for e, c in gs], both)
+
+    def val(h):
+        return min((plain_weight(profile, e) for e in h.terms), default=h.precision)
+
+    product = min((a + b for a, b in ((f.precision, val(g)), (g.precision, val(f)))
+                   if a is not None and b is not None), default=None)
+    pairs = [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2) for e1, c1 in fs for e2, c2 in gs]
+    assert listed(f * g) == running_sum(profile, pairs, product)
+    if f.precision is None or cut <= f.precision:
+        assert listed(f.truncate(cut)) == running_sum(profile, fs, cut)
+    assert listed(f.window(lo, hi)) == (
+        [(e, c) for e, c in fs if lo <= plain_weight(profile, e) < hi], None)
+    parts = f.split(1)
+    groups = {}
+    for e, c in fs:
+        groups.setdefault(e[1], []).append((e, c))
+    assert [q for q, _ in parts] == sorted(
+        groups, key=lambda q: (min(plain_weight(profile, e) for e, _ in groups[q]), q))
+    assert all(listed(part) == (groups[q], f.precision) for q, part in parts)
+
+
+# -- each exponent vector hashed once --------------------------------------------
+
+
+def test_from_terms_hashes_each_distinct_vector_once(counted):
+    Counted, hashes = counted
+    vectors = [(Counted(i, 3 ** 27), Counted(-2 * i, 3 ** 27)) for i in range(1, 9)]
+    # EXACT, and a precision past every weight: the filter drops nothing
+    for prec in (None, Fraction(1)):
+        hashes.clear()
+        f = TruncatedSeries.from_terms(RES, [(e, 1) for e in vectors], prec)
+        assert list(f.terms) == vectors
+        assert [hashes[id(x)] for e in vectors for x in e] == [1] * 16
+
+
+def test_precision_filter_and_sums_hash_no_kept_key_again(counted):
+    Counted, hashes = counted
+
+    def vector(i):
+        return Counted(i, 3 ** 20), Counted(i, 3 ** 20)
+
+    f = TruncatedSeries(RES, {vector(i): 1 for i in range(1, 9)}, 20)
+    f_ids = {id(x) for e in f.terms for x in e}
+    cut = RES.weight(vector(6))
+    # g repeats two of f's vectors, one of them cancelling, adds two new
+    # ones and lowers the precision of a sum to the weight of f's 7th term
+    g = TruncatedSeries(RES, {vector(2): 1, vector(4): 2, vector(-1): 1, vector(-2): 1},
+                        RES.weight(vector(7)))
+    for op in (lambda: f.truncate(cut), lambda: f + g, lambda: f - g):
+        hashes.clear()
+        h = op()
+        kept = [x for e in h.terms for x in e if id(x) in f_ids]
+        assert kept and not any(hashes[id(x)] for x in kept)

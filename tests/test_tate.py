@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hahndisk.builder import build_adapted
 from hahndisk.errors import (
     ConfigError,
     ExponentError,
@@ -313,3 +314,18 @@ def test_apply_skips_terms_beyond_precision():
     assert (3, 0, 0) not in evaluated
     assert sorted(evaluated) == sorted(
         [(1, 0, Fraction(1, 3)), (1, 1, 0), (1, Fraction(2, 9), 1)])
+
+
+def test_apply_hashes_no_x_part_twice(counted, cfg, plan):
+    # the second pass takes the first pass's x-parts by term position, so
+    # no x-part of a stage preimage is hashed twice, let alone looked up
+    Counted, hashes = counted
+    sub = plan.substitution
+    for m in range(1, len(plan.stages) + 1):
+        preimage = build_adapted(plan, m).preimage
+        watched = TruncatedSeries(preimage.profile, {
+            tuple(map(Counted, e)): c for e, c in preimage.terms.items()}, preimage.precision)
+        hashes.clear()
+        got = sub.apply(watched, cfg.work_prec)
+        assert all(hashes[id(x)] <= 1 for e in watched.terms for x in e[1:])
+        assert got == sub.apply(preimage, cfg.work_prec)
