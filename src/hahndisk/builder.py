@@ -33,18 +33,21 @@ facts of `kernel_witness` from the instance, so no plan records them.
 For each committed stage the builder produces an `AdaptedCertificate`: an
 integral preimage whose image has valuation in [0, v_s), leading monomial
 exponent equal to the stage exponent, and the rest of the image beyond
-1 + v_s; the three facts are checked as exact rational comparisons.
+1 + v_s; the three facts are checked as exact rational comparisons.  The
+image and its facts are built first; the preimage is built apart, on
+first use, since a division reads only the image (see `division`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .config import MAX_B_SEARCH, InstanceConfig
-from .errors import AdaptednessFailedError, ContractViolationError, StageUnavailableError
+from .errors import (AdaptednessFailedError, ContractViolationError, SearchCeilingError,
+                     StageUnavailableError)
 from .fields import ResidueField, choose_c
 from .series import TruncatedSeries, render_series
 from .tate import SubstitutionMap, TateRing, is_integral
@@ -106,6 +109,13 @@ class AlphaPlan:
         x = st.v_e if st.omega >= 0 else st.v_e + st.omega * self.v_c
         return -(self.config.p ** st.b) * x
 
+    def divisor_exps(self, st: PlanStage) -> tuple:
+        """The (x1, x2, x3) exponents of the divisor monomial W.  The map
+        sends t^(-d_requirement) W to the stage term, and a later preimage
+        cancels the stage with the root of that monomial."""
+        x = st.omega * self.config.p ** st.b
+        return (x, 0, 0) if x >= 0 else (0, -x, 0)
+
     def find_stage(self, q: Fraction):
         for st in self.stages:
             if st.omega == q:
@@ -143,7 +153,7 @@ def _minimal_b(plan: AlphaPlan, m: int, w: Fraction, v_eps: Fraction, base: bool
         b += 1
         scale *= cfg.p
         gap *= cfg.p
-    raise StageUnavailableError(
+    raise SearchCeilingError(
         f"no Frobenius exponent below {MAX_B_SEARCH} resolves stage {m}"
     )
 
@@ -242,58 +252,43 @@ class CheckRecord:
 class AdaptedCertificate:
     m: int
     q: Fraction
-    preimage: TruncatedSeries
     image: TruncatedSeries
     leading_exps: tuple
     leading_coeff: int
     checks: list
+    plan: AlphaPlan = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    @cached_property
+    def preimage(self) -> TruncatedSeries:
+        """Built on first use, by `build_preimage`."""
+        return build_preimage(self.plan, self.m)
+
 
 def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
-    """Build and exactly check the certificate for committed stage m.
+    """Build and exactly check the image of committed stage m's certificate.
 
-    The preimage scales the third generator by eps_m and cancels every
-    earlier stage with an exact ground-field multiple of its divisor
-    monomial; a Frobenius root brings it into the unit ball.  Its image is
-    eps_m^(1/p^b) times the staged tail from m on, which the divisibility
-    window and the separation constraint pin inside the adapted shape.
-    Both are built once, each exponent scaled by the root 1/p^b as made.
+    The image is eps_m^(1/p^b) times the staged tail from m on, which the
+    divisibility window and the separation constraint pin inside the
+    adapted shape; each exponent is scaled by the root 1/p^b as made.  A
+    stage appended after m clears the tail guard against a b at least
+    b_m, so its term lies past the image's precision and is not built.
     """
     if not 1 <= m <= len(plan.stages):
         raise StageUnavailableError(f"stage {m} is not committed")
-    cfg, field, ring = plan.config, plan.field, plan.ring
+    cfg, field = plan.config, plan.field
     st = plan.stages[m - 1]
     root = Fraction(1, cfg.p ** st.b)
-
-    # eps x3 minus one divisor monomial per earlier stage, times the
-    # quotient eps * (stage term of prev) / f(W_prev): a coefficient-1
-    # monomial free of x, since both carry x^(p^b * omega)
-    zero = Fraction(0)
-    head = [((st.v_eps, zero, zero, Fraction(1)), 1)]
-    for prev in plan.stages[: m - 1]:
-        d_t = st.v_eps - plan.d_requirement(prev)
-        if d_t < 0:
-            raise AdaptednessFailedError(
-                f"divisor quotient for stage {prev.m} has valuation "
-                f"{d_t} < 0; eps is not divisible enough"
-            )
-        x = prev.omega * cfg.p ** prev.b  # W_prev is x1^x, or x2^-x for x < 0
-        head.append(((d_t, x, zero, zero) if x >= 0 else (d_t, zero, -x, zero), -1))
-    preimage = TruncatedSeries.from_terms(
-        ring.profile, ((tuple(e * root for e in exps), c) for exps, c in head), EXACT)
-    ring.check_element(preimage)
-    if not is_integral(preimage):
-        raise AdaptednessFailedError(f"stage {m} preimage left the unit-ball subring")
 
     # eps times the stage terms from m on; the tail guard bounds every
     # stage not committed
     image = TruncatedSeries.from_terms(
         field.profile, ((((st.v_eps + a) * root, x * root), 1)
-                        for a, x in map(plan.alpha_term_exps, plan.stages[m - 1:])),
+                        for a, x in map(plan.alpha_term_exps,
+                                        plan.stages[m - 1:max(m, cfg.stages)])),
         st.v_eps * root + cfg.work_prec)
 
     lead = image.leading()
@@ -329,16 +324,47 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
     cert = AdaptedCertificate(
         m=m,
         q=st.omega,
-        preimage=preimage,
         image=image,
         leading_exps=lead_exps,
         leading_coeff=lead_coeff,
         checks=checks,
+        plan=plan,
     )
     if not cert.ok:
         bad = ", ".join(c.name for c in checks if not c.ok)
         raise AdaptednessFailedError(f"stage {m} failed exact checks: {bad}")
     return cert
+
+
+def build_preimage(plan: AlphaPlan, m: int) -> TruncatedSeries:
+    """The integral preimage of committed stage m's certificate.
+
+    It scales the third generator by eps_m and cancels every earlier stage
+    j with its divisor monomial W_j times the quotient t^(v_eps_m - d_j),
+    where d_j is stage j's demand; a Frobenius root brings it into the unit
+    ball.  Each quotient is free of x, integral exactly when v_eps_m >= d_j,
+    and the series is built once, each exponent scaled by the root 1/p^b
+    as made.
+    """
+    ring = plan.ring
+    st = plan.stages[m - 1]
+    root = Fraction(1, plan.config.p ** st.b)
+    zero = Fraction(0)
+    head = [((st.v_eps, zero, zero, Fraction(1)), 1)]
+    for prev in plan.stages[: m - 1]:
+        d_t = st.v_eps - plan.d_requirement(prev)
+        if d_t < 0:
+            raise AdaptednessFailedError(
+                f"divisor quotient for stage {prev.m} has valuation "
+                f"{d_t} < 0; eps is not divisible enough"
+            )
+        head.append(((d_t, *plan.divisor_exps(prev)), -1))
+    preimage = TruncatedSeries.from_terms(
+        ring.profile, ((tuple(e * root for e in exps), c) for exps, c in head), EXACT)
+    ring.check_element(preimage)
+    if not is_integral(preimage):
+        raise AdaptednessFailedError(f"stage {m} preimage left the unit-ball subring")
+    return preimage
 
 
 def kernel_witness(plan: AlphaPlan) -> dict:
@@ -377,9 +403,10 @@ def plan_to_doc(plan: AlphaPlan) -> dict:
 
 
 def certificate_to_doc(plan: AlphaPlan, cert: AdaptedCertificate) -> dict:
-    """Certificate format 2.  The stage's three adapted facts are not
-    recorded: the plan verifier derives them from the embedded plan, and
-    the certificate verifier compares `image` and `preimage` with it."""
+    """Certificate format 2, with the preimage built here.  The stage's
+    three adapted facts are not recorded: the plan verifier derives them
+    from the embedded plan, and the certificate verifier compares `image`
+    and `preimage` with it."""
     return {
         "kind": "certificate",
         "format": 2,

@@ -14,9 +14,10 @@ count and the two kernel witnesses, which `verify` derives from the
 instance of every plan.  `divide` writes a format-4 trace, which records
 only each step's quotients, and prints what it leaves out, computed in
 process: each step's residual valuation and the final one against its
-bound steps + v_s.  Exit codes: 0 success, 1 contract violation or failed
-verification, 2 usage or format errors, among them an input file that is
-not UTF-8 and JSON nested too deeply.
+bound steps + v_s.  Exit codes: 0 success, 1 contract violation, failed
+verification or the stage search's resource ceiling, 2 usage or format
+errors, among them an input file that is not UTF-8 and JSON nested too
+deeply.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from . import builder, division, verify
 from .config import CONFIG_ENV, InstanceConfig, read_json, read_text
-from .errors import ConfigError, FormatError, HahndiskError
+from .errors import ConfigError, FormatError, HahndiskError, SearchCeilingError
 from .fields import classify_disk_point
 from .series import random_series, render_series
 from .tate import save_substitution
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchCeilingError as exc:
+        print(f"resource ceiling: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
     except HahndiskError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -13,6 +13,28 @@ target, and the correction from the quotients and the plan.
 
 Band boundaries are half-open: a term of weight exactly m + 1 + v_s belongs
 to the next band, so each term is consumed exactly once.
+
+The corrections are checked against the substitution map f without
+building any preimage.  A correction is a sum of d * preimage_q with d free
+of x, and f is a ring map fixing such d, so it suffices that each used
+certificate's f(preimage) agrees with its image wherever both are known.
+For stage m, with r = 1/p^b and s = v_eps * r, the preimage is t^s x3^r
+minus, for each j < m, t^s (t^(-d_j) W_j)^r, where W_j is stage j's
+divisor monomial (x1^(p^b omega), or x2^(-p^b omega) for omega < 0) and
+d_j its demand; v_eps >= d_j makes each canceller integral.  Two exact
+facts then fix f(preimage):
+  (a) f(t^(-d_j) W_j) is T_j, stage j's term of alpha.  x1 and x2 map to
+      the exact monomials x and c x^-1, so no precision is lost;
+  (b) f(x3) is alpha, whose terms are the stage terms T_l, known up to
+      prec(alpha) = min(work_prec, stages + 1).
+Roots are additive in characteristic p, so f(preimage) is t^s times the
+root of alpha's terms from stage m on, known up to s + prec(alpha) * r.
+The image is t^s times the roots of the T_l with l >= m, known up to
+s + work_prec by the tail guard, which is no less.  So (b) compares their
+terms below s + prec(alpha) * r, with no series product.  (a) depends on j
+alone: checked once per stage up to the highest one used, it costs
+O(stages) per run, where evaluating every stage-m preimage (m terms)
+through f cost O(stages^2).
 """
 
 from __future__ import annotations
@@ -23,6 +45,7 @@ from fractions import Fraction
 
 from .builder import AlphaPlan, certify, plan_to_doc
 from .errors import (
+    AdaptednessFailedError,
     ConfigError,
     ContractViolationError,
     InsufficientPrecisionError,
@@ -75,10 +98,9 @@ def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> Division
 
     A band exponent without a stage extends the plan, and the trace carries
     the extended plan.  Certificates are kept by exponent.  After the last
-    step each is checked once, in first-use order, against the substitution
-    route of the plan the trace carries: a stage `extend` appends clears
-    the tail guard, so an earlier certificate's image is unchanged, and the
-    final map resolves at least what an earlier one did.
+    step, facts (a) and (b) of the module docstring are checked against the
+    plan the trace carries: a stage `extend` appends clears the tail guard,
+    so an earlier certificate's image is unchanged.
     """
     if steps < 0:
         raise ConfigError(f"the step count must be nonnegative, got {steps}")
@@ -119,29 +141,41 @@ def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> Division
         records.append(DivisionStep(band=band, quotients=tuple(quotients),
                                     beta_after=beta_next))
         beta_m = beta_next
-    for cert, _ in certs.values():
-        _check_consistency(plan.substitution.apply(cert.preimage, cfg.work_prec)
-                           - cert.image, f"stage {cert.m}")
+    _check_divisors(plan, [cert for cert, _ in certs.values()])
     return DivisionTrace(plan=plan, target=beta, steps=records, final_beta=beta_m)
 
 
-def _check_consistency(diff: TruncatedSeries, where: str):
-    """The generic substitution route must agree with the certificate route
-    on every term it can resolve: `diff`, apply(preimage) - image for one
-    certificate, has no stored term below its propagated precision.
-
-    A step's correction is the sum of d * preimage_q over its quotients,
-    with each d free of x, and the map is a ring map that fixes such d.  So
-    the image of any correction, or of the whole approximant, differs from
-    what the certificates removed by the sum of d * (apply(preimage_q) -
-    image_q), and one check per certificate covers every step that uses it.
-    """
-    if diff.terms:
-        w, exps = min((diff.profile.weight(e), e) for e in diff.terms)
-        raise ContractViolationError(
-            f"{where}: substitution route disagrees at weight {w} "
-            f"(exponents {exps}, coefficient {diff.terms[exps]})"
-        )
+def _check_divisors(plan: AlphaPlan, certs):
+    """The module docstring's demand v_eps >= d_j and fact (b) at each
+    certificate's stage, and fact (a) at every stage up to the highest."""
+    by_m = {cert.m: cert for cert in certs}
+    if not by_m:
+        return
+    sub, ring, field = plan.substitution, plan.ring, plan.field
+    weight, alpha = field.profile.weight, sub.images[2]
+    rest = dict(alpha.terms)  # alpha's terms from stage st on
+    demand = Fraction(0)  # the largest d_j of the stages before st
+    for st in plan.stages[:max(by_m)]:
+        where = f"stage {st.m}"
+        if st.m in by_m:
+            if st.v_eps < demand:
+                raise AdaptednessFailedError(
+                    f"{where}: eps has valuation {st.v_eps} below the demand "
+                    f"{demand} of an earlier stage")
+            root = Fraction(1, plan.config.p ** st.b)
+            shift = st.v_eps * root
+            bound = shift + alpha.precision * root
+            want = {(shift + a * root, x * root): c for (a, x), c in rest.items()}
+            got = {e: c for e, c in by_m[st.m].image.terms.items() if weight(e) < bound}
+            if got != want:
+                raise ContractViolationError(f"{where}: the image disagrees with the "
+                                             f"root of alpha below weight {bound}")
+        d, term = plan.d_requirement(st), plan.alpha_term_exps(st)
+        if sub.apply(ring.monomial(1, -d, plan.divisor_exps(st))) != field.monomial(1, *term):
+            raise ContractViolationError(f"{where}: the divisor monomial does not "
+                                         f"map to the stage term t^{term[0]} x^{term[1]}")
+        rest.pop(term, None)
+        demand = max(demand, d)
 
 
 # -- serialization ------------------------------------------------------------

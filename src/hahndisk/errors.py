@@ -57,5 +57,12 @@ class StageUnavailableError(HahndiskError):
     """A required stage is absent and the plan cannot be extended to it."""
 
 
+class SearchCeilingError(StageUnavailableError):
+    """No Frobenius exponent up to `config.MAX_B_SEARCH` resolves a stage.
+
+    A resource ceiling of the stage search, not a broken contract: each
+    appended stage needs a larger b than every earlier one."""
+
+
 class ContractViolationError(HahndiskError):
     """A certified bound failed under exact re-evaluation."""

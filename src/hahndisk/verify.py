@@ -13,6 +13,12 @@ plan report, and so every certificate and trace report, also derives the
 two kernel witnesses from the instance: the valuation gamma_x of x lies
 outside Z[1/p], and x * c x^-1 - c is the exact zero.
 
+A certificate agrees with the substitution map by facts (a) and (b) of
+the `division` docstring.  (b) holds by construction: stage m's image is
+derived from the stage-term formula alone.  `_check_divisors` checks (a)
+in closed form, with no map, at every stage before a certificate's own
+and up to the highest one a trace uses.
+
 Only a plan and a trace's target are parsed.  A recorded series or
 valuation is compared, as text, with `render_series` or `str` of the value
 replayed here: series keep their terms reduced and render deterministically,
@@ -28,7 +34,7 @@ from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import FormatError, HahndiskError
 from .fields import ResidueField
 from .series import TruncatedSeries, render_series
-from .tate import SubstitutionMap, TateRing
+from .tate import TateRing
 from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point
 
 
@@ -119,6 +125,7 @@ class _Row:
     v_e: Fraction  # the canonical point of (lo, lo + v_s), lo = -omega * gamma_x
     b: int
     v_eps: Fraction  # the divisibility demand of the earlier stages
+    d: Fraction  # the demand this stage puts on every later one
 
 
 def _read_plan(doc) -> tuple:
@@ -136,11 +143,11 @@ def _read_plan(doc) -> tuple:
     return config, [(as_fraction(raw["omega"]), raw["b"]) for raw in doc["stages"]]
 
 
-def _d_requirement(row: _Row, scale: int, v_c: Fraction) -> Fraction:
+def _d_requirement(omega: Fraction, v_e: Fraction, scale: int, v_c: Fraction) -> Fraction:
     """The divisibility demand a stage puts on every later one: the weight
     of its divisor monomial's image minus the weight of its term, written
     out as -p^b * (v_e + min(omega, 0) * v_c); scale is p^b."""
-    x = row.v_e if row.omega >= 0 else row.v_e + row.omega * v_c
+    x = v_e if omega >= 0 else v_e + omega * v_c
     return -scale * x
 
 
@@ -178,14 +185,17 @@ def _constraints_hold(w, v_eps, idx, b, scale, top_b, p, v_s, guard, guarded) ->
 # -- formula-level reconstruction ----------------------------------------------
 
 
-def _image_series(rows, idx, p, guard, field: ResidueField) -> TruncatedSeries:
+def _image_series(rows, idx, p, guard, base, field: ResidueField) -> TruncatedSeries:
     """The certificate image of stage idx+1, straight from the transcript:
     scaled committed stage terms from this stage on, bounded below by the
-    tail guard for everything not committed."""
+    tail guard for everything not committed.  A stage past this one and the
+    `base` base stages clears the guard, so its term lies past the
+    precision and is skipped: call this once the plan checks pass."""
     row = rows[idx]
     scale = p ** row.b
     exps = (((row.v_eps + p ** later.b * later.v_e) / scale,
-             Fraction(later.omega * p ** later.b, scale)) for later in rows[idx:])
+             Fraction(later.omega * p ** later.b, scale))
+            for later in rows[idx:max(idx + 1, base)])
     return TruncatedSeries.from_terms(field.profile, ((e, 1) for e in exps),
                                       row.v_eps / scale + guard)
 
@@ -196,10 +206,27 @@ def _preimage_series(rows, idx, p, v_c, ring: TateRing) -> TruncatedSeries:
     zero = Fraction(0)
     terms = [((row.v_eps / scale, zero, zero, Fraction(1, scale)), 1)]
     for prev in rows[:idx]:
-        d_t = (row.v_eps - _d_requirement(prev, p ** prev.b, v_c)) / scale
+        d_t = (row.v_eps - prev.d) / scale
         x = Fraction(prev.omega * p ** prev.b, scale)  # x1^x, or x2^-x for x < 0
         terms.append(((d_t, x, zero, zero) if x >= 0 else (d_t, zero, -x, zero), -1))
     return TruncatedSeries.from_terms(ring.profile, terms, EXACT)
+
+
+def _check_divisors(rows, n, p, v_c, rep: Report):
+    """Fact (a) for the first n stages, one finding at each.  x1 and x2 map
+    to x and t^(v_c) x^-1, so t^(-d) W maps to t^(-d) x^(p^b omega), times
+    t^(-p^b omega v_c) if omega < 0, and the stage term is
+    t^(p^b v_e) x^(p^b omega), with d the row's `_d_requirement`: the
+    t-exponents are compared on numerators over one common denominator."""
+    cn, cd = v_c.numerator, v_c.denominator
+    for m, row in enumerate(rows[:n], start=1):
+        scale = p ** row.b
+        dn, dd = row.d.numerator, row.d.denominator
+        on, od = row.omega.numerator, row.omega.denominator
+        en, ed = row.v_e.numerator, row.v_e.denominator
+        lhs = -dn * od * cd * ed - (scale * on * cn * dd * ed if on < 0 else 0)
+        rep.check(lhs == scale * en * dd * od * cd, f"stage {m}",
+                  "the divisor monomial t^(-d) W maps to the stage term")
 
 
 def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
@@ -290,7 +317,7 @@ def _check_plan(doc, rep: Report):
             break
         if idx:
             prev = rows[-1]
-            demand = max(demand, _d_requirement(prev, scales[-1], v_c))
+            demand = max(demand, prev.d)
             top_b = prev.b if top_b is None else max(top_b, prev.b)
         # No canonical point and no p ** b is computed before these two
         # checks.  A later stage's demand and separation need this v_e and
@@ -300,9 +327,11 @@ def _check_plan(doc, rep: Report):
         if not rep.check(_is_int(b) and 0 <= b <= MAX_B_SEARCH, where,
                          f"Frobenius exponent {b!r} is an integer in [0, {MAX_B_SEARCH}]"):
             break
-        lo = -q * gamma_x
-        rows.append(_Row(omega=q, v_e=smallest_zp_point(lo, lo + v_s, p), b=b, v_eps=demand))
-        scale, w = p ** b, rows[-1].v_e - lo
+        lo, scale = -q * gamma_x, p ** b
+        v_e = smallest_zp_point(lo, lo + v_s, p)
+        rows.append(_Row(omega=q, v_e=v_e, b=b, v_eps=demand,
+                         d=_d_requirement(q, v_e, scale, v_c)))
+        w = v_e - lo
         scales.append(scale)
         ws.append(w)
         if idx < config.stages:
@@ -334,8 +363,8 @@ def _check_plan(doc, rep: Report):
 
 def verify_certificate(doc: dict) -> Report:
     """Format 2: the embedded plan verifies, which reports the stage's three
-    adapted facts, and `image` and `preimage` are the rendered series the
-    plan gives for stage `m`."""
+    adapted facts, `image` and `preimage` are the rendered series the plan
+    gives for stage `m`, and fact (a) holds at every stage before it."""
     rep = Report()
     if not _document_is(doc, "certificate", 2, _CERT_FIELDS, rep):
         return rep
@@ -356,13 +385,14 @@ def verify_certificate(doc: dict) -> Report:
         return rep
     rep.check(q == rows[m - 1].omega, where, f"exponent {q} matches stage exponent")
     preimage = _preimage_series(rows, m - 1, p, v_c, config.tate())
-    image = _image_series(rows, m - 1, p, config.work_prec, field)
+    image = _image_series(rows, m - 1, p, config.work_prec, config.stages, field)
     rep.check(doc["image"] == render_series(image),
               where, "recorded image equals the transcript-derived image")
     rep.check(doc["preimage"] == render_series(preimage), where,
               "recorded preimage equals the transcript-derived preimage")
     rep.check(all(exps[0] >= 0 for exps in preimage.terms), where,
               "preimage lies in the unit-ball subring")
+    _check_divisors(rows, m - 1, p, v_c, rep)
     return rep
 
 
@@ -371,9 +401,10 @@ def verify_certificate(doc: dict) -> Report:
 
 def verify_trace(doc: dict) -> Report:
     """Format 4: the steps replay from the target, and each step's record
-    is the list of [q, d] pairs of its replayed quotients.  The generic
-    route is checked once for each stage a step uses: the map is a ring map
-    that fixes the x-free quotients, so that covers every correction."""
+    is the list of [q, d] pairs of its replayed quotients.  After the
+    replay, fact (a) is checked at every stage up to the highest one a step
+    uses: the map is a ring map that fixes the x-free quotients, so with
+    (b) that covers every correction."""
     rep = Report()
     if not _document_is(doc, "trace", 4, _TRACE_FIELDS, rep):
         return rep
@@ -382,10 +413,6 @@ def verify_trace(doc: dict) -> Report:
         return rep
     config, rows, v_c, field = plan
     p, v_s, guard = config.p, config.v_s, config.work_prec
-    ring = config.tate()
-    # alpha is stage 1's image (b = 0, no demand) at the committed precision
-    alpha = _image_series(rows, 0, p, guard, field).truncate(min(guard, Fraction(len(rows) + 1)))
-    sub = SubstitutionMap(ring, field, (field.x_power(1), field.monomial(1, v_c, -1), alpha))
     by_exponent = {row.omega: idx for idx, row in enumerate(rows)}
     images = {}  # stage index -> (image, inverse of its lead), built on first use
 
@@ -426,10 +453,7 @@ def verify_trace(doc: dict) -> Report:
                 rep.fail(where, f"no committed stage for exponent {q}")
                 return rep
             if idx not in images:
-                image = _image_series(rows, idx, p, guard, field)
-                preimage = _preimage_series(rows, idx, p, v_c, ring)
-                rep.check(not (sub.apply(preimage, guard) - image).terms, f"stage {idx + 1}",
-                          "substitution route agrees with the certificate route")
+                image = _image_series(rows, idx, p, guard, config.stages, field)
                 _, lexps, lcoeff = image.leading()
                 images[idx] = image, field.monomial(lcoeff, *lexps).invert()
             image, lead_inv = images[idx]
@@ -447,6 +471,7 @@ def verify_trace(doc: dict) -> Report:
         val_next = beta.val_lower()
         rep.check(val_next is None or val_next >= m + 1 + v_s, where,
                   f"contracted residual valuation {val_next} >= {m + 1 + v_s}")
+    _check_divisors(rows, max(images, default=-1) + 1, p, v_c, rep)
     return rep
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hahndisk import InstanceConfig
+from hahndisk import InstanceConfig, builder
 from hahndisk.cli import main
 from hahndisk.config import MAX_P
 from hahndisk.series import render_series
@@ -111,6 +111,19 @@ class TestDivide:
         assert out.endswith("final residual valuation >= EXACT (bound 13/4)\n")
         assert "normalized" not in out
         assert run("verify", str(tmp_path / "trace.json")) == 0
+
+    def test_stage_search_ceiling_is_a_resource_limit(self, tmp_path, capsys, monkeypatch):
+        # the default plan's largest b is 29; with the ceiling there, the
+        # stage that t x^(5/9) appends at step 1 has no Frobenius exponent
+        monkeypatch.setattr(builder, "MAX_B_SEARCH", 29)
+        beta = tmp_path / "beta.txt"
+        beta.write_text("1 t^1 x1^5/9\nO(EXACT)\n")
+        out = tmp_path / "out"
+        assert run("divide", "--out", str(out), str(beta), "3") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("resource ceiling: no Frobenius exponent below 29 "
+                                "resolves stage 13\n")
+        assert not (out / "trace.json").exists()
 
     def test_round_trip_target(self, tmp_path, capsys):
         beta = tmp_path / "beta.txt"

@@ -12,11 +12,16 @@ from hahndisk.division import (
     run_division,
     trace_to_doc,
 )
-from hahndisk.errors import ConfigError, ContractViolationError, UnresolvedError
-from hahndisk.series import TruncatedSeries
+from hahndisk.errors import (
+    AdaptednessFailedError,
+    ConfigError,
+    ContractViolationError,
+    UnresolvedError,
+)
+from hahndisk.series import TruncatedSeries, render_series
 from hahndisk.tate import SubstitutionMap
 from hahndisk.valgroup import EXACT, padic_denominator_exponent
-from hahndisk.verify import verify_trace
+from hahndisk.verify import verify_certificate, verify_trace
 
 from conftest import rand_normalized_target, step_corrections
 
@@ -240,51 +245,106 @@ def _bump(c, p):
     return c + 1 if c + 1 < p else 1
 
 
+def divisor_identity_holds(plan, st):
+    """Fact (a) for stage st, through the plan's map: t^(-d) W maps to the
+    stage term, exactly."""
+    got = plan.substitution.apply(
+        plan.ring.monomial(1, -plan.d_requirement(st), plan.divisor_exps(st)))
+    return got == plan.field.monomial(1, *plan.alpha_term_exps(st))
+
+
 class TestConsistencyCheck:
     @pytest.mark.parametrize("part", ["image", "preimage"])
     def test_corrupted_certificate_is_caught(self, part, cfg, plan, residue, monkeypatch):
-        beta = residue.monomial(1, 1, 0)  # band 0, exponent 0 = stage 1
-        cert = build_adapted(plan, 1)
-        series = getattr(cert, part)
-        # image: its lightest non-leading term; preimage: its heaviest term.
-        # Either way the division still reads the recorded leading monomial,
-        # so every valuation bound stays intact.
-        exps, c = series.terms_sorted()[-1 if part == "preimage" else 1]
-        terms = dict(series.terms)
-        terms[exps] = _bump(c, cfg.p)
-        bad = dataclasses.replace(
-            cert, **{part: type(series)(series.profile, terms, series.precision)})
-        monkeypatch.setattr(builder, "build_adapted", lambda plan, m: (
-            bad if m == 1 else build_adapted(plan, m)))
-        with pytest.raises(ContractViolationError, match="stage 1: substitution route"):
-            run_division(plan, beta, 2)
+        if part == "image":
+            beta = residue.monomial(1, 1, 0)  # band 0, exponent 0 = stage 1
+            cert = build_adapted(plan, 1)
+            # its lightest non-leading term: the division still reads the
+            # recorded leading monomial, so every valuation bound stays intact
+            exps, c = cert.image.terms_sorted()[1]
+            terms = {**cert.image.terms, exps: _bump(c, cfg.p)}
+            bad = dataclasses.replace(cert, image=TruncatedSeries(
+                cert.image.profile, terms, cert.image.precision))
+            monkeypatch.setattr(builder, "build_adapted", lambda plan, m: (
+                bad if m == 1 else build_adapted(plan, m)))
+            with pytest.raises(ContractViolationError,
+                               match="stage 1: the image disagrees with the root of alpha"):
+                run_division(plan, beta, 2)
+            # unchecked, the run records the honest quotients: the bumped
+            # term reaches no quotient in 2 steps, so the trace equals the
+            # one run on the honest certificate and verifies
+            monkeypatch.setattr(division, "_check_divisors", lambda *args: None)
+            doc = trace_to_doc(run_division(plan, beta, 2))
+            monkeypatch.undo()  # the honest certificate and check
+            assert doc == trace_to_doc(run_division(plan, beta, 2))
+            report = verify_trace(doc)
+            assert report.ok, report.text()
+            return
 
-        # unchecked, the run records the honest quotients: neither bumped
-        # term reaches a quotient in 2 steps, so the trace equals the one
-        # run on the honest certificate and verifies
-        monkeypatch.setattr(division, "_check_consistency", lambda diff, where: None)
-        doc = trace_to_doc(run_division(plan, beta, 2))
-        monkeypatch.undo()  # the honest certificate and check
-        assert doc == trace_to_doc(run_division(plan, beta, 2))
-        report = verify_trace(doc)
-        assert report.ok, report.text()
+        # a preimage no longer reaches a division: one that would be wrong
+        # changes no byte of the trace, which still verifies
+        beta = residue.monomial(1, 1, F(-1, 3))  # band 0, stage 9
+        honest = trace_to_doc(run_division(plan, beta, 2))
+        preimage = builder.build_preimage(plan, 9)
+        exps, c = preimage.terms_sorted()[-1]  # its heaviest term
+        bad = TruncatedSeries(preimage.profile, {**preimage.terms, exps: _bump(c, cfg.p)},
+                              preimage.precision)
+        built = []
+        monkeypatch.setattr(builder, "build_preimage",
+                            lambda plan, m: built.append(m) or bad)
+        assert trace_to_doc(run_division(plan, beta, 2)) == honest
+        assert built == []
+        # the certificate verifier catches it in a certificate document
+        doc = builder.certificate_to_doc(plan, build_adapted(plan, 9))
+        assert built == [9] and doc["preimage"] == render_series(bad)
+        monkeypatch.undo()
+        report = verify_certificate(doc)
+        assert [(f.where, f.message) for f in report.failures()] == [
+            ("certificate stage 9", "recorded preimage equals the transcript-derived preimage")]
+        # a canceller that leaves the unit ball, from an eps below an
+        # earlier stage's demand, fails the adapted path's preimage and,
+        # without any preimage, the division
+        st9 = plan.stages[8]
+        low = dataclasses.replace(plan, stages=plan.stages[:8] + (
+            dataclasses.replace(st9, v_eps=F(0)),) + plan.stages[9:])
+        with pytest.raises(AdaptednessFailedError, match="divisor quotient for stage 2"):
+            builder.certificate_to_doc(low, build_adapted(low, 9))
+        with pytest.raises(AdaptednessFailedError, match="stage 9: eps has valuation 0"):
+            run_division(low, beta, 2)
 
-    def test_checks_each_used_stage_once(self, cfg, plan, residue, monkeypatch):
+    def test_checks_each_stage_up_to_the_highest_used_once(self, cfg, plan, residue,
+                                                           monkeypatch):
         seen = []
-        check = division._check_consistency
+        divisor_exps = builder.AlphaPlan.divisor_exps
 
-        def spy(diff, where):
-            seen.append(where)
-            check(diff, where)
+        def spy(self, st):
+            seen.append(st.m)
+            return divisor_exps(self, st)
 
-        monkeypatch.setattr(division, "_check_consistency", spy)
+        monkeypatch.setattr(builder.AlphaPlan, "divisor_exps", spy)
         # steps 1 and 2 both divide by the stage of exponent -3
         beta = rand_normalized_target(random.Random(35), residue, cfg.v_s)
         trace = run_division(plan, beta, 3)
         qs = [q for step in trace.steps for q, _ in step.quotients]
-        used = dict.fromkeys(qs)
+        used = {trace.plan.find_stage(q).m for q in qs}
         assert 1 < len(used) < len(qs)
-        assert seen == [f"stage {trace.plan.find_stage(q).m}" for q in used]
+        # fact (a) at every stage up to the highest used, each once, unused
+        # stages included
+        assert seen == list(range(1, max(used) + 1))
+        assert used < set(seen)
+
+    def test_divisor_identity_on_every_instance(self, extended_plans):
+        # fact (a) through the map on every stage of the four instances,
+        # p = 5 and p = 7 included, each with three appended stages; the
+        # verifier's closed form agrees at every stage before the last
+        for plan in extended_plans:
+            assert all(divisor_identity_holds(plan, st) for st in plan.stages)
+            n = len(plan.stages)
+            report = verify_certificate(builder.certificate_to_doc(plan, build_adapted(plan, n)))
+            assert report.ok, report.text()
+            found = [f.where for f in report.findings
+                     if f.message.startswith("the divisor monomial")]
+            assert found == [f"stage {m}" for m in range(1, n)]
 
     def test_stage_appended_mid_division(self, cfg, residue, built_maps):
         # t^1 is divided at step 0 by stage 1; t x^(5/9) lies in band 1 and
@@ -297,12 +357,16 @@ class TestConsistencyCheck:
         assert len(trace.plan.stages) == n0 + 1
         assert trace.plan.stages[-1].omega == F(5, 9)
         assert trace.steps[1].band.terms == {(F(1), F(5, 9)): 2}
-        # stage 1 and the appended stage are both checked against the map
-        # of the extended plan, the one map the run builds
+        # every stage up to the appended one is checked against the map of
+        # the extended plan, the one map the run builds, and fact (a) holds
+        # at each, the appended stage included
         assert len(built_maps) == 1 and built_maps[0] is trace.plan.substitution
         assert "substitution" not in vars(plan)
+        assert all(divisor_identity_holds(trace.plan, st) for st in trace.plan.stages)
         report = verify_trace(trace_to_doc(trace))
         assert report.ok, report.text()
+        assert sum(f.message.startswith("the divisor monomial")
+                   for f in report.findings) == n0 + 1
 
     def test_divisions_on_a_shared_plan_match_fresh_plans(self, cfg, plan, residue):
         # the first target appends the stage 5/9; the second division must
