@@ -51,7 +51,7 @@ from .errors import (AdaptednessFailedError, ContractViolationError, SearchCeili
 from .fields import ResidueField, choose_c
 from .series import TruncatedSeries, render_series
 from .tate import SubstitutionMap, TateRing, is_integral
-from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point
+from .valgroup import EXACT, as_fraction, is_in_zp, omega, stage_point
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,14 @@ class AlphaPlan:
         x1^{omega p^b} when omega >= 0, else x2^{-omega p^b}:
         weight(f(W)) - weight(stage term), which is
         -p^b * (v_e + min(omega, 0) * v_c) written out.  The t-exponent of
-        eps * (stage term) / f(W) is v_eps - d_requirement."""
-        x = st.v_e if st.omega >= 0 else st.v_e + st.omega * self.v_c
-        return -(self.config.p ** st.b) * x
+        eps * (stage term) / f(W) is v_eps - d_requirement.  Computed on
+        numerators over one common denominator."""
+        scale, en, ed = self.config.p ** st.b, st.v_e.numerator, st.v_e.denominator
+        if st.omega >= 0:
+            return Fraction(-scale * en, ed)
+        on, od = st.omega.numerator, st.omega.denominator
+        cn, cd = self.v_c.numerator, self.v_c.denominator
+        return Fraction(-scale * (en * od * cd + on * cn * ed), ed * od * cd)
 
     def divisor_exps(self, st: PlanStage) -> tuple:
         """The (x1, x2, x3) exponents of the divisor monomial W.  The map
@@ -116,27 +121,28 @@ class AlphaPlan:
         x = st.omega * self.config.p ** st.b
         return (x, 0, 0) if x >= 0 else (0, -x, 0)
 
+    @cached_property
+    def stage_index(self) -> dict:
+        """Each stage by its exponent omega; `_append_stage` hands it on."""
+        return {st.omega: st for st in self.stages}
+
     def find_stage(self, q: Fraction):
-        for st in self.stages:
-            if st.omega == q:
-                return st
-        return None
+        return self.stage_index.get(q)
 
 
 # -- plan construction -------------------------------------------------------
 
 
-def _minimal_b(plan: AlphaPlan, m: int, w: Fraction, v_eps: Fraction, base: bool) -> int:
+def _minimal_b(plan: AlphaPlan, m: int, wn: int, wd: int, v_eps: Fraction, base: bool) -> int:
     """Least b meeting growth, window and separation against every stage.
 
     Since 0 < w < v_s, the separation gap p^(b - b_j) * w is smallest
     against the stage with the largest b_j, so that stage alone decides
     separation; at b <= b_j the gap is at most w < 1 + v_s, so the scan
     starts at b_j + 1.  Each inequality is compared on cross-multiplied
-    numerators.
+    numerators; w = wn/wd with wd > 0.
     """
     cfg = plan.config
-    wn, wd = w.numerator, w.denominator
     sn, sd = cfg.v_s.numerator, cfg.v_s.denominator
     gn, gd = cfg.work_prec.numerator, cfg.work_prec.denominator
     # window v_eps / p^b < v_s - w, as need < p^b * room
@@ -164,8 +170,7 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
     if not is_in_zp(q, cfg.p):
         raise StageUnavailableError(f"{q} is not in Z[1/{cfg.p}]")
     m = len(plan.stages) + 1
-    lo = -q * cfg.gamma_x
-    v_e = smallest_zp_point(lo, lo + cfg.v_s, cfg.p)
+    v_e, wn, wd = stage_point(q, cfg.gamma_x, cfg.v_s, cfg.p)
     # the demand is a running maximum: the last stage's v_eps already
     # covers every stage before it
     if plan.stages:
@@ -176,13 +181,16 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
     if m == 1:
         b = 0  # the opening stage is pinned; its term is the leading term
     else:
-        b = _minimal_b(plan, m, v_e - lo, v_eps, base)  # w = v_e + q * gamma_x
+        b = _minimal_b(plan, m, wn, wd, v_eps, base)  # w = v_e + q * gamma_x
     st = PlanStage(m=m, omega=q, v_e=v_e, b=b, v_eps=v_eps)
     grown = replace(plan, stages=plan.stages + (st,))
-    # field, ring and v_c follow from the config alone
+    # field, ring and v_c follow from the config alone, and the stage
+    # index grows by the new stage
     for name in ("field", "ring", "v_c"):
         if name in vars(plan):
             vars(grown)[name] = vars(plan)[name]
+    if "stage_index" in vars(plan):
+        vars(grown)["stage_index"] = {**plan.stage_index, q: st}
     return grown
 
 
@@ -281,15 +289,19 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
         raise StageUnavailableError(f"stage {m} is not committed")
     cfg, field = plan.config, plan.field
     st = plan.stages[m - 1]
-    root = Fraction(1, cfg.p ** st.b)
+    scale, vn, vd = cfg.p ** st.b, st.v_eps.numerator, st.v_eps.denominator
+
+    def key(later):
+        # ((v_eps + p^b_l v_e_l) / p^b, p^b_l omega_l / p^b) on numerators
+        lift, en, ed = cfg.p ** later.b, later.v_e.numerator, later.v_e.denominator
+        return (Fraction(vn * ed + lift * en * vd, vd * ed * scale),
+                Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
     # eps times the stage terms from m on; the tail guard bounds every
     # stage not committed
     image = TruncatedSeries.from_terms(
-        field.profile, ((((st.v_eps + a) * root, x * root), 1)
-                        for a, x in map(plan.alpha_term_exps,
-                                        plan.stages[m - 1:max(m, cfg.stages)])),
-        st.v_eps * root + cfg.work_prec)
+        field.profile, ((key(later), 1) for later in plan.stages[m - 1:max(m, cfg.stages)]),
+        Fraction(vn, vd * scale) + cfg.work_prec)
 
     lead = image.leading()
     if lead is None:

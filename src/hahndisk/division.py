@@ -24,7 +24,9 @@ divisor monomial (x1^(p^b omega), or x2^(-p^b omega) for omega < 0) and
 d_j its demand; v_eps >= d_j makes each canceller integral.  Two exact
 facts then fix f(preimage):
   (a) f(t^(-d_j) W_j) is T_j, stage j's term of alpha.  x1 and x2 map to
-      the exact monomials x and c x^-1, so no precision is lost;
+      the exact monomials x and c x^-1, so (a) is read off their images:
+      `SubstitutionMap.monomial_image` gives the key and coefficient of
+      f(t^(-d_j) W_j) in closed form, and no series is built;
   (b) f(x3) is alpha, whose terms are the stage terms T_l, known up to
       prec(alpha) = min(work_prec, stages + 1).
 Roots are additive in characteristic p, so f(preimage) is t^s times the
@@ -35,6 +37,9 @@ terms below s + prec(alpha) * r, with no series product.  (a) depends on j
 alone: checked once per stage up to the highest one used, it costs
 O(stages) per run, where evaluating every stage-m preimage (m terms)
 through f cost O(stages^2).
+
+A step's correction is the sum of its products d * image_q, taken in one
+`from_terms`, so no partial sum is copied.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 
 from .builder import AlphaPlan, certify, plan_to_doc
 from .errors import (
@@ -51,7 +58,7 @@ from .errors import (
     InsufficientPrecisionError,
     UnresolvedError,
 )
-from .series import TruncatedSeries, render_series
+from .series import TruncatedSeries, min_precision, render_series
 from .valgroup import EXACT
 
 
@@ -112,14 +119,15 @@ def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> Division
     certs = {}
     for m in range(steps):
         # beta_m >= m + v_s: the target check, or step m - 1's contraction
-        if beta_m.precision is not EXACT and beta_m.precision < m + 1 + v_s:
+        lo = m + v_s
+        hi = lo + 1
+        if beta_m.precision is not EXACT and beta_m.precision < hi:
             raise InsufficientPrecisionError(
                 f"step {m}: residual precision {beta_m.precision} does not "
-                f"cover the band up to {m + 1 + v_s}"
+                f"cover the band up to {hi}"
             )
-        band = beta_m.window(m + v_s, m + 1 + v_s)
-        f_e = field.zero()
-        quotients = []
+        band = beta_m.window(lo, hi)
+        quotients, products = [], []
         for q, part in band.split(1):
             if q not in certs:
                 plan, cert = certify(plan, q)
@@ -128,21 +136,28 @@ def run_division(plan: AlphaPlan, beta: TruncatedSeries, steps: int) -> Division
             # d = part / lead, free of x since lead carries x^q, is the
             # quotient b / (lead * t^m) times t^m
             d = part * lead_inv
-            d_val = d.val_lower() - m
-            if not d_val > 0:
+            if not d.val_lower() > m:
                 raise ContractViolationError(
                     f"step {m}: quotient for exponent {q} has valuation "
-                    f"{d_val}, expected > 0"
+                    f"{d.val_lower() - m}, expected > 0"
                 )
             quotients.append((q, d))
-            f_e = f_e + d * cert.image
-        beta_next = beta_m - f_e
-        _certified_val(beta_next, m + 1 + v_s, f"step {m} contraction bound")
+            products.append(d * cert.image)
+        beta_next = beta_m - _sum(field.profile, products)
+        _certified_val(beta_next, hi, f"step {m} contraction bound")
         records.append(DivisionStep(band=band, quotients=tuple(quotients),
                                     beta_after=beta_next))
         beta_m = beta_next
     _check_divisors(plan, [cert for cert, _ in certs.values()])
     return DivisionTrace(plan=plan, target=beta, steps=records, final_beta=beta_m)
+
+
+def _sum(profile, parts) -> TruncatedSeries:
+    """The sum of the series `parts` through one `from_terms`: a running
+    sum's terms and dict order, with no partial sum copied."""
+    return TruncatedSeries.from_terms(
+        profile, chain.from_iterable(f.terms.items() for f in parts),
+        reduce(min_precision, (f.precision for f in parts), EXACT))
 
 
 def _check_divisors(plan: AlphaPlan, certs):
@@ -151,31 +166,39 @@ def _check_divisors(plan: AlphaPlan, certs):
     by_m = {cert.m: cert for cert in certs}
     if not by_m:
         return
-    sub, ring, field = plan.substitution, plan.ring, plan.field
-    weight, alpha = field.profile.weight, sub.images[2]
+    sub = plan.substitution
+    images, weight = sub.images, plan.field.profile.weight
+    alpha = images[2]
     rest = dict(alpha.terms)  # alpha's terms from stage st on
     demand = Fraction(0)  # the largest d_j of the stages before st
+    # (a) is read off a used image only if it is an exact single term
+    monomial = [len(img.terms) == 1 and img.precision is EXACT for img in images]
     for st in plan.stages[:max(by_m)]:
-        where = f"stage {st.m}"
         if st.m in by_m:
             if st.v_eps < demand:
                 raise AdaptednessFailedError(
-                    f"{where}: eps has valuation {st.v_eps} below the demand "
+                    f"stage {st.m}: eps has valuation {st.v_eps} below the demand "
                     f"{demand} of an earlier stage")
-            root = Fraction(1, plan.config.p ** st.b)
-            shift = st.v_eps * root
-            bound = shift + alpha.precision * root
-            want = {(shift + a * root, x * root): c for (a, x), c in rest.items()}
+            # alpha's term keys (a, x) from st on, shifted by eps and rooted:
+            # ((v_eps + a) / p^b, x / p^b), on numerators
+            scale, vn, vd = plan.config.p ** st.b, st.v_eps.numerator, st.v_eps.denominator
+            bound = Fraction(vn, vd * scale) + alpha.precision / scale
+            want = {(Fraction(vn * a.denominator + a.numerator * vd, vd * a.denominator * scale),
+                     Fraction(x.numerator, x.denominator * scale)): c
+                    for (a, x), c in rest.items()}
             got = {e: c for e, c in by_m[st.m].image.terms.items() if weight(e) < bound}
             if got != want:
-                raise ContractViolationError(f"{where}: the image disagrees with the "
+                raise ContractViolationError(f"stage {st.m}: the image disagrees with the "
                                              f"root of alpha below weight {bound}")
         d, term = plan.d_requirement(st), plan.alpha_term_exps(st)
-        if sub.apply(ring.monomial(1, -d, plan.divisor_exps(st))) != field.monomial(1, *term):
-            raise ContractViolationError(f"{where}: the divisor monomial does not "
+        exps = (-d, *plan.divisor_exps(st))
+        if not (all(monomial[i] for i, q in enumerate(exps[1:]) if q)
+                and sub.monomial_image(exps) == (term, 1)):
+            raise ContractViolationError(f"stage {st.m}: the divisor monomial does not "
                                          f"map to the stage term t^{term[0]} x^{term[1]}")
         rest.pop(term, None)
-        demand = max(demand, d)
+        if d > demand:
+            demand = d
 
 
 # -- serialization ------------------------------------------------------------

@@ -28,6 +28,8 @@ from .series import (
 )
 from .valgroup import EXACT, as_fraction, is_in_zp, padic_denominator_exponent
 
+_ZERO = Fraction(0)
+
 
 class TateRing:
     """Descriptor for R_n = C<x1^(1/p^inf), ..., xn^(1/p^inf)> truncated."""
@@ -163,28 +165,56 @@ class SubstitutionMap:
         # stored terms: every term of images[i]^q weighs at least q * v_i
         self._vals = tuple(img.val_lower() if img.terms else None for img in images)
 
+    def monomial_image(self, exps) -> tuple:
+        """(key, coefficient) of the image of the ring monomial t^a x^q with
+        exponent vector exps = (a, q1, ..., qn), read off the single-term
+        images of the generators it uses.
+
+        For q = u/p^k a single-term image c t^b x^e raises in closed form to
+        c^u t^(q b) x^(q e): the Frobenius root of an F_p coefficient is the
+        coefficient.  The product of the powers adds their keys, t^a shifts
+        the key by a, and the coefficients multiply.  Precision is the
+        caller's: the route reads stored terms only.  Raises ConfigError if
+        a used image does not have exactly one term.
+        """
+        p = self.ring.ground.p
+        key, coeff = [exps[0]] + [_ZERO] * (self.field.profile.dim - 1), 1
+        for i, q in enumerate(exps[1:]):
+            if not q:
+                continue
+            terms = self.images[i].terms
+            if len(terms) != 1:
+                raise ConfigError(f"the image of x{i + 1} has {len(terms)} terms, not one")
+            ((img_exps, c),) = terms.items()
+            padic_denominator_exponent(q, p)  # q = u/p^k, so u is its numerator
+            if q.numerator < 0:
+                raise ExponentError("negative variable exponent reached substitution")
+            key = [s + q * e for s, e in zip(key, img_exps)]
+            coeff = coeff * pow(c, q.numerator, p) % p
+        return tuple(key), coeff
+
     def _image_power(self, i: int, q: Fraction, work_prec) -> TruncatedSeries:
         """Image of x_{i+1}^q, truncated to work_prec.
 
-        For q = u/p^k a single-term image c t^a x^e raises in closed form to
-        c^u t^(q a) x^(q e): the Frobenius root of an F_p coefficient is the
-        coefficient.  A finite precision P at term weight w becomes
-        P/p^k + (u-1) w/p^k, exactly what the root followed by repeated
-        squaring gives.  Any other image takes that root-and-power route.
+        A single-term image c t^a x^e takes its key and coefficient from
+        `monomial_image`.  Its finite precision P at term weight w becomes
+        P/p^k + (u-1) w/p^k for q = u/p^k, exactly what the root followed by
+        repeated squaring gives.  Any other image takes that root-and-power
+        route.
         """
         p = self.ring.ground.p
         k = padic_denominator_exponent(q, p)
-        u = int(q * p ** k)
+        u = q.numerator
         if u < 0:
             raise ExponentError("negative variable exponent reached substitution")
         image = self.images[i]
         if len(image.terms) == 1 and u:
-            ((exps, c),) = image.terms.items()
+            exps = [_ZERO] * (self.ring.nvars + 1)
+            exps[i + 1] = q
             prec = image.precision
             if prec is not EXACT:
-                prec = (prec + (u - 1) * image.profile.weight(exps)) / p ** k
-            out = TruncatedSeries.from_terms(
-                image.profile, [(tuple(q * e for e in exps), pow(c, u, p))], prec)
+                prec = (prec + (u - 1) * image.val_lower()) / p ** k
+            out = TruncatedSeries.from_terms(image.profile, [self.monomial_image(exps)], prec)
         else:
             out = image.frobenius(-k) ** u
         if work_prec is not None and out.precision is not EXACT and out.precision > work_prec:

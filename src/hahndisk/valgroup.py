@@ -84,6 +84,19 @@ def padic_denominator_exponent(q: Fraction, p: int) -> int:
     return k
 
 
+def _zp_point(ln: int, ld: int, hn: int, hd: int, p: int) -> tuple:
+    """`smallest_zp_point` of (ln/ld, hn/hd), ld and hd > 0, as a reduced
+    (numerator, p-power denominator) pair.  The first denominator p^k that
+    admits a point gives it, so the point has no factor p in common with
+    p^k: that point over p^(k-1) would have been found first."""
+    den = 1
+    while True:
+        n = ln * den // ld + 1  # floor(lo * den) + 1; // rounds down
+        if n * hd < hn * den:
+            return n, den
+        den *= p
+
+
 def smallest_zp_point(lo: Fraction, hi: Fraction, p: int) -> Fraction:
     """The Z[1/p] point of the open interval (lo, hi) with the smallest
     denominator, ties broken by the smallest numerator.
@@ -94,14 +107,23 @@ def smallest_zp_point(lo: Fraction, hi: Fraction, p: int) -> Fraction:
     lo, hi = as_fraction(lo), as_fraction(hi)
     if not lo < hi:
         raise ConfigError(f"empty interval ({lo}, {hi})")
-    ln, ld = lo.numerator, lo.denominator
-    hn, hd = hi.numerator, hi.denominator
-    den = 1
-    while True:
-        n = ln * den // ld + 1  # floor(lo * den) + 1; // rounds down
-        if n * hd < hn * den:
-            return Fraction(n, den)
-        den *= p
+    return Fraction(*_zp_point(lo.numerator, lo.denominator, hi.numerator, hi.denominator, p))
+
+
+def stage_point(q: Fraction, gamma_x: Fraction, v_s: Fraction, p: int) -> tuple:
+    """(v_e, wn, wd) for a plan stage of exponent q: the canonical point
+    v_e = smallest_zp_point(lo, lo + v_s, p) of lo = -q * gamma_x, and its
+    weight w = v_e - lo = wn/wd, with wd > 0 and the pair not reduced.
+
+    lo and lo + v_s are numerators over one common denominator, so the
+    point v_e, which every caller stores, is the one Fraction built; v_s
+    must be positive.
+    """
+    sn, sd = v_s.numerator, v_s.denominator
+    qg = q.denominator * gamma_x.denominator
+    ln, ld = -q.numerator * gamma_x.numerator * sd, qg * sd
+    n, den = _zp_point(ln, ld, ln + sn * qg, ld, p)
+    return Fraction(n, den), n * ld - ln * den, den * ld
 
 
 # The fixed enumeration of Z[1/p]: reduced fractions i/p^k ordered by
@@ -150,4 +172,8 @@ def omega(m: int, p: int) -> Fraction:
     """The m-th element (1-indexed) of the fixed bijection onto Z[1/p]."""
     if m < 1:
         raise ConfigError(f"omega index must be >= 1, got {m}")
-    return omega_prefix(m, p)[m - 1]
+    values = _OMEGA_CACHE.get(p, ((),))[0]  # only a prime p is cached
+    if len(values) < m:
+        omega_prefix(m, p)
+        values = _OMEGA_CACHE[p][0]
+    return values[m - 1]

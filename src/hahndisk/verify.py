@@ -33,9 +33,9 @@ from fractions import Fraction
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import FormatError, HahndiskError
 from .fields import ResidueField
-from .series import TruncatedSeries, render_series
+from .series import TruncatedSeries, min_precision, render_series
 from .tate import TateRing
-from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point
+from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point, stage_point
 
 
 @dataclass
@@ -146,14 +146,19 @@ def _read_plan(doc) -> tuple:
 def _d_requirement(omega: Fraction, v_e: Fraction, scale: int, v_c: Fraction) -> Fraction:
     """The divisibility demand a stage puts on every later one: the weight
     of its divisor monomial's image minus the weight of its term, written
-    out as -p^b * (v_e + min(omega, 0) * v_c); scale is p^b."""
-    x = v_e if omega >= 0 else v_e + omega * v_c
-    return -scale * x
+    out as -p^b * (v_e + min(omega, 0) * v_c) on numerators over one common
+    denominator; scale is p^b."""
+    en, ed = v_e.numerator, v_e.denominator
+    if omega >= 0:
+        return Fraction(-scale * en, ed)
+    on, od, cn, cd = omega.numerator, omega.denominator, v_c.numerator, v_c.denominator
+    return Fraction(-scale * (en * od * cd + on * cn * ed), ed * od * cd)
 
 
-def _constraints_hold(w, v_eps, idx, b, scale, top_b, p, v_s, guard, guarded) -> bool:
+def _constraints_hold(wn, wd, v_eps, idx, b, scale, top_b, p, v_s, guard, guarded) -> bool:
     """The exact stage inequalities for the stage at index idx (0-based),
-    of leading weight w = v_e + omega * gamma_x, at Frobenius exponent b >= 0
+    of leading weight w = v_e + omega * gamma_x = wn/wd with wd > 0, at
+    Frobenius exponent b >= 0
     with scale = p^b; top_b is the largest b of the earlier stages (None if
     there are none).
 
@@ -163,7 +168,6 @@ def _constraints_hold(w, v_eps, idx, b, scale, top_b, p, v_s, guard, guarded) ->
     numerators and positive denominators; where b lies below top_b the
     bound side takes the factor p^(top_b - b), so no power is negative.
     """
-    wn, wd = w.numerator, w.denominator
     sn, sd = v_s.numerator, v_s.denominator
     if not scale * wn > (idx + 1) * wd:
         return False
@@ -192,12 +196,17 @@ def _image_series(rows, idx, p, guard, base, field: ResidueField) -> TruncatedSe
     `base` base stages clears the guard, so its term lies past the
     precision and is skipped: call this once the plan checks pass."""
     row = rows[idx]
-    scale = p ** row.b
-    exps = (((row.v_eps + p ** later.b * later.v_e) / scale,
-             Fraction(later.omega * p ** later.b, scale))
-            for later in rows[idx:max(idx + 1, base)])
-    return TruncatedSeries.from_terms(field.profile, ((e, 1) for e in exps),
-                                      row.v_eps / scale + guard)
+    scale, vn, vd = p ** row.b, row.v_eps.numerator, row.v_eps.denominator
+
+    def key(later):
+        # ((v_eps + p^b_l v_e_l) / p^b, p^b_l omega_l / p^b) on numerators
+        lift, en, ed = p ** later.b, later.v_e.numerator, later.v_e.denominator
+        return (Fraction(vn * ed + lift * en * vd, vd * ed * scale),
+                Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
+
+    return TruncatedSeries.from_terms(
+        field.profile, ((key(later), 1) for later in rows[idx:max(idx + 1, base)]),
+        Fraction(vn, vd * scale) + guard)
 
 
 def _preimage_series(rows, idx, p, v_c, ring: TateRing) -> TruncatedSeries:
@@ -231,7 +240,8 @@ def _check_divisors(rows, n, p, v_c, rep: Report):
 
 def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
     """The adapted facts of every stage image without building the images;
-    scales[i] is p^b and ws[i] the weight v_e + omega * gamma_x of rows[i].
+    scales[i] is p^b and ws[i] the weight v_e + omega * gamma_x of rows[i],
+    as a (numerator, positive denominator) pair.
 
     Image term l >= idx of stage idx weighs v_eps/p^b + p^(b_l - b) * w_l.
     Separation puts every l > idx past 1 + v_s > w, so the stage's own
@@ -240,28 +250,33 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
     finding), and the rest of the image has valuation
     v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
     Only call this once the stage checks, separation included, all hold.
+    Each fact is decided on numerators; a Fraction is built only to print.
     """
     # one pass from the last stage: min over l > idx of p^(b_l) * w_l, as a
     # (numerator, denominator) pair
     low, lows = None, [None]
-    for scale, w in zip(scales[:0:-1], ws[:0:-1]):
-        n, d = scale * w.numerator, w.denominator
-        if low is None or n * low[1] < low[0] * d:
-            low = (n, d)
+    for scale, (wn, wd) in zip(scales[:0:-1], ws[:0:-1]):
+        n = scale * wn
+        if low is None or n * low[1] < low[0] * wd:
+            low = (n, wd)
         lows.append(low)
+    sn, sd = v_s.numerator, v_s.denominator
     bound = 1 + v_s
-    for m, (row, scale, w, low) in enumerate(zip(rows, scales, ws, reversed(lows)), start=1):
+    for m, (row, scale, (wn, wd), low) in enumerate(zip(rows, scales, ws, reversed(lows)),
+                                                    start=1):
         vn, vd = row.v_eps.numerator, row.v_eps.denominator
-        wn, wd = w.numerator, w.denominator
-        w0 = Fraction(vn * wd + scale * wn * vd, scale * vd * wd)
-        # min(p^b * guard, low), over the common denominator scale * vd * rd
+        # v_eps/p^b + w as w0n/w0d, then min(p^b * guard, low) as rn/rd
+        w0n, w0d = vn * wd + scale * wn * vd, scale * vd * wd
         rn, rd = scale * guard.numerator, guard.denominator
         if low is not None and low[0] * rd < rn * low[1]:
             rn, rd = low
-        res_val = Fraction(vn * rd + rn * vd, scale * vd * rd)
+        # the residual valuation v_eps/p^b + rn/(p^b rd)
+        res_n, res_d = vn * rd + rn * vd, scale * vd * rd
         where = f"stage {m} image"
-        rep.check(0 <= w0 < v_s, where, f"leading value {w0} inside [0, {v_s})")
-        rep.check(res_val > bound, where, f"residual valuation {res_val} beyond {bound}")
+        rep.check(0 <= w0n and w0n * sd < sn * w0d, where,
+                  f"leading value {Fraction(w0n, w0d)} inside [0, {v_s})")
+        rep.check(res_n * sd > (sd + sn) * res_d, where,
+                  f"residual valuation {Fraction(res_n, res_d)} beyond {bound}")
 
 
 # -- plan verification ----------------------------------------------------------
@@ -327,13 +342,12 @@ def _check_plan(doc, rep: Report):
         if not rep.check(_is_int(b) and 0 <= b <= MAX_B_SEARCH, where,
                          f"Frobenius exponent {b!r} is an integer in [0, {MAX_B_SEARCH}]"):
             break
-        lo, scale = -q * gamma_x, p ** b
-        v_e = smallest_zp_point(lo, lo + v_s, p)
+        scale = p ** b
+        v_e, wn, wd = stage_point(q, gamma_x, v_s, p)
         rows.append(_Row(omega=q, v_e=v_e, b=b, v_eps=demand,
                          d=_d_requirement(q, v_e, scale, v_c)))
-        w = v_e - lo
         scales.append(scale)
-        ws.append(w)
+        ws.append((wn, wd))
         if idx < config.stages:
             rep.check(q == omega(idx + 1, p), where,
                       f"exponent {q} follows the fixed enumeration")
@@ -342,14 +356,14 @@ def _check_plan(doc, rep: Report):
             continue
         guarded = idx >= config.stages
         rep.check(
-            _constraints_hold(w, demand, idx, b, scale, top_b, p, v_s, guard, guarded),
+            _constraints_hold(wn, wd, demand, idx, b, scale, top_b, p, v_s, guard, guarded),
             where, f"growth, window and separation hold at b = {b}")
         # Growth, window and separation each only get easier as b grows, as
         # w > 0 and v_eps >= 0: v_e lies inside (lo, lo + v_s) and the demand
         # starts at 0.  A failure at b - 1 is then a failure at every smaller
         # b, so b - 1 alone decides minimality.
         minimal = b == 0 or not _constraints_hold(
-            w, demand, idx, b - 1, scale // p, top_b, p, v_s, guard, guarded)
+            wn, wd, demand, idx, b - 1, scale // p, top_b, p, v_s, guard, guarded)
         rep.check(minimal, where, f"b = {b} is minimal")
 
     if rep.ok:
@@ -445,8 +459,7 @@ def verify_trace(doc: dict) -> Report:
         # beta is replayed from the target, never read from a record; its
         # valuation >= m + v_s is the target check, or step m - 1's contraction
         band = beta.window(m + v_s, m + 1 + v_s)
-        f_e = field.zero()
-        replayed = []
+        replayed, pairs, prec = [], [], EXACT
         for q, part in band.split(1):
             idx = by_exponent.get(q)
             if idx is None:
@@ -464,10 +477,13 @@ def verify_trace(doc: dict) -> Report:
                              f"quotient for exponent {q} has valuation {d_val} > 0"):
                 return rep
             replayed.append([str(q), render_series(d)])
-            f_e = f_e + d * image
+            product = d * image
+            pairs.extend(product.terms.items())
+            prec = min_precision(prec, product.precision)
         # the record is compared as JSON, so any other value is a FAIL here
         rep.check(rec == replayed, where, "recorded quotients match")
-        beta = beta - f_e
+        # the step's correction, summed once
+        beta = beta - TruncatedSeries.from_terms(field.profile, pairs, prec)
         val_next = beta.val_lower()
         rep.check(val_next is None or val_next >= m + 1 + v_s, where,
                   f"contracted residual valuation {val_next} >= {m + 1 + v_s}")

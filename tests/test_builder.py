@@ -142,7 +142,8 @@ class TestBuildPlan:
                 for base in (True, False):
                     want = minimal_b_oracle([st.b for st in plan.stages], w, v_eps, m, v_s,
                                             guard=None if base else guard, p=p)
-                    assert _minimal_b(plan, m, w, v_eps, base) == want, (w, v_eps, base)
+                    got = _minimal_b(plan, m, w.numerator, w.denominator, v_eps, base)
+                    assert got == want, (w, v_eps, base)
 
     def test_work_prec_floor(self):
         from hahndisk.errors import ConfigError
@@ -301,6 +302,17 @@ class TestExtension:
         assert extend(plan, F(1)) is plan
         assert plan.find_stage(F(1)).m == 2
         assert len(plan.stages) == 12
+
+    def test_stage_index_is_handed_on(self, cfg):
+        # an appended plan gets its parent's index plus the new stage; the
+        # parent's index does not see it
+        plan = build_plan(cfg)
+        assert plan.find_stage(F(5, 9)) is None
+        grown = extend(plan, F(5, 9))
+        assert "stage_index" in vars(grown)
+        assert grown.find_stage(F(5, 9)) is grown.stages[-1]
+        assert plan.find_stage(F(5, 9)) is None
+        assert grown.stage_index == {st.omega: st for st in grown.stages}
 
     def test_new_exponent_appends_verified_stage(self, cfg, plan):
         grown = extend(plan, F(5, 9))

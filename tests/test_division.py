@@ -312,6 +312,25 @@ class TestConsistencyCheck:
         with pytest.raises(AdaptednessFailedError, match="stage 9: eps has valuation 0"):
             run_division(low, beta, 2)
 
+    @pytest.mark.parametrize("i, corrupt, m", [
+        (0, lambda f, v_c: f.monomial(2, 0, 1), 2),  # x1 -> 2 x
+        (1, lambda f, v_c: f.monomial(1, v_c + 1, -1), 3),  # x2 -> t c x^-1
+        (1, lambda f, v_c: f.monomial(1, v_c, -1, precision=v_c + 5), 3),  # inexact
+        (0, lambda f, v_c: f.x_power(1) + f.monomial(1, 3, 0), 2),  # two terms
+    ], ids=["coefficient", "key", "inexact", "two terms"])
+    def test_corrupted_divisor_identity_is_caught(self, i, corrupt, m, cfg, residue):
+        # fact (a) is read off the images of x1 and x2: with one of them
+        # corrupted, the first stage whose divisor monomial uses it fails,
+        # stage 2 (omega = 1) for x1 and stage 3 (omega = -1) for x2
+        plan = build_plan(cfg)
+        images = list(plan.substitution.images)
+        images[i] = corrupt(plan.field, plan.v_c)
+        vars(plan)["substitution"] = SubstitutionMap(plan.ring, plan.field, images)
+        beta = residue.monomial(1, 1, F(-1, 3))  # band 0, stage 9
+        with pytest.raises(ContractViolationError,
+                           match=f"^stage {m}: the divisor monomial does not map"):
+            run_division(plan, beta, 2)
+
     def test_checks_each_stage_up_to_the_highest_used_once(self, cfg, plan, residue,
                                                            monkeypatch):
         seen = []

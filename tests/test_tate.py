@@ -329,3 +329,42 @@ def test_apply_hashes_no_x_part_twice(counted, cfg, plan):
         got = sub.apply(watched, cfg.work_prec)
         assert all(hashes[id(x)] <= 1 for e in watched.terms for x in e[1:])
         assert got == sub.apply(preimage, cfg.work_prec)
+
+
+@st.composite
+def monomial_route_cases(draw):
+    """A map whose x1 and x2 images are exact single terms with random
+    coefficients, like the plan's x and c x^-1, and whose x3 image has two
+    terms; and a monomial t^a x1^q1 x2^q2 with a t-shift a of either sign."""
+    p = draw(st.sampled_from(sorted(_FIELDS)))
+    field = ResidueField(GroundField(p), _FIELDS[p])
+    ring = TateRing(field.ground, 3)
+
+    def rat(lo, hi, k):
+        return Fraction(draw(st.integers(lo, hi)), p ** draw(st.integers(0, k)))
+
+    def single_term():
+        t_exp, x_exp = rat(0, 6, 1), rat(-3, 3, 1)
+        weight = t_exp + x_exp * field.gamma_x
+        if weight < 0:
+            t_exp += -(weight // 1)  # integral shift into valuation >= 0
+        return field.monomial(draw(st.integers(1, p - 1)), t_exp, x_exp)
+
+    images = (single_term(), single_term(), field.x_power(1) + field.monomial(1, 1, 0))
+    qs = [rat(0, 12, 3), rat(0, 12, 3)]
+    return field, ring, images, (rat(-12, 12, 2), *qs, Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=monomial_route_cases())
+def test_monomial_route_matches_apply_and_reference(case):
+    field, ring, images, exps = case
+    sub = SubstitutionMap(ring, field, images)
+    key, coeff = sub.monomial_image(exps)
+    want = field.monomial(coeff, *key)
+    f = ring.monomial(1, exps[0], exps[1:])
+    assert sub.apply(f) == want
+    assert reference_apply(sub, f, None) == want
+    # the multi-term image of x3 has no closed form
+    with pytest.raises(ConfigError, match="image of x3 has 2 terms"):
+        sub.monomial_image((*exps[:3], Fraction(1, field.ground.p)))

@@ -12,6 +12,7 @@ from hahndisk.valgroup import (
     omega,
     omega_prefix,
     smallest_zp_point,
+    stage_point,
 )
 
 F = Fraction
@@ -79,6 +80,14 @@ class TestOmega:
         with pytest.raises(ConfigError):
             omega(0, 3)
 
+    def test_cached_index_reads_the_list(self, monkeypatch):
+        # once the enumeration covers m, omega(m) neither re-tests p for
+        # primality nor copies a prefix
+        want = omega_prefix(40, 5)
+        monkeypatch.setattr("hahndisk.valgroup.is_prime", lambda n: pytest.fail("re-tested"))
+        monkeypatch.setattr("hahndisk.valgroup.omega_prefix", lambda n, p: pytest.fail("copied"))
+        assert [omega(m, 5) for m in range(1, 41)] == want
+
 
 class TestSmallestZpPoint:
     def test_choose_c_interval(self):
@@ -129,6 +138,17 @@ class TestSmallestZpPoint:
     def test_empty_interval_rejected(self):
         with pytest.raises(ConfigError):
             smallest_zp_point(Fraction(1), Fraction(1), 3)
+
+    def test_stage_point_on_every_instance(self, extended_plans):
+        # the integer canonical point and weight of every base and appended
+        # stage of the four instances, p = 5 and p = 7 included
+        for plan in extended_plans:
+            p, gamma_x, v_s = plan.config.p, plan.config.gamma_x, plan.config.v_s
+            for st in plan.stages:
+                lo = -st.omega * gamma_x
+                v_e, wn, wd = stage_point(st.omega, gamma_x, v_s, p)
+                assert v_e == smallest_zp_point(lo, lo + v_s, p) == st.v_e
+                assert wd > 0 and Fraction(wn, wd) == v_e - lo
 
 
 class TestAsFraction:

@@ -328,7 +328,8 @@ class TestPlanVerification:
                 for guarded in (False, True):
                     args = (w, v_eps, idx, b, top_b, p, v_s, guard, guarded)
                     got = hahndisk.verify._constraints_hold(
-                        w, v_eps, idx, b, p ** b, top_b, p, v_s, guard, guarded)
+                        w.numerator, w.denominator, v_eps, idx, b, p ** b, top_b, p, v_s,
+                        guard, guarded)
                     assert got == reference(*args), args
 
     def test_negative_or_decreasing_b_stays_exact(self, plan):
