@@ -23,20 +23,36 @@ checks every exponent and reduces every coefficient.  Terms a closed
 operation computed go through `_trusted` or its public forms, which skip
 that check: `from_terms` sums (exponents, coefficient) pairs mod p,
 `window` keeps the terms of a weight interval and `split` groups them by
-one exponent.  `from_terms` is the one loop that combines terms mod p:
-`+` and `-` fold the right operand into a copy of the left's terms, and
-`*` hands it the pairs below the product's precision.
+one exponent.  `_summed`, behind `from_terms`, is the one loop that
+combines terms mod p: `+` and `-` fold the right operand into a copy of
+the left's terms, and `*` hands it the pairs below the product's
+precision.
 
 A closed operation hashes an exponent vector only as it stores a new
 term: a dict copy keeps its stored hashes, the precision filter deletes
 the dropped keys in place, and `from_terms` hashes a new vector once.
 Dict order is still that of a running sum over the operands' terms.
+
+Inside the closed operations a weight is a pair of integers.  A profile
+keeps its slot weights as integer numerators over one common
+denominator, and `WeightProfile._weigh` gives an exponent vector's
+weight as (numerator, positive denominator) from one integer dot
+product, with no gcd.  Every bound test compares such pairs
+cross-multiplied: `window`, the precision filter of `_trusted` and the
+pair filter of `*`; `val_lower` and `leading` pick the least pair the
+same way and build one `Fraction`, for the weight they return, as `*`
+does for its precision.  Each term is weighed at most once per
+operation: `*` stores the pairs its own filter kept without filtering
+them again, and `+` and `-` filter only the operand whose precision
+exceeds the result's.  `weight` still sums a `Fraction` for the
+validating constructor and the text order, which stay as they were.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import (
@@ -67,6 +83,17 @@ def shift_precision(prec, shift):
     return prec + shift
 
 
+def _least(weights) -> tuple:
+    """The least of a nonempty iterable of (numerator, positive denominator)
+    weight pairs, compared cross-multiplied."""
+    it = iter(weights)
+    bn, bd = next(it)
+    for n, d in it:
+        if n * bd < bn * d:
+            bn, bd = n, d
+    return bn, bd
+
+
 class WeightProfile:
     """Weights turning exponent vectors into additive valuations.
 
@@ -77,7 +104,7 @@ class WeightProfile:
     arbitrarily.
     """
 
-    __slots__ = ("p", "weights", "generic_radius", "_slots")
+    __slots__ = ("p", "weights", "generic_radius", "_slots", "_den", "_int_slots")
 
     def __init__(self, p: int, weights, generic_radius: bool = False):
         weights = tuple(as_fraction(w) for w in weights)
@@ -89,18 +116,43 @@ class WeightProfile:
         self.weights = weights
         self.generic_radius = generic_radius
         # (index, weight) of the variable slots that weigh anything: slot 0
-        # always weighs 1, and a Tate-ring variable weighs 0
+        # always weighs 1, and a Tate-ring variable weighs 0; _int_slots has
+        # each such weight as an integer numerator over the common
+        # denominator _den
         self._slots = tuple((i, w) for i, w in enumerate(weights) if i and w)
+        self._den = lcm(*(w.denominator for w in weights))
+        self._int_slots = tuple((i, w.numerator * (self._den // w.denominator))
+                                for i, w in self._slots)
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
     def weight(self, exponents) -> Fraction:
+        """The weight as a Fraction, summed in Fraction arithmetic, for the
+        validating constructor, `split` and the text order; it equals the
+        pair `_weigh` gives the closed operations."""
         total = exponents[0]
         for i, w in self._slots:
             total += w * exponents[i]
         return total
+
+    def _weigh(self, exponents) -> tuple:
+        """The weight of `exponents` as an unreduced pair (numerator,
+        positive denominator): one integer dot product of the exponent
+        numerators with the slot numerators over `_den`, on a running
+        denominator that takes in each exponent denominator it does not
+        equal."""
+        e = exponents[0]
+        n, d = e.numerator * self._den, e.denominator
+        for i, a in self._int_slots:
+            e = exponents[i]
+            ed = e.denominator
+            if ed == d:
+                n += a * e.numerator
+            else:
+                n, d = n * ed + a * e.numerator * d, d * ed
+        return n, d * self._den
 
     def __eq__(self, other):
         return (
@@ -160,7 +212,7 @@ class TruncatedSeries:
         return cls.monomial(profile, 1, (0,) * profile.dim)
 
     @classmethod
-    def _trusted(cls, profile, terms: dict, precision):
+    def _trusted(cls, profile, terms: dict, precision, cut=True):
         """Wrap terms produced by a closed operation without re-validation.
 
         The caller guarantees what `__init__` checks: exponent tuples of the
@@ -168,11 +220,11 @@ class TruncatedSeries:
         mod p and nonzero, a Fraction or EXACT precision, and a `terms` dict
         no one else holds.  Only the precision filter runs, since it depends
         on the result's own bound; it deletes the dropped keys from `terms`.
+        A caller that kept no term at or past the precision passes `cut`
+        false, and nothing is weighed.
         """
-        if precision is not EXACT:
-            weight = profile.weight
-            for e in [e for e in terms if weight(e) >= precision]:
-                del terms[e]
+        if cut and precision is not EXACT:
+            _cut(profile, terms, precision)
         out = object.__new__(cls)
         out.profile = profile
         out.terms = terms
@@ -188,17 +240,7 @@ class TruncatedSeries:
         summed mod p, and dropped at zero, so the terms and their dict order
         are a running sum's.  The caller guarantees what `_trusted` asks of
         exponents and precision, and that no c is divisible by p."""
-        p = profile.p
-        acc = {} if terms is None else terms.copy()
-        for exps, c in pairs:
-            size = len(acc)
-            s = acc.setdefault(exps, c % p)
-            if len(acc) == size:  # a repeated vector
-                s = (s + c) % p
-                if s:
-                    acc[exps] = s
-                else:
-                    del acc[exps]
+        acc = _summed({} if terms is None else terms.copy(), pairs, profile.p)
         return cls._trusted(profile, acc, precision)
 
     # -- inspection --------------------------------------------------------
@@ -216,7 +258,7 @@ class TruncatedSeries:
         the exact zero (valuation +infinity), else the precision.
         """
         if self.terms:
-            return min(self.profile.weight(e) for e in self.terms)
+            return Fraction(*_least(map(self.profile._weigh, self.terms)))
         return self.precision
 
     def leading(self):
@@ -228,13 +270,15 @@ class TruncatedSeries:
         """
         if not self.terms:
             return None
-        ranked = sorted((self.profile.weight(e), e) for e in self.terms)
-        w0, e0 = ranked[0]
-        if self.profile.generic_radius and len(ranked) > 1 and ranked[1][0] == w0:
+        weighed = [(self.profile._weigh(e), e) for e in self.terms]
+        n0, d0 = _least(w for w, _ in weighed)
+        tied = sorted(e for (n, d), e in weighed if n * d0 == n0 * d)
+        w0 = Fraction(n0, d0)
+        if self.profile.generic_radius and len(tied) > 1:
             raise AmbiguousLeadingError(
-                f"terms {e0} and {ranked[1][1]} share minimal weight {w0}"
+                f"terms {tied[0]} and {tied[1]} share minimal weight {w0}"
             )
-        return w0, e0, self.terms[e0]
+        return w0, tied[0], self.terms[tied[0]]
 
     def terms_sorted(self):
         """Stored terms ordered by (weight, exponent vector)."""
@@ -244,10 +288,12 @@ class TruncatedSeries:
 
     def window(self, lo, hi):
         """The stored terms of weight in [lo, hi), as an exact element."""
-        weight = self.profile.weight
+        weigh = self.profile._weigh
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         return TruncatedSeries._trusted(
             self.profile,
-            {e: c for e, c in self.terms.items() if lo <= weight(e) < hi},
+            {e: c for e, c in self.terms.items()
+             if ln * (w := weigh(e))[1] <= w[0] * ld and w[0] * hd < hn * w[1]},
             EXACT,
         )
 
@@ -267,41 +313,67 @@ class TruncatedSeries:
                 for q in order]
 
     def _check_profile(self, other):
-        if not isinstance(other, TruncatedSeries) or other.profile != self.profile:
+        if not isinstance(other, TruncatedSeries) or (
+                other.profile is not self.profile and other.profile != self.profile):
             raise ProfileMismatchError("operands built over different profiles")
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         self._check_profile(other)
-        return TruncatedSeries.from_terms(
-            self.profile, other.terms.items(),
-            min_precision(self.precision, other.precision), self.terms)
+        return self._combine(other, other.terms.items())
 
     def __neg__(self):
         return TruncatedSeries.zero(self.profile, self.precision) - self
 
     def __sub__(self, other):
         self._check_profile(other)
-        return TruncatedSeries.from_terms(
-            self.profile, ((e, -c) for e, c in other.terms.items()),
-            min_precision(self.precision, other.precision), self.terms)
+        return self._combine(other, ((e, -c) for e, c in other.terms.items()))
+
+    def _combine(self, other, pairs):
+        """self plus the (exponents, c) pairs of other's terms.  Only the
+        operand whose precision exceeds the result's can hold a term at or
+        past it, so only that one is filtered, before the sum: its dropped
+        keys share no key with the other operand, and dict order is kept."""
+        prec = min_precision(self.precision, other.precision)
+        terms = self.terms.copy()
+        if prec is not EXACT:
+            if self.precision is EXACT or self.precision > prec:
+                _cut(self.profile, terms, prec)
+            elif other.precision is EXACT or other.precision > prec:
+                weigh, pn, pd = self.profile._weigh, prec.numerator, prec.denominator
+                pairs = ((e, c) for e, c in pairs if (w := weigh(e))[0] * pd < pn * w[1])
+        return TruncatedSeries._trusted(
+            self.profile, _summed(terms, pairs, self.profile.p), prec, cut=False)
 
     def __mul__(self, other):
         self._check_profile(other)
         # a pair at or past the precision is dropped by its weight, the sum
-        # of the operands' weights, before its exponent vector is built
-        weight = self.profile.weight
-        left = [(weight(e), e, c) for e, c in self.terms.items()]
-        right = [(weight(e), e, c) for e, c in other.terms.items()]
+        # of the operands' weights, before its exponent vector is built, and
+        # the pairs kept are not weighed again
+        weigh = self.profile._weigh
+        left = [(weigh(e), e, c) for e, c in self.terms.items()]
+        right = [(weigh(e), e, c) for e, c in other.terms.items()]
+
+        def least(side):
+            return Fraction(*_least(w for w, _, _ in side))
+
         prec = min_precision(
-            shift_precision(self.precision, min(right)[0] if right else other.precision),
-            shift_precision(other.precision, min(left)[0] if left else self.precision),
+            shift_precision(self.precision, least(right) if right else other.precision),
+            shift_precision(other.precision, least(left) if left else self.precision),
         )
-        pairs = ((tuple(map(add, e1, e2)), c1 * c2)
-                 for w1, e1, c1 in left for w2, e2, c2 in right
-                 if prec is EXACT or w1 + w2 < prec)
-        return TruncatedSeries.from_terms(self.profile, pairs, prec)
+        if prec is EXACT:
+            pairs = ((tuple(map(add, e1, e2)), c1 * c2)
+                     for _, e1, c1 in left for _, e2, c2 in right)
+        else:
+            # w1 + w2 < prec, as n2/d2 < (pn d1 - n1 pd) / (pd d1)
+            pn, pd = prec.numerator, prec.denominator
+            pairs = ((tuple(map(add, e1, e2)), c1 * c2)
+                     for (n1, d1), e1, c1 in left
+                     for rn, rd in [(pn * d1 - n1 * pd, pd * d1)]
+                     for (n2, d2), e2, c2 in right if n2 * rd < rn * d2)
+        return TruncatedSeries._trusted(
+            self.profile, _summed({}, pairs, self.profile.p), prec, cut=False)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -426,6 +498,28 @@ def random_series(rng, profile: WeightProfile, max_terms=12, max_prec=20,
         f = TruncatedSeries(profile, terms, precision)
         if f.terms or not nonzero:
             return f
+
+
+def _cut(profile: WeightProfile, terms: dict, precision):
+    """Delete from `terms`, in place, every key of weight >= precision."""
+    weigh, pn, pd = profile._weigh, precision.numerator, precision.denominator
+    for e in [e for e in terms if (w := weigh(e))[0] * pd >= pn * w[1]]:
+        del terms[e]
+
+
+def _summed(acc: dict, pairs, p: int) -> dict:
+    """The loop of `from_terms`: each (exponents, c) pair added into `acc`
+    mod p, in place; returns acc."""
+    for exps, c in pairs:
+        size = len(acc)
+        s = acc.setdefault(exps, c % p)
+        if len(acc) == size:  # a repeated vector
+            s = (s + c) % p
+            if s:
+                acc[exps] = s
+            else:
+                del acc[exps]
+    return acc
 
 
 def _clip(f: TruncatedSeries, prec):

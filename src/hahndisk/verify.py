@@ -10,14 +10,22 @@ A plan (format 3) records only its instance and each stage's omega and b;
 v_c, and each stage's index, v_e and v_eps, are derived here, the latter
 two in the stage loop, so no recorded value is compared with them.  Every
 plan report, and so every certificate and trace report, also derives the
-two kernel witnesses from the instance: the valuation gamma_x of x lies
-outside Z[1/p], and x * c x^-1 - c is the exact zero.
+two kernel witnesses from the instance, in closed form on exponents: the
+valuation gamma_x of x lies outside Z[1/p], and x * c x^-1 - c is the
+exact zero.
 
-A certificate agrees with the substitution map by facts (a) and (b) of
-the `division` docstring.  (b) holds by construction: stage m's image is
-derived from the stage-term formula alone.  `_check_divisors` checks (a)
-in closed form, with no map, at every stage before a certificate's own
-and up to the highest one a trace uses.
+Facts (a) and (b) of the `division` docstring tie a certificate to the
+substitution map.  (b) holds by construction: stage m's image is derived
+from the stage-term formula alone.  `_check_divisors` adds one (a)
+finding at every stage before a certificate's own and up to the highest
+one a trace uses.  Those findings re-derive this module's own demand and
+stage-term formulas from the plan's omega and b, with no map, and no
+recorded field reaches them: they pin the formulas, not the document.
+
+A finding keeps its message as a `str.format` template and the values the
+check passed, and renders it only when its `message`, or a report's
+`text`, first reads it: a passing report is seldom printed, and a check
+that passes builds no message text and no message `Fraction`.
 
 Only a plan and a trace's target are parsed.  A recorded series or
 valuation is compared, as text, with `render_series` or `str` of the value
@@ -38,23 +46,56 @@ from .tate import TateRing
 from .valgroup import EXACT, as_fraction, is_in_zp, omega, smallest_zp_point, stage_point
 
 
-@dataclass
 class Finding:
-    ok: bool
-    where: str
-    message: str
+    """A check's verdict, where it applies, and its message.  The message is
+    kept as a `str.format` template and the arguments the check passed, and
+    rendered when `message` is first read."""
+
+    __slots__ = ("ok", "where", "_template", "_args")
+
+    def __init__(self, ok: bool, where: str, template: str, args: tuple):
+        self.ok, self.where, self._template, self._args = ok, where, template, args
+
+    @property
+    def message(self) -> str:
+        if self._args is not None:
+            self._template, self._args = _render(self._template, self._args), None
+        return self._template
+
+    def __repr__(self):
+        return f"Finding({self.ok!r}, {self.where!r}, {self.message!r})"
+
+
+def _render(template: str, args: tuple) -> str:
+    """A finding's message: the one place a template is formatted."""
+    return template.format(*args)
+
+
+class _Ratio:
+    """A message argument n/d with d > 0, formatted as the Fraction it
+    reduces to, so a passing check builds no Fraction."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __format__(self, spec: str) -> str:
+        return format(Fraction(self.n, self.d), spec)
 
 
 class Report:
     def __init__(self):
         self.findings = []
 
-    def check(self, ok: bool, where: str, message: str) -> bool:
-        self.findings.append(Finding(bool(ok), where, message))
+    def check(self, ok: bool, where: str, template: str, *args) -> bool:
+        """Record a finding whose message is `template.format(*args)`; the
+        arguments are values, rendered only if the message is read."""
+        self.findings.append(Finding(bool(ok), where, template, args))
         return bool(ok)
 
-    def fail(self, where: str, message: str):
-        self.findings.append(Finding(False, where, message))
+    def fail(self, where: str, template: str, *args):
+        self.findings.append(Finding(False, where, template, args))
 
     @property
     def ok(self) -> bool:
@@ -88,10 +129,10 @@ def _document_is(doc, kind: str, fmt: int, fields: frozenset, rep: Report) -> bo
     another format may carry fields this checker would leave unread.
     Findings go to `kind`."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
-        rep.fail(kind, f"document kind is not {kind!r}")
+        rep.fail(kind, "document kind is not {!r}", kind)
         return False
     got = doc.get("format")
-    return (rep.check(_is_int(got) and got == fmt, kind, f"format {got!r} is {fmt}")
+    return (rep.check(_is_int(got) and got == fmt, kind, "format {!r} is {}", got, fmt)
             and _fields_are(doc, fields, rep, kind))
 
 
@@ -100,7 +141,7 @@ def _fields_are(record: dict, want: frozenset, rep: Report, where: str) -> bool:
     a mismatch is reported: an honest document's report is unchanged."""
     if record.keys() == want:
         return True
-    rep.fail(where, f"fields {sorted(record)} are {sorted(want)}")
+    rep.fail(where, "fields {} are {}", sorted(record), sorted(want))
     return False
 
 
@@ -250,7 +291,8 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
     finding), and the rest of the image has valuation
     v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
     Only call this once the stage checks, separation included, all hold.
-    Each fact is decided on numerators; a Fraction is built only to print.
+    Each fact is decided on numerators; a Fraction is built only when a
+    finding's message is read.
     """
     # one pass from the last stage: min over l > idx of p^(b_l) * w_l, as a
     # (numerator, denominator) pair
@@ -274,9 +316,9 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
         res_n, res_d = vn * rd + rn * vd, scale * vd * rd
         where = f"stage {m} image"
         rep.check(0 <= w0n and w0n * sd < sn * w0d, where,
-                  f"leading value {Fraction(w0n, w0d)} inside [0, {v_s})")
+                  "leading value {} inside [0, {})", _Ratio(w0n, w0d), v_s)
         rep.check(res_n * sd > (sd + sn) * res_d, where,
-                  f"residual valuation {Fraction(res_n, res_d)} beyond {bound}")
+                  "residual valuation {} beyond {}", _Ratio(res_n, res_d), bound)
 
 
 # -- plan verification ----------------------------------------------------------
@@ -298,20 +340,20 @@ def _check_plan(doc, rep: Report):
     try:
         config, stages = _read_plan(doc)
     except (KeyError, TypeError, ValueError, HahndiskError) as exc:
-        rep.fail("plan", f"malformed transcript: {exc}")
+        rep.fail("plan", "malformed transcript: {}", exc)
         return None
     p, gamma_x, v_s, guard = config.p, config.gamma_x, config.v_s, config.work_prec
     field = config.residue()
     v_c = smallest_zp_point(gamma_x, gamma_x + v_s, p)
     rows = []
     plan = config, rows, v_c, field
-    # the two kernel witnesses, from the instance alone
-    x = field.x_power(1)
-    val = x.val_lower()
-    rep.check(not field.ground.contains_value(val), "plan",
-              f"witness valuation {val} of x lies outside Z[1/{p}]")
-    relation = x * field.monomial(1, v_c, -1) - field.monomial(1, v_c, 0)
-    rep.check(relation.is_zero and relation.precision is EXACT, "plan",
+    # the two kernel witnesses, from the instance alone, on exact monomials
+    # of the residue field: x = t^0 x^1 weighs gamma_x, and the product of x
+    # and t^(v_c) x^-1 is t^(0 + v_c) x^(1 - 1) with coefficient 1 * 1, which
+    # is c = t^(v_c) x^0 with coefficient 1, so the difference is exactly 0
+    rep.check(not is_in_zp(gamma_x, p), "plan",
+              "witness valuation {} of x lies outside Z[1/{}]", gamma_x, p)
+    rep.check(((0 + v_c, 1 - 1), 1 * 1) == ((v_c, 0), 1), "plan",
               "x * c x^-1 - c is the exact zero")
 
     rep.check(len({q for q, _ in stages}) == len(stages), "plan",
@@ -319,8 +361,8 @@ def _check_plan(doc, rep: Report):
     # omega(m) computes the enumeration up to m, and only base stages ask
     # for it, so no m past the committed stages is asked
     if not rep.check(len(stages) >= config.stages, "plan",
-                     f"the plan commits {len(stages)} stages, at least the "
-                     f"{config.stages} base stages"):
+                     "the plan commits {} stages, at least the {} base stages",
+                     len(stages), config.stages):
         return plan
 
     # the divisibility demand and the largest b of all earlier stages; p^b
@@ -337,10 +379,10 @@ def _check_plan(doc, rep: Report):
         # No canonical point and no p ** b is computed before these two
         # checks.  A later stage's demand and separation need this v_e and
         # b, so a bad one ends the stage checks.
-        if not rep.check(is_in_zp(q, p), where, f"exponent {q} lies in Z[1/{p}]"):
+        if not rep.check(is_in_zp(q, p), where, "exponent {} lies in Z[1/{}]", q, p):
             break
         if not rep.check(_is_int(b) and 0 <= b <= MAX_B_SEARCH, where,
-                         f"Frobenius exponent {b!r} is an integer in [0, {MAX_B_SEARCH}]"):
+                         "Frobenius exponent {!r} is an integer in [0, {}]", b, MAX_B_SEARCH):
             break
         scale = p ** b
         v_e, wn, wd = stage_point(q, gamma_x, v_s, p)
@@ -350,21 +392,21 @@ def _check_plan(doc, rep: Report):
         ws.append((wn, wd))
         if idx < config.stages:
             rep.check(q == omega(idx + 1, p), where,
-                      f"exponent {q} follows the fixed enumeration")
+                      "exponent {} follows the fixed enumeration", q)
         if idx == 0:
             rep.check(b == 0, where, "opening stage has Frobenius exponent 0")
             continue
         guarded = idx >= config.stages
         rep.check(
             _constraints_hold(wn, wd, demand, idx, b, scale, top_b, p, v_s, guard, guarded),
-            where, f"growth, window and separation hold at b = {b}")
+            where, "growth, window and separation hold at b = {}", b)
         # Growth, window and separation each only get easier as b grows, as
         # w > 0 and v_eps >= 0: v_e lies inside (lo, lo + v_s) and the demand
         # starts at 0.  A failure at b - 1 is then a failure at every smaller
         # b, so b - 1 alone decides minimality.
         minimal = b == 0 or not _constraints_hold(
             wn, wd, demand, idx, b - 1, scale // p, top_b, p, v_s, guard, guarded)
-        rep.check(minimal, where, f"b = {b} is minimal")
+        rep.check(minimal, where, "b = {} is minimal", b)
 
     if rep.ok:
         _image_facts_closed_form(rows, scales, ws, v_s, guard, rep)
@@ -377,8 +419,9 @@ def _check_plan(doc, rep: Report):
 
 def verify_certificate(doc: dict) -> Report:
     """Format 2: the embedded plan verifies, which reports the stage's three
-    adapted facts, `image` and `preimage` are the rendered series the plan
-    gives for stage `m`, and fact (a) holds at every stage before it."""
+    adapted facts, and `image` and `preimage` are the rendered series the
+    plan gives for stage `m`; one (a) finding follows for every stage
+    before it (see the module docstring)."""
     rep = Report()
     if not _document_is(doc, "certificate", 2, _CERT_FIELDS, rep):
         return rep
@@ -391,13 +434,13 @@ def verify_certificate(doc: dict) -> Report:
         m = doc["m"]
         q = as_fraction(doc["q"])
     except (TypeError, ValueError, HahndiskError) as exc:
-        rep.fail("certificate", f"malformed certificate: {exc}")
+        rep.fail("certificate", "malformed certificate: {}", exc)
         return rep
     where = f"certificate stage {m}"
     if not rep.check(_is_int(m) and 1 <= m <= len(rows), where,
                      "stage index is committed"):
         return rep
-    rep.check(q == rows[m - 1].omega, where, f"exponent {q} matches stage exponent")
+    rep.check(q == rows[m - 1].omega, where, "exponent {} matches stage exponent", q)
     preimage = _preimage_series(rows, m - 1, p, v_c, config.tate())
     image = _image_series(rows, m - 1, p, config.work_prec, config.stages, field)
     rep.check(doc["image"] == render_series(image),
@@ -416,9 +459,8 @@ def verify_certificate(doc: dict) -> Report:
 def verify_trace(doc: dict) -> Report:
     """Format 4: the steps replay from the target, and each step's record
     is the list of [q, d] pairs of its replayed quotients.  After the
-    replay, fact (a) is checked at every stage up to the highest one a step
-    uses: the map is a ring map that fixes the x-free quotients, so with
-    (b) that covers every correction."""
+    replay, one (a) finding follows for every stage up to the highest one a
+    step uses (see the module docstring)."""
     rep = Report()
     if not _document_is(doc, "trace", 4, _TRACE_FIELDS, rep):
         return rep
@@ -434,24 +476,24 @@ def verify_trace(doc: dict) -> Report:
         target = field.parse(doc["target"])
         steps = doc["steps"]
     except (TypeError, HahndiskError) as exc:
-        rep.fail("trace", f"malformed trace: {exc}")
+        rep.fail("trace", "malformed trace: {}", exc)
         return rep
     if not isinstance(steps, list):
-        rep.fail("trace", f"steps is a {type(steps).__name__}, not a list")
+        rep.fail("trace", "steps is a {}, not a list", type(steps).__name__)
         return rep
     requested = doc["steps_requested"]
     rep.check(_is_int(requested) and requested == len(steps), "trace",
-              f"steps_requested {requested!r} equals the {len(steps)} recorded steps")
+              "steps_requested {!r} equals the {} recorded steps", requested, len(steps))
     # normalize_target shifts only a nonzero target of valuation below v_s,
     # by the least k that lifts it to v_s or beyond, so below 1 + v_s
     shift = doc["normalize_k"]
     val0 = target.val_lower()
     rep.check(_is_int(shift) and (shift == 0 or (shift > 0 and not target.is_zero
                                                  and val0 < 1 + v_s)), "trace",
-              f"normalize_k {shift!r} is a nonnegative integer, and 0 unless "
-              f"the target is nonzero of valuation below {1 + v_s}")
+              "normalize_k {!r} is a nonnegative integer, and 0 unless "
+              "the target is nonzero of valuation below {}", shift, 1 + v_s)
     rep.check(val0 is None or val0 >= v_s, "trace",
-              f"target valuation {val0} is normalized to >= {v_s}")
+              "target valuation {} is normalized to >= {}", val0, v_s)
 
     beta = target
     for m, rec in enumerate(steps):
@@ -463,7 +505,7 @@ def verify_trace(doc: dict) -> Report:
         for q, part in band.split(1):
             idx = by_exponent.get(q)
             if idx is None:
-                rep.fail(where, f"no committed stage for exponent {q}")
+                rep.fail(where, "no committed stage for exponent {}", q)
                 return rep
             if idx not in images:
                 image = _image_series(rows, idx, p, guard, config.stages, field)
@@ -474,7 +516,7 @@ def verify_trace(doc: dict) -> Report:
             d = part * lead_inv
             d_val = d.val_lower() - m
             if not rep.check(d_val > 0, where,
-                             f"quotient for exponent {q} has valuation {d_val} > 0"):
+                             "quotient for exponent {} has valuation {} > 0", q, d_val):
                 return rep
             replayed.append([str(q), render_series(d)])
             product = d * image
@@ -484,9 +526,9 @@ def verify_trace(doc: dict) -> Report:
         rep.check(rec == replayed, where, "recorded quotients match")
         # the step's correction, summed once
         beta = beta - TruncatedSeries.from_terms(field.profile, pairs, prec)
-        val_next = beta.val_lower()
-        rep.check(val_next is None or val_next >= m + 1 + v_s, where,
-                  f"contracted residual valuation {val_next} >= {m + 1 + v_s}")
+        val_next, bound = beta.val_lower(), m + 1 + v_s
+        rep.check(val_next is None or val_next >= bound, where,
+                  "contracted residual valuation {} >= {}", val_next, bound)
     _check_divisors(rows, max(images, default=-1) + 1, p, v_c, rep)
     return rep
 
@@ -494,7 +536,7 @@ def verify_trace(doc: dict) -> Report:
 def verify_document(doc: dict) -> Report:
     if not isinstance(doc, dict):
         rep = Report()
-        rep.fail("document", f"a transcript is an object, not a {type(doc).__name__}")
+        rep.fail("document", "a transcript is an object, not a {}", type(doc).__name__)
         return rep
     kind = doc.get("kind")
     if kind == "plan":
@@ -504,5 +546,5 @@ def verify_document(doc: dict) -> Report:
     if kind == "trace":
         return verify_trace(doc)
     rep = Report()
-    rep.fail("document", f"unknown document kind {kind!r}")
+    rep.fail("document", "unknown document kind {!r}", kind)
     return rep

@@ -572,3 +572,87 @@ def test_precision_filter_and_sums_hash_no_kept_key_again(counted):
         h = op()
         kept = [x for e in h.terms for x in e if id(x) in f_ids]
         assert kept and not any(hashes[id(x)] for x in kept)
+
+
+# -- integer weights against the Fraction reference ------------------------------
+
+
+@st.composite
+def weight_regime(draw):
+    """A profile with no weighted slot, one, or several of which one weighs
+    0, at p in {3, 5, 7}, generic or not; two series, a cut and a window
+    from one pool of vectors with entries i/p^k, k <= 40.  The pool holds
+    vectors of equal weight, so cuts, window bounds and leading terms tie
+    with term weights."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    radius = st.builds(Fraction, st.integers(1, 40), st.sampled_from([2, 4, 11, 13]))
+    weights = draw(st.sampled_from([
+        (1,), (1, 0, 0, 0), (1, draw(radius)), (1, draw(radius), 0, draw(radius))]))
+    profile = WeightProfile(p, weights, generic_radius=draw(st.booleans()))
+    rational = st.builds(lambda i, k: Fraction(i, p ** k),
+                         st.integers(-40, 40), st.integers(0, 40))
+    pool = draw(st.lists(st.tuples(*[rational] * profile.dim),
+                         min_size=1, max_size=5, unique=True))
+    # a partner of equal weight: raise slot i by the denominator d of its
+    # weight n/d and lower t by n (a zero-weight slot: raise it by 1)
+    for e in list(pool) if profile.dim > 1 else ():
+        i = draw(st.integers(1, profile.dim - 1))
+        n, d = Fraction(weights[i]).as_integer_ratio()
+        partner = list(e)
+        partner[0] -= n
+        partner[i] += d if n else 1
+        if tuple(partner) not in pool:
+            pool.append(tuple(partner))
+    coeff = st.integers(1, p - 1)
+    at = sorted({plain_weight(profile, e) for e in pool})
+    bound = st.sampled_from(at)
+
+    def series():
+        keys = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+        return TruncatedSeries(profile, {e: draw(coeff) for e in keys},
+                               draw(st.one_of(st.none(), bound)))
+
+    return profile, series(), series(), draw(bound), draw(bound), draw(bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=weight_regime())
+def test_integer_weights_match_the_fraction_reference(case):
+    # window, val_lower, leading, the precision filter, *, + and -: terms,
+    # dict order and precision, with every bound on a term's weight
+    profile, f, g, cut, lo, hi = case
+    fs, gs = list(f.terms.items()), list(g.terms.items())
+    for e, _ in fs + gs:
+        n, d = profile._weigh(e)
+        assert d > 0 and Fraction(n, d) == profile.weight(e) == plain_weight(profile, e)
+    assert listed(f.window(lo, hi)) == (
+        [(e, c) for e, c in fs if lo <= plain_weight(profile, e) < hi], None)
+    assert listed(f.window(lo, lo)) == ([], None)
+
+    want = min((plain_weight(profile, e) for e, _ in fs), default=f.precision)
+    got = f.val_lower()
+    assert got == want and (not fs or isinstance(got, Fraction))
+
+    ranked = sorted((plain_weight(profile, e), e) for e, _ in fs)
+    if not ranked:
+        assert f.leading() is None
+    elif profile.generic_radius and len(ranked) > 1 and ranked[1][0] == ranked[0][0]:
+        with pytest.raises(AmbiguousLeadingError) as caught:
+            f.leading()
+        assert str(caught.value) == (f"terms {ranked[0][1]} and {ranked[1][1]} "
+                                     f"share minimal weight {ranked[0][0]}")
+    else:
+        w0, e0 = ranked[0]
+        assert f.leading() == (w0, e0, f.terms[e0])
+
+    assert listed(TruncatedSeries._trusted(profile, dict(f.terms), cut)) == \
+        running_sum(profile, fs, cut)
+    both = min_precision(f.precision, g.precision)
+    assert listed(f + g) == running_sum(profile, fs + gs, both)
+    assert listed(f - g) == running_sum(profile, fs + [(e, -c) for e, c in gs], both)
+    product = min((a + b for a, b in (
+        (f.precision, min((plain_weight(profile, e) for e, _ in gs), default=g.precision)),
+        (g.precision, min((plain_weight(profile, e) for e, _ in fs), default=f.precision)))
+        if a is not None and b is not None), default=None)
+    pairs = [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2) for e1, c1 in fs for e2, c2 in gs]
+    assert listed(f * g) == running_sum(profile, pairs, product)

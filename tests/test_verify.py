@@ -900,3 +900,97 @@ def test_computed_series_skip_the_validating_constructor(module):
     assert [n.lineno for n in nodes
             if isinstance(n, ast.Call) and name(n.func) == "TruncatedSeries"] == []
     assert [n.lineno for n in nodes if name(n) == "_trusted"] == []
+
+
+# -- findings render only when read --------------------------------------------------
+
+
+PINNED_REPORTS = [
+    (DATA.parent / "golden" / "plan.json", "verify_golden_plan.txt"),
+    (DATA / "adapted_minus1_3.json", "verify_adapted_minus1_3.txt"),
+    (DATA / "adapted_minus5_9.json", "verify_adapted_minus5_9.txt"),
+    (DATA / "divide_seed11_steps4.json", "verify_divide_seed11_steps4.txt"),
+    (DATA / "divide_p5_steps4.json", "verify_divide_p5_steps4.txt"),
+]
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """The templates `verify` formats, in order, from here on."""
+    seen = []
+    real = hahndisk.verify._render
+
+    def spy(template, args):
+        seen.append(template)
+        return real(template, args)
+
+    monkeypatch.setattr(hahndisk.verify, "_render", spy)
+    return seen
+
+
+@pytest.mark.parametrize("check,path,pinned", [
+    (verify_plan, DATA.parent / "golden" / "plan.json", "verify_golden_plan.txt"),
+    (verify_trace, DATA / "divide_seed11_steps4.json", "verify_divide_seed11_steps4.txt"),
+], ids=["plan", "trace"])
+def test_a_passing_report_formats_nothing_until_read(check, path, pinned, renders):
+    report = check(json.loads(path.read_text()))
+    assert report.ok and len(report.findings) > 20
+    assert renders == []
+    # a passing report prints its summary line alone
+    assert report.text().startswith("PASS: ") and renders == []
+    # one finding read renders that one, once
+    finding = report.findings[1]
+    message = finding.message
+    line = (DATA / pinned).read_text().splitlines()[1]
+    assert f"ok  [{finding.where}] {message}" == line and len(renders) == 1
+    assert finding.message is message and len(renders) == 1
+    report.text(verbose=True)
+    assert len(renders) == len(report.findings)
+
+
+@pytest.mark.parametrize("source,name", PINNED_REPORTS, ids=lambda x: getattr(x, "name", x))
+def test_messages_are_the_pinned_text(source, name):
+    # each message is a str equal to its line in the pinned verbose report
+    report = verify_document(json.loads(source.read_text()))
+    assert all(type(f.message) is str for f in report.findings)
+    lines = [f"{'ok ' if f.ok else 'FAIL'} [{f.where}] {f.message}" for f in report.findings]
+    assert lines == (DATA / name).read_text().splitlines()[:-1]
+
+
+def test_perturbed_plan_messages_are_the_pinned_text():
+    # the failing findings too: every report of the pinned perturbations,
+    # read message by message
+    out = []
+    for name, doc in perturbation_plans():
+        out.append(f"=== {name}: honest\n{verify_plan(doc).text(verbose=True)}\n")
+        for label, tampered in value_perturbations(doc):
+            if tampered == doc:
+                out.append(f"=== {name}: {label}: unchanged\n")
+                continue
+            report = verify_plan(tampered)
+            assert all(type(f.message) is str for f in report.findings)
+            lines = [f"{'ok ' if f.ok else 'FAIL'} [{f.where}] {f.message}"
+                     for f in report.findings]
+            out.append(f"=== {name}: {label}\n" + "\n".join(lines)
+                       + f"\n{report.text().splitlines()[-1]}\n")
+    assert "".join(out) == (DATA / "verify_plan_perturbations.txt").read_text()
+
+
+def test_each_stage_finding_names_its_own_values():
+    # messages are rendered after the stage loop has moved on, so each must
+    # hold its own stage's exponent, b and leading value
+    plan = build_plan(InstanceConfig(stages=24))
+    report = verify_plan(plan_to_doc(plan))
+    assert report.ok, report.text()
+    v_s = plan.config.v_s
+    for m, st in enumerate(plan.stages, start=1):
+        q, b = st.omega, st.b
+        want = [f"exponent {q} lies in Z[1/3]",
+                f"Frobenius exponent {b} is an integer in [0, {MAX_B_SEARCH}]",
+                f"exponent {q} follows the fixed enumeration"]
+        want += (["opening stage has Frobenius exponent 0"] if m == 1 else
+                 [f"growth, window and separation hold at b = {b}", f"b = {b} is minimal"])
+        assert [f.message for f in report.findings if f.where == f"stage {m}"] == want
+        lead = build_adapted(plan, m).image.val_lower()
+        assert [f.message for f in report.findings if f.where == f"stage {m} image"][0] == \
+            f"leading value {lead} inside [0, {v_s})"
