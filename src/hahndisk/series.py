@@ -45,7 +45,7 @@ does for its precision.  Each term is weighed at most once per
 operation: `*` stores the pairs its own filter kept without filtering
 them again, and `+` and `-` filter only the operand whose precision
 exceeds the result's.  `weight` still sums a `Fraction` for the
-validating constructor and the text order, which stay as they were.
+validating constructor, `split` and the text order.
 """
 
 from __future__ import annotations
