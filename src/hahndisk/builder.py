@@ -126,9 +126,6 @@ class AlphaPlan:
         """Each stage by its exponent omega; `_append_stage` hands it on."""
         return {st.omega: st for st in self.stages}
 
-    def find_stage(self, q: Fraction):
-        return self.stage_index.get(q)
-
 
 # -- plan construction -------------------------------------------------------
 
@@ -218,7 +215,7 @@ def extend(plan: AlphaPlan, q) -> AlphaPlan:
     """A plan with a stage of exponent q: `plan` itself if it has one, else
     a new plan that appends one under the tail guard."""
     q = as_fraction(q)
-    if plan.find_stage(q) is not None:
+    if q in plan.stage_index:
         return plan
     return _append_stage(plan, q, base=False)
 
@@ -226,8 +223,9 @@ def extend(plan: AlphaPlan, q) -> AlphaPlan:
 def certify(plan: AlphaPlan, q):
     """(plan, certificate) for exponent q: the plan `extend` returns and the
     certificate of its stage for q."""
+    q = as_fraction(q)
     plan = extend(plan, q)
-    return plan, build_adapted(plan, plan.find_stage(as_fraction(q)).m)
+    return plan, build_adapted(plan, plan.stage_index[q].m)
 
 
 # -- assembled objects --------------------------------------------------------
@@ -385,17 +383,19 @@ def kernel_witness(plan: AlphaPlan) -> dict:
     The image of the first generator has valuation gamma_x, which lies
     outside the ground value group, so the quotient field properly extends
     the ground field; and the product relation x1*x2 - c maps to the exact
-    zero, so the map factors through the quotient by that relation.
+    zero, so the map factors through the quotient by that relation.  Both
+    are read off the generator images (`SubstitutionMap.monomial_image`):
+    the valuation is the weight of x1's image, and x1*x2 - c is the exact
+    zero iff the images of x1 and x2 are exact and x1*x2 maps to c, the
+    monomial t^(v_c) with coefficient 1.
     """
-    sub, ring = plan.substitution, plan.ring
-    x1_img = sub.apply(ring.var(1))
-    val = x1_img.val_lower()
-    rel = ring.var(1) * ring.var(2) - ring.monomial(1, plan.v_c, (0, 0, 0))
-    rel_img = sub.apply(rel)
+    sub = plan.substitution
+    val = plan.field.profile.weight(sub.monomial_image((0, 1, 0, 0))[0])
+    exact = all(img.precision is EXACT for img in sub.images[:2])
     return {
         "witness_valuation": val,
         "witness_in_value_group": plan.field.ground.contains_value(val),
-        "relation_maps_to_zero": rel_img.is_zero and rel_img.precision is EXACT,
+        "relation_maps_to_zero": exact and sub.monomial_image((0, 1, 1, 0)) == ((plan.v_c, 0), 1),
     }
 
 

@@ -141,9 +141,10 @@ class SubstitutionMap:
 
     Every image must have valuation >= 0, so the unit-ball subring lands in
     the residue-field unit ball and the unresolved tail of an argument only
-    contributes beyond its own precision.  A single-term image is raised to
-    a p-adic power by exponent arithmetic; any other image goes through its
-    p-power root (Frobenius) followed by an integer power.
+    contributes beyond its own precision.  `apply` raises an image to a
+    p-adic power through its p-power root (Frobenius) followed by an integer
+    power.  `monomial_image` reads the image of a monomial off single-term
+    generator images in closed form.
     """
 
     def __init__(self, ring: TateRing, field: ResidueField, images):
@@ -161,9 +162,6 @@ class SubstitutionMap:
         self.ring = ring
         self.field = field
         self.images = images
-        # least stored-term weight of each image, None for an image with no
-        # stored terms: every term of images[i]^q weighs at least q * v_i
-        self._vals = tuple(img.val_lower() if img.terms else None for img in images)
 
     def monomial_image(self, exps) -> tuple:
         """(key, coefficient) of the image of the ring monomial t^a x^q with
@@ -173,9 +171,10 @@ class SubstitutionMap:
         For q = u/p^k a single-term image c t^b x^e raises in closed form to
         c^u t^(q b) x^(q e): the Frobenius root of an F_p coefficient is the
         coefficient.  The product of the powers adds their keys, t^a shifts
-        the key by a, and the coefficients multiply.  Precision is the
-        caller's: the route reads stored terms only.  Raises ConfigError if
-        a used image does not have exactly one term.
+        the key by a, and the coefficients multiply.  The route reads stored
+        terms only, so both callers, the division's fact (a) and
+        `builder.kernel_witness`, check that the images they use are exact.
+        Raises ConfigError if a used image does not have exactly one term.
         """
         p = self.ring.ground.p
         key, coeff = [exps[0]] + [_ZERO] * (self.field.profile.dim - 1), 1
@@ -194,92 +193,38 @@ class SubstitutionMap:
         return tuple(key), coeff
 
     def _image_power(self, i: int, q: Fraction, work_prec) -> TruncatedSeries:
-        """Image of x_{i+1}^q, truncated to work_prec.
-
-        A single-term image c t^a x^e takes its key and coefficient from
-        `monomial_image`.  Its finite precision P at term weight w becomes
-        P/p^k + (u-1) w/p^k for q = u/p^k, exactly what the root followed by
-        repeated squaring gives.  Any other image takes that root-and-power
-        route.
-        """
-        p = self.ring.ground.p
-        k = padic_denominator_exponent(q, p)
-        u = q.numerator
-        if u < 0:
+        """Image of x_{i+1}^q for q = u/p^k: the p^k-th root (Frobenius) of
+        the image raised to the u-th power, truncated to work_prec."""
+        k = padic_denominator_exponent(q, self.ring.ground.p)
+        if q.numerator < 0:
             raise ExponentError("negative variable exponent reached substitution")
-        image = self.images[i]
-        if len(image.terms) == 1 and u:
-            exps = [_ZERO] * (self.ring.nvars + 1)
-            exps[i + 1] = q
-            prec = image.precision
-            if prec is not EXACT:
-                prec = (prec + (u - 1) * image.val_lower()) / p ** k
-            out = TruncatedSeries.from_terms(image.profile, [self.monomial_image(exps)], prec)
-        else:
-            out = image.frobenius(-k) ** u
+        out = self.images[i].frobenius(-k) ** q.numerator
         if work_prec is not None and out.precision is not EXACT and out.precision > work_prec:
             out = out.truncate(work_prec)
         return out
 
-    def _x_part(self, qs: tuple, work_prec) -> TruncatedSeries:
-        """Image of the monomial x1^q1 ... xn^qn, multiplied left to right."""
-        out = None
-        for i, q in enumerate(qs):
-            if q:
-                power = self._image_power(i, q, work_prec)
-                out = power if out is None else out * power
-        return self.field.one() if out is None else out
-
     def apply(self, f: TruncatedSeries, work_prec=None) -> TruncatedSeries:
-        """Evaluate f term by term, evaluating only what the result keeps.
+        """Evaluate f term by term: c t^a x^q maps to c t^a times the product
+        of the image powers, which only shifts that product by a.
 
         The result keeps exact precision when everything in sight is exact;
         finite propagated precisions are capped at work_prec.  The tail of f
         beyond its own precision maps into valuation >= that precision.
-
-        A term c t^a x^q maps to c t^a times the image of x^q, which only
-        shifts that image by a.  The first pass fixes the precision: only a
-        term with a positive exponent on an inexact image can lower it (an
-        all-exact image of x^q is exact), so only those x-parts are
-        evaluated there.  Every stored term of the image of x^q weighs at
-        least sum q_i v_i: the closed form gives q w, a Frobenius root
-        scales weights by 1/p^k, a product adds them, and truncation only
-        drops terms.  So the second pass skips each term with
-        a + sum q_i v_i >= prec, and each term on an image with no stored
-        terms; neither reaches a key below prec.  It takes the first pass's
-        x-parts by term position, so no key of f is hashed.  The rest go to
-        `from_terms` once, which hashes each key as it stores it and keeps
-        exactly the terms, and the dict order, of a running sum.
         """
         self.ring.check_element(f)
         if work_prec is not None:
             work_prec = as_fraction(work_prec)
-        images, vals = self.images, self._vals
-        terms = list(f.terms.items())
-        parts = [None] * len(terms)
-        prec = f.precision
-        for j, (exps, _) in enumerate(terms):
-            a, qs = exps[0], exps[1:]
-            if any(q and images[i].precision is not EXACT for i, q in enumerate(qs)):
-                parts[j] = self._x_part(qs, work_prec)
-                prec = min_precision(prec, shift_precision(parts[j].precision, a))
+        prec, pairs = f.precision, []
+        for exps, coeff in f.terms.items():
+            a, part = exps[0], self.field.one()
+            for i, q in enumerate(exps[1:]):
+                if q:
+                    part = part * self._image_power(i, q, work_prec)
+            prec = min_precision(prec, shift_precision(part.precision, a))
+            pairs += [((e0 + a, *rest), coeff * c) for (e0, *rest), c in part.terms.items()]
         if work_prec is not None and prec is not EXACT and prec > work_prec:
             prec = work_prec
-
-        def kept_terms():
-            for (exps, coeff), part in zip(terms, parts):
-                a, qs = exps[0], exps[1:]
-                used = [(q, v) for q, v in zip(qs, vals) if q]
-                if any(v is None for _, v in used):
-                    continue
-                if prec is not EXACT and a + sum(q * v for q, v in used) >= prec:
-                    continue
-                if part is None:
-                    part = self._x_part(qs, work_prec)
-                for (e0, *rest), c in part.terms.items():
-                    yield (e0 + a, *rest), coeff * c
-
-        return TruncatedSeries.from_terms(self.field.profile, kept_terms(), prec)
+        return TruncatedSeries.from_terms(self.field.profile, pairs, prec)
 
 
 # A substitution map serializes as an ordered list of residue-element files,

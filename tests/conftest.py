@@ -96,7 +96,7 @@ def step_corrections(trace):
         e = ring.zero()
         for q, d in step.quotients:
             if q not in preimages:
-                preimages[q] = build_adapted(plan, plan.find_stage(q).m).preimage
+                preimages[q] = build_adapted(plan, plan.stage_index.get(q).m).preimage
             # d is free of x, so it lifts to R_3 term by term
             lift = TruncatedSeries(ring.profile, {(exps[0], 0, 0, 0): c
                                                   for exps, c in d.terms.items()}, d.precision)

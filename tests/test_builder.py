@@ -25,7 +25,7 @@ from hahndisk.builder import (
     plan_to_doc,
 )
 from hahndisk.errors import StageUnavailableError
-from hahndisk.tate import is_integral
+from hahndisk.tate import SubstitutionMap, is_integral
 from hahndisk.valgroup import smallest_zp_point
 from hahndisk import InstanceConfig
 
@@ -300,18 +300,18 @@ class TestAdaptedCertificates:
 class TestExtension:
     def test_known_exponent_is_reused(self, plan):
         assert extend(plan, F(1)) is plan
-        assert plan.find_stage(F(1)).m == 2
+        assert plan.stage_index.get(F(1)).m == 2
         assert len(plan.stages) == 12
 
     def test_stage_index_is_handed_on(self, cfg):
         # an appended plan gets its parent's index plus the new stage; the
         # parent's index does not see it
         plan = build_plan(cfg)
-        assert plan.find_stage(F(5, 9)) is None
+        assert plan.stage_index.get(F(5, 9)) is None
         grown = extend(plan, F(5, 9))
         assert "stage_index" in vars(grown)
-        assert grown.find_stage(F(5, 9)) is grown.stages[-1]
-        assert plan.find_stage(F(5, 9)) is None
+        assert grown.stage_index.get(F(5, 9)) is grown.stages[-1]
+        assert plan.stage_index.get(F(5, 9)) is None
         assert grown.stage_index == {st.omega: st for st in grown.stages}
 
     def test_new_exponent_appends_verified_stage(self, cfg, plan):
@@ -383,3 +383,31 @@ class TestKernelWitness:
         assert facts["witness_valuation"] == F(1, 2)
         assert facts["witness_in_value_group"] is False
         assert facts["relation_maps_to_zero"] is True
+
+    @staticmethod
+    def _with_images(plan, x1_img, x2_img):
+        """A copy of plan whose map sends x1 and x2 to the given images and
+        x3 to alpha, so the facts must come from the images."""
+        other = dataclasses.replace(plan)
+        vars(other)["substitution"] = SubstitutionMap(
+            other.ring, other.field, (x1_img, x2_img, plan.substitution.images[2]))
+        return other
+
+    def test_wrong_coefficient_does_not_vanish(self, plan, residue):
+        other = self._with_images(plan, residue.x_power(1), residue.monomial(2, plan.v_c, -1))
+        facts = kernel_witness(other)
+        assert facts["witness_valuation"] == F(1, 2)
+        assert facts["relation_maps_to_zero"] is False
+
+    def test_finite_precision_does_not_vanish(self, cfg, plan, residue):
+        inexact = residue.monomial(1, plan.v_c, -1, precision=cfg.work_prec)
+        facts = kernel_witness(self._with_images(plan, residue.x_power(1), inexact))
+        assert facts["relation_maps_to_zero"] is False
+
+    def test_valuation_is_read_off_the_image(self, plan, residue):
+        # x^2 weighs 2 * 1/2 = 1, which lies in Z[1/3]
+        other = self._with_images(plan, residue.x_power(2), residue.monomial(1, plan.v_c, -1))
+        facts = kernel_witness(other)
+        assert facts["witness_valuation"] == 1
+        assert facts["witness_in_value_group"] is True
+        assert facts["relation_maps_to_zero"] is False

@@ -10,7 +10,7 @@ from hahndisk.cli import main
 from hahndisk.config import MAX_P
 from hahndisk.series import render_series
 
-from conftest import rand_normalized_target
+from conftest import INSTANCES, rand_normalized_target
 
 GOLDEN = Path(__file__).parent / "golden"
 # Transcripts beside the default build; tests/golden holds exactly the
@@ -57,6 +57,19 @@ class TestBuild:
             "certificates verified: 12\n"
             "witness valuation: 1/2 (in value group: False)\n"
             "relation maps to zero: True\n")
+
+    @pytest.mark.parametrize("instance, gamma_line", zip(INSTANCES, [
+        "witness valuation: 1/2 (in value group: False)\n",
+        "witness valuation: 1/3 (in value group: False)\n",
+        "witness valuation: 1/2 (in value group: False)\n",
+        "witness valuation: 1/2 (in value group: False)\n",
+    ]), ids=["p3", "p5", "p7", "v_s-1/100"])
+    def test_build_prints_the_witness_lines(self, instance, gamma_line, tmp_path, capsys):
+        p, gamma_x, v_s = instance
+        assert run("build", "--out", str(tmp_path), "--p", str(p), "--gamma-x", str(gamma_x),
+                   "--v-s", str(v_s)) == 0
+        assert capsys.readouterr().out.endswith(
+            "certificates verified: 12\n" + gamma_line + "relation maps to zero: True\n")
 
     def test_build_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -345,7 +345,7 @@ class TestConsistencyCheck:
         beta = rand_normalized_target(random.Random(35), residue, cfg.v_s)
         trace = run_division(plan, beta, 3)
         qs = [q for step in trace.steps for q, _ in step.quotients]
-        used = {trace.plan.find_stage(q).m for q in qs}
+        used = {trace.plan.stage_index.get(q).m for q in qs}
         assert 1 < len(used) < len(qs)
         # fact (a) at every stage up to the highest used, each once, unused
         # stages included

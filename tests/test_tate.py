@@ -214,6 +214,10 @@ def single_term_powers(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=single_term_powers())
 def test_image_power_closed_form_matches_root_and_power(case):
+    """`_image_power` has one route, the Frobenius root of the image and an
+    integer power; on single-term images, whose powers have a closed form,
+    it matches the root and repeated squaring rebuilt through the
+    validating constructor, precision and work_prec cap included."""
     field, image, q, work_prec = case
     sub = SubstitutionMap(TateRing(field.ground, 1), field, (image,))
     p = field.ground.p
@@ -227,7 +231,7 @@ def test_image_power_closed_form_matches_root_and_power(case):
 def _pruned_case():
     """x1 -> x, x2 -> an empty image O(2), x3 -> x + t + O(3).  The term
     x1 x2^(2/9) x3 sets the result's precision to 13/9 (x2^(2/9) is O(4/9)),
-    so t^10 x1^3 is pruned, and t x1 x2 meets the empty image."""
+    so t^10 x1^3 falls past it, and t x1 x2 meets the empty image."""
     field = ResidueField(GroundField(3), _FIELDS[3])
     ring = TateRing(field.ground, 3)
     images = (
@@ -301,24 +305,10 @@ def test_apply_matches_reference_route(case):
     assert got.terms == want.terms
 
 
-def test_apply_skips_terms_beyond_precision():
-    field, ring, images, f, work_prec = _pruned_case()
-    sub = SubstitutionMap(ring, field, images)
-    evaluated = []
-    x_part = sub._x_part
-    sub._x_part = lambda qs, wp: evaluated.append(qs) or x_part(qs, wp)
-    got = sub.apply(f, work_prec)
-    assert got.precision == Fraction(13, 9)
-    assert got == reference_apply(sub, f, work_prec)
-    # t^10 x1^3 weighs at least 10 + 3/2, and x2's image has no terms
-    assert (3, 0, 0) not in evaluated
-    assert sorted(evaluated) == sorted(
-        [(1, 0, Fraction(1, 3)), (1, 1, 0), (1, Fraction(2, 9), 1)])
-
-
 def test_apply_hashes_no_x_part_twice(counted, cfg, plan):
-    # the second pass takes the first pass's x-parts by term position, so
-    # no x-part of a stage preimage is hashed twice, let alone looked up
+    # apply walks each term's exponents in place and hashes only the keys
+    # of the image products, so no x-exponent of a stage preimage is hashed
+    # twice, let alone looked up
     Counted, hashes = counted
     sub = plan.substitution
     for m in range(1, len(plan.stages) + 1):
