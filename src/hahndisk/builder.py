@@ -53,6 +53,8 @@ from .series import TruncatedSeries, render_series
 from .tate import SubstitutionMap, TateRing, is_integral
 from .valgroup import EXACT, as_fraction, is_in_zp, omega, stage_point
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class PlanStage:
@@ -105,21 +107,26 @@ class AlphaPlan:
         x1^{omega p^b} when omega >= 0, else x2^{-omega p^b}:
         weight(f(W)) - weight(stage term), which is
         -p^b * (v_e + min(omega, 0) * v_c) written out.  The t-exponent of
-        eps * (stage term) / f(W) is v_eps - d_requirement.  Computed on
-        numerators over one common denominator."""
-        scale, en, ed = self.config.p ** st.b, st.v_e.numerator, st.v_e.denominator
-        if st.omega >= 0:
-            return Fraction(-scale * en, ed)
-        on, od = st.omega.numerator, st.omega.denominator
-        cn, cd = self.v_c.numerator, self.v_c.denominator
-        return Fraction(-scale * (en * od * cd + on * cn * ed), ed * od * cd)
+        eps * (stage term) / f(W) is v_eps - d_requirement."""
+        return Fraction(*self._d_pair(st))
 
-    def divisor_exps(self, st: PlanStage) -> tuple:
-        """The (x1, x2, x3) exponents of the divisor monomial W.  The map
-        sends t^(-d_requirement) W to the stage term, and a later preimage
+    def _d_pair(self, st: PlanStage) -> tuple:
+        """`d_requirement` as a (numerator, positive denominator) pair."""
+        scale, en, ed = self.config.p ** st.b, st.v_e.numerator, st.v_e.denominator
+        on, od = st.omega.numerator, st.omega.denominator
+        if on >= 0:
+            return -scale * en, ed
+        cn, cd = self.v_c.numerator, self.v_c.denominator
+        return -scale * (en * od * cd + on * cn * ed), ed * od * cd
+
+    def divisor_exps(self, st: PlanStage, root: int = 1) -> tuple:
+        """The (x1, x2, x3) exponents of the divisor monomial W, or of its
+        root W^(1/root), each one Fraction.  The map sends
+        t^(-d_requirement) W to the stage term, and a later preimage
         cancels the stage with the root of that monomial."""
-        x = st.omega * self.config.p ** st.b
-        return (x, 0, 0) if x >= 0 else (0, -x, 0)
+        on, od = st.omega.numerator, st.omega.denominator
+        x = Fraction(abs(on) * self.config.p ** st.b, od * root)
+        return (x, _ZERO, _ZERO) if on >= 0 else (_ZERO, x, _ZERO)
 
     @cached_property
     def stage_index(self) -> dict:
@@ -136,8 +143,9 @@ def _minimal_b(plan: AlphaPlan, m: int, wn: int, wd: int, v_eps: Fraction, base:
     Since 0 < w < v_s, the separation gap p^(b - b_j) * w is smallest
     against the stage with the largest b_j, so that stage alone decides
     separation; at b <= b_j the gap is at most w < 1 + v_s, so the scan
-    starts at b_j + 1.  Each inequality is compared on cross-multiplied
-    numerators; w = wn/wd with wd > 0.
+    starts at b_j + 1, so b strictly increases and the last stage has the
+    largest b.  Each inequality is compared on cross-multiplied numerators;
+    w = wn/wd with wd > 0.
     """
     cfg = plan.config
     sn, sd = cfg.v_s.numerator, cfg.v_s.denominator
@@ -145,9 +153,8 @@ def _minimal_b(plan: AlphaPlan, m: int, wn: int, wd: int, v_eps: Fraction, base:
     # window v_eps / p^b < v_s - w, as need < p^b * room
     need = v_eps.numerator * sd * wd
     room = v_eps.denominator * (sn * wd - wn * sd)
-    top_b = max(st.b for st in plan.stages)
-    b = top_b + 1
-    scale, gap = cfg.p ** b, cfg.p  # p^b and p^(b - top_b)
+    b = plan.stages[-1].b + 1
+    scale, gap = cfg.p ** b, cfg.p  # p^b and p^(b - b_j) for the last stage j
     while b <= MAX_B_SEARCH:
         if (scale * wn > m * wd and need < scale * room
                 and gap * wn * sd > (sd + sn) * wd
@@ -167,19 +174,17 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
     if not is_in_zp(q, cfg.p):
         raise StageUnavailableError(f"{q} is not in Z[1/{cfg.p}]")
     m = len(plan.stages) + 1
-    v_e, wn, wd = stage_point(q, cfg.gamma_x, cfg.v_s, cfg.p)
+    (en, ed), (wn, wd) = stage_point(q, cfg.gamma_x, cfg.v_s, cfg.p)
     # the demand is a running maximum: the last stage's v_eps already
     # covers every stage before it
+    v_eps, b = _ZERO, 0  # the opening stage is pinned; its term is the leading term
     if plan.stages:
         last = plan.stages[-1]
-        v_eps = max(last.v_eps, plan.d_requirement(last))
-    else:
-        v_eps = Fraction(0)
-    if m == 1:
-        b = 0  # the opening stage is pinned; its term is the leading term
-    else:
+        (dn, dd), v_eps = plan._d_pair(last), last.v_eps
+        if dn * v_eps.denominator > v_eps.numerator * dd:
+            v_eps = Fraction(dn, dd)
         b = _minimal_b(plan, m, wn, wd, v_eps, base)  # w = v_e + q * gamma_x
-    st = PlanStage(m=m, omega=q, v_e=v_e, b=b, v_eps=v_eps)
+    st = PlanStage(m=m, omega=q, v_e=Fraction(en, ed), b=b, v_eps=v_eps)
     grown = replace(plan, stages=plan.stages + (st,))
     # field, ring and v_c follow from the config alone, and the stage
     # index grows by the new stage
@@ -296,10 +301,11 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
                 Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
     # eps times the stage terms from m on; the tail guard bounds every
-    # stage not committed
+    # stage not committed, at precision v_eps / p^b + work_prec
+    gn, gd = cfg.work_prec.numerator, cfg.work_prec.denominator
     image = TruncatedSeries.from_terms(
         field.profile, ((key(later), 1) for later in plan.stages[m - 1:max(m, cfg.stages)]),
-        Fraction(vn, vd * scale) + cfg.work_prec)
+        Fraction(vn * gd + gn * vd * scale, vd * scale * gd))
 
     lead = image.leading()
     if lead is None:
@@ -308,28 +314,13 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
     res_val = min((field.profile.weight(e) for e in image.terms if e != lead_exps),
                   default=image.precision)
 
+    # (name, lhs, op, rhs, ok) of each adapted fact
+    v_s, bound = cfg.v_s, 1 + cfg.v_s
     checks = [
-        CheckRecord(
-            name="value_window",
-            lhs=str(lead_w),
-            op="in [0, v_s)",
-            rhs=str(cfg.v_s),
-            ok=0 <= lead_w < cfg.v_s,
-        ),
-        CheckRecord(
-            name="leading_exponent",
-            lhs=str(lead_exps[1]),
-            op="==",
-            rhs=str(st.omega),
-            ok=lead_exps[1] == st.omega,
-        ),
-        CheckRecord(
-            name="tail_gap",
-            lhs=str(res_val),
-            op=">",
-            rhs=str(1 + cfg.v_s),
-            ok=res_val > 1 + cfg.v_s,
-        ),
+        CheckRecord("value_window", str(lead_w), "in [0, v_s)", str(v_s), 0 <= lead_w < v_s),
+        CheckRecord("leading_exponent", str(lead_exps[1]), "==", str(st.omega),
+                    lead_exps[1] == st.omega),
+        CheckRecord("tail_gap", str(res_val), ">", str(bound), res_val > bound),
     ]
     cert = AdaptedCertificate(
         m=m,
@@ -353,24 +344,23 @@ def build_preimage(plan: AlphaPlan, m: int) -> TruncatedSeries:
     j with its divisor monomial W_j times the quotient t^(v_eps_m - d_j),
     where d_j is stage j's demand; a Frobenius root brings it into the unit
     ball.  Each quotient is free of x, integral exactly when v_eps_m >= d_j,
-    and the series is built once, each exponent scaled by the root 1/p^b
-    as made.
+    and the series is built once, each exponent one Fraction of integer
+    numerators, the root 1/p^b included.
     """
     ring = plan.ring
     st = plan.stages[m - 1]
-    root = Fraction(1, plan.config.p ** st.b)
-    zero = Fraction(0)
-    head = [((st.v_eps, zero, zero, Fraction(1)), 1)]
+    scale, vn, vd = plan.config.p ** st.b, st.v_eps.numerator, st.v_eps.denominator
+    head = [((Fraction(vn, vd * scale), _ZERO, _ZERO, Fraction(1, scale)), 1)]
     for prev in plan.stages[: m - 1]:
-        d_t = st.v_eps - plan.d_requirement(prev)
-        if d_t < 0:
+        dn, dd = plan._d_pair(prev)
+        num = vn * dd - dn * vd  # v_eps - d_j over vd * dd
+        if num < 0:
             raise AdaptednessFailedError(
                 f"divisor quotient for stage {prev.m} has valuation "
-                f"{d_t} < 0; eps is not divisible enough"
+                f"{Fraction(num, vd * dd)} < 0; eps is not divisible enough"
             )
-        head.append(((d_t, *plan.divisor_exps(prev)), -1))
-    preimage = TruncatedSeries.from_terms(
-        ring.profile, ((tuple(e * root for e in exps), c) for exps, c in head), EXACT)
+        head.append(((Fraction(num, vd * dd * scale), *plan.divisor_exps(prev, scale)), -1))
+    preimage = TruncatedSeries.from_terms(ring.profile, head, EXACT)
     ring.check_element(preimage)
     if not is_integral(preimage):
         raise AdaptednessFailedError(f"stage {m} preimage left the unit-ball subring")

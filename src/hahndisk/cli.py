@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from . import builder, division, verify
 from .config import CONFIG_ENV, InstanceConfig, read_json, read_text
 from .errors import ConfigError, FormatError, HahndiskError, SearchCeilingError
 from .fields import classify_disk_point
-from .series import random_series, render_series
+from .series import random_series
 from .tate import save_substitution
 from .valgroup import as_fraction, is_in_zp
 
@@ -82,8 +83,8 @@ def cmd_build(args) -> int:
     plan_path = out / "plan.json"
     alpha_path = out / "alpha.txt"
     plan_path.write_text(builder.dump_doc(builder.plan_to_doc(plan)))
-    alpha_path.write_text(render_series(plan.substitution.images[2]))
     image_paths = save_substitution(plan.substitution, out / "images")
+    shutil.copyfile(image_paths[2], alpha_path)  # alpha is the third image, rendered once
     print(f"plan: {plan_path}")
     print(f"alpha: {alpha_path}")
     print(f"images: {', '.join(str(p) for p in image_paths)}")

@@ -24,7 +24,7 @@ EXACT = None
 #: The one text form of a rational: ASCII digits, an optional leading minus
 #: and an optional denominator.  `Fraction` alone would also take `1e6`,
 #: `0.5`, `1_000` and `+2/3`, and e-notation builds 10^k before any bound.
-RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def too_many_digits(what: str) -> FormatError:
@@ -42,9 +42,11 @@ def as_fraction(value) -> Fraction:
         raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and RATIONAL_TEXT.fullmatch(value):
+    match = isinstance(value, str) and RATIONAL_TEXT.fullmatch(value)
+    if match:
+        num, den = match.groups()  # the two digit runs: no second parse
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ZeroDivisionError as exc:
             raise FormatError(f"not a rational: {value!r}") from exc
         except ValueError as exc:  # the text matched, so only the digit limit
@@ -111,19 +113,18 @@ def smallest_zp_point(lo: Fraction, hi: Fraction, p: int) -> Fraction:
 
 
 def stage_point(q: Fraction, gamma_x: Fraction, v_s: Fraction, p: int) -> tuple:
-    """(v_e, wn, wd) for a plan stage of exponent q: the canonical point
-    v_e = smallest_zp_point(lo, lo + v_s, p) of lo = -q * gamma_x, and its
-    weight w = v_e - lo = wn/wd, with wd > 0 and the pair not reduced.
+    """((en, ed), (wn, wd)) for a plan stage of exponent q: the canonical
+    point v_e = en/ed = smallest_zp_point(lo, lo + v_s, p), reduced, of
+    lo = -q * gamma_x, and its weight w = v_e - lo = wn/wd, not reduced.
 
-    lo and lo + v_s are numerators over one common denominator, so the
-    point v_e, which every caller stores, is the one Fraction built; v_s
-    must be positive.
+    lo and lo + v_s are numerators over one common denominator, and no
+    Fraction is built; denominators are positive, and v_s must be.
     """
     sn, sd = v_s.numerator, v_s.denominator
     qg = q.denominator * gamma_x.denominator
     ln, ld = -q.numerator * gamma_x.numerator * sd, qg * sd
     n, den = _zp_point(ln, ld, ln + sn * qg, ld, p)
-    return Fraction(n, den), n * ld - ln * den, den * ld
+    return (n, den), (n * ld - ln * den, den * ld)
 
 
 # The fixed enumeration of Z[1/p]: reduced fractions i/p^k ordered by

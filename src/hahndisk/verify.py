@@ -162,11 +162,15 @@ _PLAN_STAGE_FIELDS = frozenset({"omega", "b"})
 
 @dataclass
 class _Row:
+    """A derived stage; v_e, v_eps, d and w are (numerator, positive
+    denominator) pairs, so no Fraction is built but a series key."""
     omega: Fraction
-    v_e: Fraction  # the canonical point of (lo, lo + v_s), lo = -omega * gamma_x
+    v_e: tuple  # the canonical point of (lo, lo + v_s), lo = -omega * gamma_x
     b: int
-    v_eps: Fraction  # the divisibility demand of the earlier stages
-    d: Fraction  # the demand this stage puts on every later one
+    v_eps: tuple  # the divisibility demand of the earlier stages
+    d: tuple  # the demand this stage puts on every later one
+    scale: int  # p^b
+    w: tuple  # the leading weight v_e + omega * gamma_x
 
 
 def _read_plan(doc) -> tuple:
@@ -184,24 +188,24 @@ def _read_plan(doc) -> tuple:
     return config, [(as_fraction(raw["omega"]), raw["b"]) for raw in doc["stages"]]
 
 
-def _d_requirement(omega: Fraction, v_e: Fraction, scale: int, v_c: Fraction) -> Fraction:
+def _d_requirement(omega: Fraction, v_e: tuple, scale: int, v_c: Fraction) -> tuple:
     """The divisibility demand a stage puts on every later one: the weight
     of its divisor monomial's image minus the weight of its term, written
-    out as -p^b * (v_e + min(omega, 0) * v_c) on numerators over one common
-    denominator; scale is p^b."""
-    en, ed = v_e.numerator, v_e.denominator
-    if omega >= 0:
-        return Fraction(-scale * en, ed)
-    on, od, cn, cd = omega.numerator, omega.denominator, v_c.numerator, v_c.denominator
-    return Fraction(-scale * (en * od * cd + on * cn * ed), ed * od * cd)
+    out as -p^b * (v_e + min(omega, 0) * v_c) over one common denominator,
+    as a pair; v_e is a pair and scale is p^b."""
+    (en, ed), on = v_e, omega.numerator
+    if on >= 0:
+        return -scale * en, ed
+    od, cn, cd = omega.denominator, v_c.numerator, v_c.denominator
+    return -scale * (en * od * cd + on * cn * ed), ed * od * cd
 
 
 def _constraints_hold(wn, wd, v_eps, idx, b, scale, top_b, p, v_s, guard, guarded) -> bool:
     """The exact stage inequalities for the stage at index idx (0-based),
     of leading weight w = v_e + omega * gamma_x = wn/wd with wd > 0, at
     Frobenius exponent b >= 0
-    with scale = p^b; top_b is the largest b of the earlier stages (None if
-    there are none).
+    with scale = p^b, against the demand v_eps = (numerator, denominator);
+    top_b is the largest b of the earlier stages (None if there are none).
 
     Growth forces w > 0, so the separation gap p^(b - b_j) * w is smallest
     against the earlier stage with the largest b_j, and checking that one
@@ -213,7 +217,7 @@ def _constraints_hold(wn, wd, v_eps, idx, b, scale, top_b, p, v_s, guard, guarde
     if not scale * wn > (idx + 1) * wd:
         return False
     # v_eps / p^b < v_s - w
-    if not v_eps.numerator * sd * wd < scale * v_eps.denominator * (sn * wd - wn * sd):
+    if not v_eps[0] * sd * wd < scale * v_eps[1] * (sn * wd - wn * sd):
         return False
     if top_b is None:
         return True
@@ -230,39 +234,43 @@ def _constraints_hold(wn, wd, v_eps, idx, b, scale, top_b, p, v_s, guard, guarde
 # -- formula-level reconstruction ----------------------------------------------
 
 
-def _image_series(rows, idx, p, guard, base, field: ResidueField) -> TruncatedSeries:
+def _image_series(rows, idx, guard, base, field: ResidueField) -> TruncatedSeries:
     """The certificate image of stage idx+1, straight from the transcript:
     scaled committed stage terms from this stage on, bounded below by the
     tail guard for everything not committed.  A stage past this one and the
     `base` base stages clears the guard, so its term lies past the
     precision and is skipped: call this once the plan checks pass."""
     row = rows[idx]
-    scale, vn, vd = p ** row.b, row.v_eps.numerator, row.v_eps.denominator
+    scale, (vn, vd) = row.scale, row.v_eps
 
     def key(later):
         # ((v_eps + p^b_l v_e_l) / p^b, p^b_l omega_l / p^b) on numerators
-        lift, en, ed = p ** later.b, later.v_e.numerator, later.v_e.denominator
+        lift, (en, ed) = later.scale, later.v_e
         return (Fraction(vn * ed + lift * en * vd, vd * ed * scale),
                 Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
+    gn, gd = guard.numerator, guard.denominator  # precision v_eps / p^b + guard
     return TruncatedSeries.from_terms(
         field.profile, ((key(later), 1) for later in rows[idx:max(idx + 1, base)]),
-        Fraction(vn, vd * scale) + guard)
+        Fraction(vn * gd + gn * vd * scale, vd * scale * gd))
 
 
-def _preimage_series(rows, idx, p, v_c, ring: TateRing) -> TruncatedSeries:
+def _preimage_series(rows, idx, ring: TateRing) -> TruncatedSeries:
+    """Stage idx+1's t^(v_eps) x3 less t^(v_eps - d_j) W_j for each earlier
+    j, rooted by 1/p^b, each exponent one Fraction of integers."""
     row = rows[idx]
-    scale = p ** row.b
+    scale, (vn, vd) = row.scale, row.v_eps
     zero = Fraction(0)
-    terms = [((row.v_eps / scale, zero, zero, Fraction(1, scale)), 1)]
+    terms = [((Fraction(vn, vd * scale), zero, zero, Fraction(1, scale)), 1)]
     for prev in rows[:idx]:
-        d_t = (row.v_eps - prev.d) / scale
-        x = Fraction(prev.omega * p ** prev.b, scale)  # x1^x, or x2^-x for x < 0
-        terms.append(((d_t, x, zero, zero) if x >= 0 else (d_t, zero, -x, zero), -1))
+        (dn, dd), on = prev.d, prev.omega.numerator
+        d_t = Fraction(vn * dd - dn * vd, vd * dd * scale)
+        x = Fraction(abs(on) * prev.scale, prev.omega.denominator * scale)  # x1^x, or x2^x
+        terms.append(((d_t, x, zero, zero) if on >= 0 else (d_t, zero, x, zero), -1))
     return TruncatedSeries.from_terms(ring.profile, terms, EXACT)
 
 
-def _check_divisors(rows, n, p, v_c, rep: Report):
+def _check_divisors(rows, n, v_c, rep: Report):
     """Fact (a) for the first n stages, one finding at each.  x1 and x2 map
     to x and t^(v_c) x^-1, so t^(-d) W maps to t^(-d) x^(p^b omega), times
     t^(-p^b omega v_c) if omega < 0, and the stage term is
@@ -270,19 +278,15 @@ def _check_divisors(rows, n, p, v_c, rep: Report):
     t-exponents are compared on numerators over one common denominator."""
     cn, cd = v_c.numerator, v_c.denominator
     for m, row in enumerate(rows[:n], start=1):
-        scale = p ** row.b
-        dn, dd = row.d.numerator, row.d.denominator
+        scale, (dn, dd), (en, ed) = row.scale, row.d, row.v_e
         on, od = row.omega.numerator, row.omega.denominator
-        en, ed = row.v_e.numerator, row.v_e.denominator
         lhs = -dn * od * cd * ed - (scale * on * cn * dd * ed if on < 0 else 0)
         rep.check(lhs == scale * en * dd * od * cd, f"stage {m}",
                   "the divisor monomial t^(-d) W maps to the stage term")
 
 
-def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
-    """The adapted facts of every stage image without building the images;
-    scales[i] is p^b and ws[i] the weight v_e + omega * gamma_x of rows[i],
-    as a (numerator, positive denominator) pair.
+def _image_facts_closed_form(rows, v_s, guard, rep: Report):
+    """The adapted facts of every stage image without building the images.
 
     Image term l >= idx of stage idx weighs v_eps/p^b + p^(b_l - b) * w_l.
     Separation puts every l > idx past 1 + v_s > w, so the stage's own
@@ -297,16 +301,16 @@ def _image_facts_closed_form(rows, scales, ws, v_s, guard, rep: Report):
     # one pass from the last stage: min over l > idx of p^(b_l) * w_l, as a
     # (numerator, denominator) pair
     low, lows = None, [None]
-    for scale, (wn, wd) in zip(scales[:0:-1], ws[:0:-1]):
-        n = scale * wn
+    for row in rows[:0:-1]:
+        wn, wd = row.w
+        n = row.scale * wn
         if low is None or n * low[1] < low[0] * wd:
             low = (n, wd)
         lows.append(low)
     sn, sd = v_s.numerator, v_s.denominator
     bound = 1 + v_s
-    for m, (row, scale, (wn, wd), low) in enumerate(zip(rows, scales, ws, reversed(lows)),
-                                                    start=1):
-        vn, vd = row.v_eps.numerator, row.v_eps.denominator
+    for m, (row, low) in enumerate(zip(rows, reversed(lows)), start=1):
+        scale, (wn, wd), (vn, vd) = row.scale, row.w, row.v_eps
         # v_eps/p^b + w as w0n/w0d, then min(p^b * guard, low) as rn/rd
         w0n, w0d = vn * wd + scale * wn * vd, scale * vd * wd
         rn, rd = scale * guard.numerator, guard.denominator
@@ -365,16 +369,16 @@ def _check_plan(doc, rep: Report):
                      len(stages), config.stages):
         return plan
 
-    # the divisibility demand and the largest b of all earlier stages; p^b
-    # and the weight v_e + omega * gamma_x of every stage read so far
-    demand, top_b, scales, ws = Fraction(0), None, [], []
+    # the divisibility demand (a pair) and the largest b of all earlier stages
+    demand, top_b = (0, 1), None
     for idx, (raw, (q, b)) in enumerate(zip(doc["stages"], stages)):
         where = f"stage {idx + 1}"
         if not _fields_are(raw, _PLAN_STAGE_FIELDS, rep, where):
             break
         if idx:
             prev = rows[-1]
-            demand = max(demand, prev.d)
+            if prev.d[0] * demand[1] > demand[0] * prev.d[1]:
+                demand = prev.d
             top_b = prev.b if top_b is None else max(top_b, prev.b)
         # No canonical point and no p ** b is computed before these two
         # checks.  A later stage's demand and separation need this v_e and
@@ -385,11 +389,9 @@ def _check_plan(doc, rep: Report):
                          "Frobenius exponent {!r} is an integer in [0, {}]", b, MAX_B_SEARCH):
             break
         scale = p ** b
-        v_e, wn, wd = stage_point(q, gamma_x, v_s, p)
+        v_e, (wn, wd) = stage_point(q, gamma_x, v_s, p)
         rows.append(_Row(omega=q, v_e=v_e, b=b, v_eps=demand,
-                         d=_d_requirement(q, v_e, scale, v_c)))
-        scales.append(scale)
-        ws.append((wn, wd))
+                         d=_d_requirement(q, v_e, scale, v_c), scale=scale, w=(wn, wd)))
         if idx < config.stages:
             rep.check(q == omega(idx + 1, p), where,
                       "exponent {} follows the fixed enumeration", q)
@@ -409,7 +411,7 @@ def _check_plan(doc, rep: Report):
         rep.check(minimal, where, "b = {} is minimal", b)
 
     if rep.ok:
-        _image_facts_closed_form(rows, scales, ws, v_s, guard, rep)
+        _image_facts_closed_form(rows, v_s, guard, rep)
 
     return plan
 
@@ -429,7 +431,6 @@ def verify_certificate(doc: dict) -> Report:
     if not rep.ok:
         return rep
     config, rows, v_c, field = plan
-    p = config.p
     try:
         m = doc["m"]
         q = as_fraction(doc["q"])
@@ -441,15 +442,15 @@ def verify_certificate(doc: dict) -> Report:
                      "stage index is committed"):
         return rep
     rep.check(q == rows[m - 1].omega, where, "exponent {} matches stage exponent", q)
-    preimage = _preimage_series(rows, m - 1, p, v_c, config.tate())
-    image = _image_series(rows, m - 1, p, config.work_prec, config.stages, field)
+    preimage = _preimage_series(rows, m - 1, config.tate())
+    image = _image_series(rows, m - 1, config.work_prec, config.stages, field)
     rep.check(doc["image"] == render_series(image),
               where, "recorded image equals the transcript-derived image")
     rep.check(doc["preimage"] == render_series(preimage), where,
               "recorded preimage equals the transcript-derived preimage")
     rep.check(all(exps[0] >= 0 for exps in preimage.terms), where,
               "preimage lies in the unit-ball subring")
-    _check_divisors(rows, m - 1, p, v_c, rep)
+    _check_divisors(rows, m - 1, v_c, rep)
     return rep
 
 
@@ -468,7 +469,7 @@ def verify_trace(doc: dict) -> Report:
     if not rep.ok:
         return rep
     config, rows, v_c, field = plan
-    p, v_s, guard = config.p, config.v_s, config.work_prec
+    v_s, guard = config.v_s, config.work_prec
     by_exponent = {row.omega: idx for idx, row in enumerate(rows)}
     images = {}  # stage index -> (image, inverse of its lead), built on first use
 
@@ -508,7 +509,7 @@ def verify_trace(doc: dict) -> Report:
                 rep.fail(where, "no committed stage for exponent {}", q)
                 return rep
             if idx not in images:
-                image = _image_series(rows, idx, p, guard, config.stages, field)
+                image = _image_series(rows, idx, guard, config.stages, field)
                 _, lexps, lcoeff = image.leading()
                 images[idx] = image, field.monomial(lcoeff, *lexps).invert()
             image, lead_inv = images[idx]
@@ -529,7 +530,7 @@ def verify_trace(doc: dict) -> Report:
         val_next, bound = beta.val_lower(), m + 1 + v_s
         rep.check(val_next is None or val_next >= bound, where,
                   "contracted residual valuation {} >= {}", val_next, bound)
-    _check_divisors(rows, max(images, default=-1) + 1, p, v_c, rep)
+    _check_divisors(rows, max(images, default=-1) + 1, v_c, rep)
     return rep
 
 

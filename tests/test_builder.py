@@ -112,6 +112,10 @@ class TestBuildPlan:
         # demand of every earlier stage must choose the same stages
         for plan in extended_plans:
             cfg = plan.config
+            # every scan starts above the last b, so b strictly increases
+            # and the last stage has the largest b
+            bs = [st.b for st in plan.stages]
+            assert all(b < b_next for b, b_next in zip(bs, bs[1:])), cfg
             images = divisor_images(plan)
             for idx, st in enumerate(plan.stages):
                 prior = plan.stages[:idx]

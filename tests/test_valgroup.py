@@ -146,7 +146,9 @@ class TestSmallestZpPoint:
             p, gamma_x, v_s = plan.config.p, plan.config.gamma_x, plan.config.v_s
             for st in plan.stages:
                 lo = -st.omega * gamma_x
-                v_e, wn, wd = stage_point(st.omega, gamma_x, v_s, p)
+                (en, ed), (wn, wd) = stage_point(st.omega, gamma_x, v_s, p)
+                v_e = Fraction(en, ed)
+                assert (en, ed) == (v_e.numerator, v_e.denominator)  # reduced
                 assert v_e == smallest_zp_point(lo, lo + v_s, p) == st.v_e
                 assert wd > 0 and Fraction(wn, wd) == v_e - lo
 
@@ -156,6 +158,19 @@ class TestAsFraction:
         for text, want in [("0", 0), ("-7", -7), ("2/3", Fraction(2, 3)),
                            ("-1/3", Fraction(-1, 3)), ("12/4", 3)]:
             assert as_fraction(text) == want
+
+    def test_non_canonical_spellings_read_as_fraction_does(self):
+        # the two digit runs are converted apart; the value is the same
+        for text in ["6/4", "-0", "007", "0/5", "-12/4", "-007/0021", "10/100"]:
+            assert as_fraction(text) == Fraction(text), text
+
+    @given(n=st.integers(-10 ** 30, 10 ** 30), d=st.integers(1, 10 ** 30),
+           pad=st.integers(0, 3))
+    def test_text_reads_as_fraction_does(self, n, d, pad):
+        sign, digits = ("-", str(-n)) if n < 0 else ("", str(n))
+        for text in (f"{n}/{d}", f"{sign}{'0' * pad}{digits}/{'0' * pad}{d}", str(n)):
+            got = as_fraction(text)
+            assert type(got) is Fraction and got == Fraction(text), text
 
     def test_rejects_every_other_spelling(self):
         # small exponents only: e-notation would build 10^k first

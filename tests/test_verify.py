@@ -35,7 +35,7 @@ from hahndisk.builder import (
 )
 from hahndisk.config import MAX_B_SEARCH, MAX_P
 from hahndisk.errors import ConfigError, HahndiskError
-from hahndisk.series import TruncatedSeries
+from hahndisk.series import TruncatedSeries, render_series
 from hahndisk.division import run_division, trace_to_doc
 from hahndisk.valgroup import smallest_zp_point
 from hahndisk.verify import (
@@ -266,7 +266,7 @@ class TestPlanVerification:
             assert rep.ok, rep.text()
             assert (config, v_c) == (built.config, built.v_c)
             assert field.profile == built.field.profile
-            assert ([(r.omega, r.v_e, r.b, r.v_eps) for r in rows]
+            assert ([(r.omega, Fraction(*r.v_e), r.b, Fraction(*r.v_eps)) for r in rows]
                     == [(st.omega, st.v_e, st.b, st.v_eps) for st in built.stages])
 
     def test_constraint_verdicts_match_full_scan(self, extended_plans):
@@ -328,8 +328,8 @@ class TestPlanVerification:
                 for guarded in (False, True):
                     args = (w, v_eps, idx, b, top_b, p, v_s, guard, guarded)
                     got = hahndisk.verify._constraints_hold(
-                        w.numerator, w.denominator, v_eps, idx, b, p ** b, top_b, p, v_s,
-                        guard, guarded)
+                        w.numerator, w.denominator, (v_eps.numerator, v_eps.denominator),
+                        idx, b, p ** b, top_b, p, v_s, guard, guarded)
                     assert got == reference(*args), args
 
     def test_negative_or_decreasing_b_stays_exact(self, plan):
@@ -413,6 +413,24 @@ class TestCertificateVerification:
                 cert = build_adapted(plan, m)
                 report = verify_certificate(certificate_to_doc(plan, cert))
                 assert report.ok, report.text()
+
+    def test_every_stage_of_every_extended_plan(self, extended_plans):
+        # p = 3, 5 and 7, 12 and 24 base stages, three appended stages, and
+        # the x2 branch of a negative omega: every certificate verifies, and
+        # the verifier's own image and preimage render to the text the
+        # builder writes
+        for plan in extended_plans:
+            cfg = plan.config
+            for m in range(1, len(plan.stages) + 1):
+                doc = certificate_to_doc(plan, build_adapted(plan, m))
+                report = verify_certificate(doc)
+                assert report.ok, report.text()
+                _, rows, _, field = hahndisk.verify._check_plan(doc["plan"], Report())
+                image = hahndisk.verify._image_series(rows, m - 1, cfg.work_prec,
+                                                      cfg.stages, field)
+                preimage = hahndisk.verify._preimage_series(rows, m - 1, cfg.tate())
+                assert render_series(image) == doc["image"], (cfg, m)
+                assert render_series(preimage) == doc["preimage"], (cfg, m)
 
     def test_image_tamper_detected(self, instance_plans):
         for plan in instance_plans:
