@@ -11,13 +11,10 @@ trees that print the same hash write and print the same bytes.  Run from
 the repository root:
 
     PYTHONPATH=src python3 scripts/transcript_hash.py
-
-`--verbose` also prints the hash of each command's part and of each file.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -61,13 +58,11 @@ def run(argv: list) -> str:
     return f"{argv}\n{code}\n{buf.getvalue()}"
 
 
-def transcript_hash(verbose: bool = False) -> str:
+def transcript_hash() -> str:
     total = hashlib.sha256()
 
     def add(name: str, data: bytes):
         total.update(f"{name}\n{len(data)}\n".encode() + data)
-        if verbose:
-            print(hashlib.sha256(data).hexdigest()[:16], name)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -91,12 +86,5 @@ def transcript_hash(verbose: bool = False) -> str:
     return total.hexdigest()
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--verbose", action="store_true",
-                    help="print the hash of each command's part and of each file")
-    print(transcript_hash(ap.parse_args().verbose))
-
-
 if __name__ == "__main__":
-    main()
+    print(transcript_hash())

@@ -301,11 +301,10 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
                 Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
     # eps times the stage terms from m on; the tail guard bounds every
-    # stage not committed, at precision v_eps / p^b + work_prec
-    gn, gd = cfg.work_prec.numerator, cfg.work_prec.denominator
+    # stage not committed
     image = TruncatedSeries.from_terms(
         field.profile, ((key(later), 1) for later in plan.stages[m - 1:max(m, cfg.stages)]),
-        Fraction(vn * gd + gn * vd * scale, vd * scale * gd))
+        Fraction(vn, vd * scale) + cfg.work_prec)
 
     lead = image.leading()
     if lead is None:
@@ -314,13 +313,28 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
     res_val = min((field.profile.weight(e) for e in image.terms if e != lead_exps),
                   default=image.precision)
 
-    # (name, lhs, op, rhs, ok) of each adapted fact
-    v_s, bound = cfg.v_s, 1 + cfg.v_s
     checks = [
-        CheckRecord("value_window", str(lead_w), "in [0, v_s)", str(v_s), 0 <= lead_w < v_s),
-        CheckRecord("leading_exponent", str(lead_exps[1]), "==", str(st.omega),
-                    lead_exps[1] == st.omega),
-        CheckRecord("tail_gap", str(res_val), ">", str(bound), res_val > bound),
+        CheckRecord(
+            name="value_window",
+            lhs=str(lead_w),
+            op="in [0, v_s)",
+            rhs=str(cfg.v_s),
+            ok=0 <= lead_w < cfg.v_s,
+        ),
+        CheckRecord(
+            name="leading_exponent",
+            lhs=str(lead_exps[1]),
+            op="==",
+            rhs=str(st.omega),
+            ok=lead_exps[1] == st.omega,
+        ),
+        CheckRecord(
+            name="tail_gap",
+            lhs=str(res_val),
+            op=">",
+            rhs=str(1 + cfg.v_s),
+            ok=res_val > 1 + cfg.v_s,
+        ),
     ]
     cert = AdaptedCertificate(
         m=m,

@@ -249,10 +249,9 @@ def _image_series(rows, idx, guard, base, field: ResidueField) -> TruncatedSerie
         return (Fraction(vn * ed + lift * en * vd, vd * ed * scale),
                 Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
-    gn, gd = guard.numerator, guard.denominator  # precision v_eps / p^b + guard
     return TruncatedSeries.from_terms(
         field.profile, ((key(later), 1) for later in rows[idx:max(idx + 1, base)]),
-        Fraction(vn * gd + gn * vd * scale, vd * scale * gd))
+        Fraction(vn, vd * scale) + guard)
 
 
 def _preimage_series(rows, idx, ring: TateRing) -> TruncatedSeries:
