@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import (AdaptednessFailedError, ContractViolationError, SearchCeilingError,
@@ -301,10 +302,15 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
                 Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
     # eps times the stage terms from m on; the tail guard bounds every
-    # stage not committed
-    image = TruncatedSeries.from_terms(
-        field.profile, ((key(later), 1) for later in plan.stages[m - 1:max(m, cfg.stages)]),
-        Fraction(vn, vd * scale) + cfg.work_prec)
+    # stage not committed.  Stage l's term weighs (v_eps + p^b_l w_l) / p^b;
+    # for k < l separation gives p^b_l w_l > p^b_k (1 + v_s) and the window
+    # w_k < v_s, so p^b_l w_l strictly increases with l, and the terms below
+    # the precision v_eps / p^b + work_prec are a prefix
+    bound = scale * cfg.work_prec
+    kept = takewhile(lambda later: field.profile.weight(plan.alpha_term_exps(later)) < bound,
+                     plan.stages[m - 1:max(m, cfg.stages)])
+    image = TruncatedSeries.from_terms(field.profile, ((key(later), 1) for later in kept),
+                                       Fraction(vn, vd * scale) + cfg.work_prec)
 
     lead = image.leading()
     if lead is None:

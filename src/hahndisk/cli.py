@@ -23,6 +23,7 @@ deeply.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import shutil
@@ -40,24 +41,6 @@ from .valgroup import as_fraction, is_in_zp
 EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_USAGE = 2
-
-
-def _instance_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("instance")
-    group.add_argument("--config", help="JSON config file with instance defaults")
-    group.add_argument("--p", type=int, help="odd prime (default 3)")
-    group.add_argument("--gamma-x", help="-log r, a rational outside Z[1/p] (default 1/2)")
-    group.add_argument("--v-s", help="-log s in (0, 1) (default 1/4)")
-    group.add_argument("--prec", help="working precision (default 2*(stages+1))")
-    group.add_argument("--stages", type=int, help="committed stages M (default 12)")
-    return common
-
-
-def _output_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output directory (default '.')")
-    return common
 
 
 def build_config(args) -> InstanceConfig:
@@ -226,9 +209,21 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    common = _instance_parser()
-    writes = [common, _output_parser()]
+    """The parser, built once per process; it holds no per-call state, and
+    `main` looks each command's handler up at call time."""
+    common = argparse.ArgumentParser(add_help=False)
+    group = common.add_argument_group("instance")
+    group.add_argument("--config", help="JSON config file with instance defaults")
+    group.add_argument("--p", type=int, help="odd prime (default 3)")
+    group.add_argument("--gamma-x", help="-log r, a rational outside Z[1/p] (default 1/2)")
+    group.add_argument("--v-s", help="-log s in (0, 1) (default 1/4)")
+    group.add_argument("--prec", help="working precision (default 2*(stages+1))")
+    group.add_argument("--stages", type=int, help="committed stages M (default 12)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output directory (default '.')")
+    writes = [common, out]
     parser = argparse.ArgumentParser(
         prog="hahndisk",
         description="Exact truncated series arithmetic over F_p, disk-point "
@@ -236,23 +231,19 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=writes,
-                             help="build the staged plan, certificates and alpha")
-    p_build.set_defaults(fn=cmd_build)
+    sub.add_parser("build", parents=writes, help="build the staged plan, certificates and alpha")
 
     p_adapted = sub.add_parser("adapted", parents=writes,
                                help="emit the adapted certificate for an exponent")
     p_adapted.add_argument("q", help="leading exponent, a rational in Z[1/p]; "
                                      "put a negative one after --, as in "
                                      "'hahndisk adapted -- -1/3'")
-    p_adapted.set_defaults(fn=cmd_adapted)
 
     p_divide = sub.add_parser("divide", parents=writes,
                               help="run certified division steps against a target")
     p_divide.add_argument("target", help="file holding the target series text")
     p_divide.add_argument("steps", nargs="?", type=int, default=8,
                           help="number of division steps (default 8)")
-    p_divide.set_defaults(fn=cmd_divide)
 
     p_classify = sub.add_parser("classify",
                                 help="classify a disk point by its radius values")
@@ -260,31 +251,28 @@ def make_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("radii", nargs="+",
                             help="additive radius values (-log r), or EXACT "
                                  "for the point sentinel")
-    p_classify.set_defaults(fn=cmd_classify)
 
     p_verify = sub.add_parser("verify",
                               help="independently re-check a transcript file")
     p_verify.add_argument("file", help="plan, certificate or trace JSON")
     p_verify.add_argument("--verbose", action="store_true",
                           help="print passing checks too")
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_self = sub.add_parser("selftest", parents=[common],
                             help="run the seeded smoke suite")
     p_self.add_argument("--seed", type=int, default=0,
                         help="seed for the random series (default 0)")
-    p_self.set_defaults(fn=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        # a cmd_* replaced after the first call is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

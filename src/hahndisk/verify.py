@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .config import MAX_B_SEARCH, InstanceConfig
 from .errors import FormatError, HahndiskError
@@ -249,9 +250,13 @@ def _image_series(rows, idx, guard, base, field: ResidueField) -> TruncatedSerie
         return (Fraction(vn * ed + lift * en * vd, vd * ed * scale),
                 Fraction(lift * later.omega.numerator, later.omega.denominator * scale))
 
-    return TruncatedSeries.from_terms(
-        field.profile, ((key(later), 1) for later in rows[idx:max(idx + 1, base)]),
-        Fraction(vn, vd * scale) + guard)
+    # checked separation and window make p^b_l w_l strictly increase with l
+    # (see `builder.build_adapted`): terms with p^b_l w_l < p^b guard are a prefix
+    gn, gd = guard.numerator, guard.denominator
+    kept = takewhile(lambda later: later.scale * later.w[0] * gd < scale * gn * later.w[1],
+                     rows[idx:max(idx + 1, base)])
+    return TruncatedSeries.from_terms(field.profile, ((key(later), 1) for later in kept),
+                                      Fraction(vn, vd * scale) + guard)
 
 
 def _preimage_series(rows, idx, ring: TateRing) -> TruncatedSeries:

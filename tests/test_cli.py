@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hahndisk import InstanceConfig, builder
-from hahndisk.cli import main
+from hahndisk import InstanceConfig, builder, cli
+from hahndisk.cli import main, make_parser
 from hahndisk.config import MAX_P
 from hahndisk.series import render_series
 
@@ -623,3 +623,47 @@ def test_selftest(capsys):
 def test_selftest_seed(capsys):
     assert run("selftest", "--seed", "5") == 0
     assert "PASS: selftest" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """`make_parser` builds the parser once per process, and `main` looks
+    each command's handler up at call time."""
+
+    @pytest.mark.parametrize("first, first_code, then, want", [
+        (["verify", "--verbose", "{plan}"], 0, ["verify", "{plan}"], "PASS"),
+        (["divide", "{target}", "4", "--out", "{out}"], 0,
+         ["divide", "{target}", "--out", "{out}"], "\nstep 7: "),  # 8 steps, the default
+        (["build", "--p", "5", "--out", "{out}"], 0, ["classify", "1/2"],
+         "radius value 1/2: outside Z[1/3]\n"),  # --p 3, the default
+        (["build", "--no-such-flag"], 2, ["classify", "1/2"], "outside Z[1/3]"),
+        (["--help"], 0, ["--help"], "usage: hahndisk"),
+    ], ids=["verify-verbose", "divide-steps", "build-p", "usage-error", "help"])
+    def test_a_call_after_another_is_a_fresh_call(self, first, first_code, then, want,
+                                                    tmp_path, capsys):
+        # `then` made after `first` gives the exit code and stdout that it
+        # gives made first, on a parser built for it
+        target = tmp_path / "t.txt"
+        target.write_text("1 t^2\n1 t^3 x1^-1\nO(EXACT)\n")
+        names = {"{plan}": GOLDEN / "plan.json", "{target}": target, "{out}": tmp_path / "out"}
+
+        def call(argv):
+            code = main([str(names.get(a, a)) for a in argv])
+            return code, capsys.readouterr().out
+
+        make_parser.cache_clear()
+        fresh = call(then)
+        assert fresh[0] == 0 and want in fresh[1]
+        make_parser.cache_clear()
+        assert call(first)[0] == first_code
+        assert call(then) == fresh
+        assert make_parser() is make_parser()
+
+    def test_handler_is_looked_up_at_call_time(self, monkeypatch):
+        # perfbench's tracer replaces cli.cmd_* after an untraced pass has
+        # already called main
+        plan = str(GOLDEN / "plan.json")
+        assert run("verify", plan) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.file) or 0)
+        assert run("verify", plan) == 0
+        assert calls == [plan]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hahndisk
 import hahndisk.builder
@@ -30,14 +31,15 @@ from hahndisk.builder import (
     build_adapted,
     build_plan,
     certificate_to_doc,
+    certify,
     extend,
     plan_to_doc,
 )
 from hahndisk.config import MAX_B_SEARCH, MAX_P
 from hahndisk.errors import ConfigError, HahndiskError
 from hahndisk.series import TruncatedSeries
-from hahndisk.division import run_division, trace_to_doc
-from hahndisk.valgroup import smallest_zp_point
+from hahndisk.division import normalize_target, run_division, trace_to_doc
+from hahndisk.valgroup import is_in_zp, smallest_zp_point
 from hahndisk.verify import (
     Report,
     verify_certificate,
@@ -417,6 +419,28 @@ class TestCertificateVerification:
                 cert = build_adapted(plan, m)
                 report = verify_certificate(certificate_to_doc(plan, cert))
                 assert report.ok, report.text()
+
+    def test_images_stop_at_the_precision(self, instance_plans, extended_plans):
+        # the builder's and the verifier's image loops stop at the first
+        # term at or past the precision; both equal, term for term and in
+        # order, the image built from every base stage on and then cut
+        for plan in instance_plans + extended_plans:
+            cfg, field = plan.config, plan.field
+            rep = Report()
+            _, rows, _, _ = hahndisk.verify._check_plan(plan_to_doc(plan), rep)
+            assert rep.ok, rep.text()
+            for m, stage in enumerate(plan.stages, 1):
+                scale = cfg.p ** stage.b
+                full = TruncatedSeries(field.profile, {
+                    ((stage.v_eps + cfg.p ** later.b * later.v_e) / scale,
+                     cfg.p ** later.b * later.omega / scale): 1
+                    for later in plan.stages[m - 1:max(m, cfg.stages)]},
+                    stage.v_eps / scale + cfg.work_prec)
+                derived = hahndisk.verify._image_series(rows, m - 1, cfg.work_prec,
+                                                        cfg.stages, field)
+                for image in (build_adapted(plan, m).image, derived):
+                    assert image.precision == full.precision
+                    assert list(image.terms.items()) == list(full.terms.items())
 
     def test_image_tamper_detected(self, instance_plans):
         for plan in instance_plans:
@@ -980,3 +1004,33 @@ def test_each_stage_finding_names_its_own_values():
         lead = build_adapted(plan, m).image.val_lower()
         assert [f.message for f in report.findings if f.where == f"stage {m} image"][0] == \
             f"leading value {lead} inside [0, {v_s})"
+
+
+@st.composite
+def random_instances(draw):
+    """A valid instance: p up to 13, gamma_x = a/b with a, b <= 40 outside
+    Z[1/p], v_s = k/100 and 4 to 12 stages."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    gamma_x = draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+                   .filter(lambda g: not is_in_zp(g, p)))
+    return InstanceConfig(p=p, gamma_x=gamma_x, v_s=Fraction(draw(st.integers(1, 99)), 100),
+                          stages=draw(st.integers(4, 12)))
+
+
+@settings(max_examples=50, deadline=5000)
+@given(random_instances(), st.data())
+def test_random_instances_verify(config, data):
+    # a plan, a certificate on the enumeration and one off it, and a
+    # 4-step division of a normalized target all verify PASS
+    plan = build_plan(config)
+    on = plan.stages[data.draw(st.integers(0, config.stages - 1))].omega
+    off = Fraction(data.draw(st.integers(-60, 60)), config.p ** data.draw(st.integers(0, 2)))
+    if off in plan.stage_index:
+        off += 1000  # past every committed exponent
+    docs = [certificate_to_doc(*certify(plan, q)) for q in (on, off)]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    k, beta = normalize_target(plan, rand_normalized_target(rng, plan.field, config.v_s))
+    docs.append(trace_to_doc(run_division(plan, beta, 4), normalize_k=k))
+    for doc in docs:
+        report = verify_document(doc)
+        assert report.ok, report.text()
