@@ -35,8 +35,7 @@ The image is t^s times the roots of the T_l with l >= m, known up to
 s + work_prec by the tail guard, which is no less.  So (b) compares their
 terms below s + prec(alpha) * r, with no series product.  (a) depends on j
 alone: checked once per stage up to the highest one used, it costs
-O(stages) per run, where evaluating every stage-m preimage (m terms)
-through f cost O(stages^2).
+O(stages) per run.
 
 A step's correction is the sum of its products d * image_q, taken in one
 `from_terms`, so no partial sum is copied.

@@ -415,7 +415,8 @@ class TruncatedSeries:
         scale = Fraction(self.profile.p) ** k
         terms = {tuple(e * scale for e in exps): c for exps, c in self.terms.items()}
         prec = None if self.precision is None else self.precision * scale
-        return TruncatedSeries._trusted(self.profile, terms, prec)
+        # weights scale by p^k > 0 too, so every term stays below prec
+        return TruncatedSeries._trusted(self.profile, terms, prec, cut=False)
 
     def invert(self, target_prec=None):
         """Multiplicative inverse.

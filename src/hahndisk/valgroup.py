@@ -90,13 +90,22 @@ def _zp_point(ln: int, ld: int, hn: int, hd: int, p: int) -> tuple:
     """`smallest_zp_point` of (ln/ld, hn/hd), ld and hd > 0, as a reduced
     (numerator, p-power denominator) pair.  The first denominator p^k that
     admits a point gives it, so the point has no factor p in common with
-    p^k: that point over p^(k-1) would have been found first."""
-    den = 1
-    while True:
+    p^k: that point over p^(k-1) would have been found first.  As n/p^k is
+    n p/p^(k+1), every later k admits one: k steps by one up to 8, then
+    doubles, and bisection finds the first, in O(log k) powers even for a
+    window of width 10^-4000."""
+    below, k, found = -1, 0, None  # no k <= below admits a point; k admits found
+    while found is None or k - below > 1:
+        mid = k if found is None else (below + k) // 2
+        den = p ** mid
         n = ln * den // ld + 1  # floor(lo * den) + 1; // rounds down
         if n * hd < hn * den:
-            return n, den
-        den *= p
+            k, found = mid, (n, den)
+        elif found is None:
+            below, k = mid, mid + 1 if mid < 8 else 2 * mid
+        else:
+            below = mid
+    return found
 
 
 def smallest_zp_point(lo: Fraction, hi: Fraction, p: int) -> Fraction:

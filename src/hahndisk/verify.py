@@ -15,12 +15,9 @@ valuation gamma_x of x lies outside Z[1/p], and x * c x^-1 - c is the
 exact zero.
 
 Facts (a) and (b) of the `division` docstring tie a certificate to the
-substitution map.  (b) holds by construction: stage m's image is derived
-from the stage-term formula alone.  `_check_divisors` adds one (a)
-finding at every stage before a certificate's own and up to the highest
-one a trace uses.  Those findings re-derive this module's own demand and
-stage-term formulas from the plan's omega and b, with no map, and no
-recorded field reaches them: they pin the formulas, not the document.
+substitution map.  This module has no map: it derives every image from
+the stage-term formula, so (b) holds by construction, and
+`division.run_division` checks (a) against the plan's map.
 
 A finding keeps its message as a `str.format` template and the values the
 check passed, and renders it only when its `message`, or a report's
@@ -274,21 +271,6 @@ def _preimage_series(rows, idx, ring: TateRing) -> TruncatedSeries:
     return TruncatedSeries.from_terms(ring.profile, terms, EXACT)
 
 
-def _check_divisors(rows, n, v_c, rep: Report):
-    """Fact (a) for the first n stages, one finding at each.  x1 and x2 map
-    to x and t^(v_c) x^-1, so t^(-d) W maps to t^(-d) x^(p^b omega), times
-    t^(-p^b omega v_c) if omega < 0, and the stage term is
-    t^(p^b v_e) x^(p^b omega), with d the row's `_d_requirement`: the
-    t-exponents are compared on numerators over one common denominator."""
-    cn, cd = v_c.numerator, v_c.denominator
-    for m, row in enumerate(rows[:n], start=1):
-        scale, (dn, dd), (en, ed) = row.scale, row.d, row.v_e
-        on, od = row.omega.numerator, row.omega.denominator
-        lhs = -dn * od * cd * ed - (scale * on * cn * dd * ed if on < 0 else 0)
-        rep.check(lhs == scale * en * dd * od * cd, f"stage {m}",
-                  "the divisor monomial t^(-d) W maps to the stage term")
-
-
 def _image_facts_closed_form(rows, v_s, guard, rep: Report):
     """The adapted facts of every stage image without building the images.
 
@@ -340,7 +322,7 @@ def verify_plan(doc: dict) -> Report:
 
 def _check_plan(doc, rep: Report):
     """The checks of `verify_plan`, added to rep.  Returns the plan as read
-    and derived, (config, rows, v_c, residue field), or None if it could not
+    and derived, (config, rows, residue field), or None if it could not
     be read, so a certificate or trace reads its embedded plan, and builds
     its field, once.  Use the rows only once every check has passed."""
     if not _document_is(doc, "plan", 3, _PLAN_FIELDS, rep):
@@ -354,7 +336,7 @@ def _check_plan(doc, rep: Report):
     field = config.residue()
     v_c = smallest_zp_point(gamma_x, gamma_x + v_s, p)
     rows = []
-    plan = config, rows, v_c, field
+    plan = config, rows, field
     # the two kernel witnesses, from the instance alone, on exact monomials
     # of the residue field: x = t^0 x^1 weighs gamma_x, and the product of x
     # and t^(v_c) x^-1 is t^(0 + v_c) x^(1 - 1) with coefficient 1 * 1, which
@@ -426,15 +408,14 @@ def _check_plan(doc, rep: Report):
 def verify_certificate(doc: dict) -> Report:
     """Format 2: the embedded plan verifies, which reports the stage's three
     adapted facts, and `image` and `preimage` are the rendered series the
-    plan gives for stage `m`; one (a) finding follows for every stage
-    before it (see the module docstring)."""
+    plan gives for stage `m`."""
     rep = Report()
     if not _document_is(doc, "certificate", 2, _CERT_FIELDS, rep):
         return rep
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c, field = plan
+    config, rows, field = plan
     try:
         m = doc["m"]
         q = as_fraction(doc["q"])
@@ -454,7 +435,6 @@ def verify_certificate(doc: dict) -> Report:
               "recorded preimage equals the transcript-derived preimage")
     rep.check(all(exps[0] >= 0 for exps in preimage.terms), where,
               "preimage lies in the unit-ball subring")
-    _check_divisors(rows, m - 1, v_c, rep)
     return rep
 
 
@@ -463,16 +443,14 @@ def verify_certificate(doc: dict) -> Report:
 
 def verify_trace(doc: dict) -> Report:
     """Format 4: the steps replay from the target, and each step's record
-    is the list of [q, d] pairs of its replayed quotients.  After the
-    replay, one (a) finding follows for every stage up to the highest one a
-    step uses (see the module docstring)."""
+    is the list of [q, d] pairs of its replayed quotients."""
     rep = Report()
     if not _document_is(doc, "trace", 4, _TRACE_FIELDS, rep):
         return rep
     plan = _check_plan(doc["plan"], rep)
     if not rep.ok:
         return rep
-    config, rows, v_c, field = plan
+    config, rows, field = plan
     v_s, guard = config.v_s, config.work_prec
     by_exponent = {row.omega: idx for idx, row in enumerate(rows)}
     images = {}  # stage index -> (image, inverse of its lead), built on first use
@@ -534,7 +512,6 @@ def verify_trace(doc: dict) -> Report:
         val_next, bound = beta.val_lower(), m + 1 + v_s
         rep.check(val_next is None or val_next >= bound, where,
                   "contracted residual valuation {} >= {}", val_next, bound)
-    _check_divisors(rows, max(images, default=-1) + 1, v_c, rep)
     return rep
 
 

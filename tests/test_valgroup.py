@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,10 +131,26 @@ class TestSmallestZpPoint:
                 cases.append((hi - F(rng.randint(1, 9), rng.randint(1, 40)), hi))
                 cases.append((-F(rng.randint(1, 9), rng.randint(1, 40)),
                               F(rng.randint(1, 9), rng.randint(1, 40))))
+            for j in range(2, 13):
+                # narrow windows, where the search for k bisects
+                lo = F(rng.randint(-40, 40), rng.randint(1, 12))
+                cases.append((lo, lo + F(1, p ** j)))
             for lo, hi in cases:
                 got = smallest_zp_point(lo, hi, p)
                 assert got == self.exhaustive(lo, hi, p), (lo, hi, p)
                 assert lo < got < hi
+
+    def test_narrow_window_takes_few_powers(self):
+        # a plan document may give v_s = 1/77...7, 4000 digits, and its
+        # windows need denominators near 3^8384: stepping through every k
+        # takes seconds a window, so the search doubles and bisects k
+        v_s, q, gamma_x = F(1, int("7" * 4000)), F(5, 9), F(1, 2)
+        start = time.monotonic()
+        (en, ed), _ = stage_point(q, gamma_x, v_s, 3)
+        assert time.monotonic() - start < 1
+        lo, den = -q * gamma_x, ed // 3
+        assert lo < F(en, ed) < lo + v_s and ed > 3 ** 8000
+        assert not lo < F(lo.numerator * den // lo.denominator + 1, den) < lo + v_s
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ConfigError):

@@ -264,12 +264,16 @@ class TestPlanVerification:
         golden = json.loads((DATA.parent / "golden" / "plan.json").read_text())
         for built, doc in [(plan, golden)] + [(p, plan_to_doc(p)) for p in extended_plans]:
             rep = Report()
-            config, rows, v_c, field = hahndisk.verify._check_plan(doc, rep)
+            config, rows, field = hahndisk.verify._check_plan(doc, rep)
             assert rep.ok, rep.text()
-            assert (config, v_c) == (built.config, built.v_c)
+            assert config == built.config and any(st.omega < 0 for st in built.stages)
             assert field.profile == built.field.profile
-            assert ([(r.omega, Fraction(*r.v_e), r.b, Fraction(*r.v_eps)) for r in rows]
-                    == [(st.omega, st.v_e, st.b, st.v_eps) for st in built.stages])
+            # the demand d = -p^b (v_e + min(omega, 0) v_c) of every stage,
+            # so v_c too wherever omega < 0
+            assert ([(r.omega, Fraction(*r.v_e), r.b, Fraction(*r.v_eps), Fraction(*r.d))
+                     for r in rows]
+                    == [(st.omega, st.v_e, st.b, st.v_eps, built.d_requirement(st))
+                        for st in built.stages])
 
     def test_constraint_verdicts_match_full_scan(self, extended_plans):
         # the verifier separates against the largest earlier b only and
@@ -427,7 +431,7 @@ class TestCertificateVerification:
         for plan in instance_plans + extended_plans:
             cfg, field = plan.config, plan.field
             rep = Report()
-            _, rows, _, _ = hahndisk.verify._check_plan(plan_to_doc(plan), rep)
+            _, rows, _ = hahndisk.verify._check_plan(plan_to_doc(plan), rep)
             assert rep.ok, rep.text()
             for m, stage in enumerate(plan.stages, 1):
                 scale = cfg.p ** stage.b
@@ -814,16 +818,29 @@ _DELETE = object()
 
 def test_document_mutation_sweep_never_raises():
     # the golden plan sweeps the plan fields, so the plan embedded in a
-    # certificate or trace is only deleted or retyped as a whole
+    # certificate or trace is only deleted or retyped as a whole.  Every
+    # field takes each value below, and every string field, series text
+    # included, also has one character changed by a seeded draw; each
+    # document passes through JSON first, so it is one a file can hold
     names = ["golden/plan.json", "data/adapted_minus1_3.json",
-             "data/adapted_minus5_9.json", "data/divide_seed11_steps4.json"]
-    values = [_DELETE, None, 1.5, "x", [], {}, True, 10 ** 6]
+             "data/adapted_minus5_9.json", "data/divide_seed11_steps4.json",
+             "data/divide_p5_steps4.json"]
+    values = [_DELETE, None, 1.5, "x", [], {}, True, 10 ** 6, 0, -1, 10 ** 4000,
+              "1e3", "0.5", "1/0", "+2/3", "\u0663", "1/" + "7" * 4000]
+    rng = random.Random(27)
     start = time.monotonic()
     swept = 0
     for name in names:
         doc = json.loads((DATA.parent / name).read_text())
         for path in field_paths(doc):
-            for value in values:
+            news = list(values)
+            old = doc
+            for key in path:
+                old = old[key]
+            if isinstance(old, str) and old:
+                i = rng.randrange(len(old))
+                news.append(old[:i] + rng.choice("0123456789/-+^ tx\n") + old[i + 1:])
+            for value in news:
                 tampered = copy.deepcopy(doc)
                 parent = tampered
                 for key in path[:-1]:
@@ -832,13 +849,35 @@ def test_document_mutation_sweep_never_raises():
                     del parent[path[-1]]
                 else:
                     parent[path[-1]] = value
-                report = verify_document(tampered)
+                report = verify_document(json.loads(json.dumps(tampered)))
                 assert report.findings, (name, path, value)
                 swept += 1
-    # 36 field paths, 8 values each
-    assert swept == 288
+    # 46 field paths, 17 values each, and 19 string fields with one
+    # character changed
+    assert swept == 46 * 17 + 19
     elapsed = time.monotonic() - start
     assert elapsed < 5, f"mutation sweep took {elapsed:.2f}s, budget 5s"
+
+
+def test_reports_add_no_stage_findings_after_the_plan(instance_plans, extended_plans):
+    # past the embedded plan's own findings, a certificate reports at
+    # `certificate stage m` and a trace at `trace` and `step m`: neither
+    # adds a finding at a plan stage
+    def added(doc, report):
+        plan = [(f.ok, f.where, f.message) for f in verify_plan(doc["plan"]).findings]
+        got = [(f.ok, f.where, f.message) for f in report.findings]
+        assert report.ok and got[1:1 + len(plan)] == plan, report.text()
+        return [where for _, where, _ in got[1 + len(plan):]]
+
+    wheres = set()
+    for plan in instance_plans + extended_plans:
+        for m in range(1, len(plan.stages) + 1):
+            doc = certificate_to_doc(plan, build_adapted(plan, m))
+            wheres.update(added(doc, verify_certificate(doc)))
+    for name in ("divide_seed11_steps4.json", "divide_p5_steps4.json"):
+        doc = json.loads((DATA / name).read_text())
+        wheres.update(added(doc, verify_trace(doc)))
+    assert wheres and not [w for w in wheres if re.fullmatch(r"stage \d+", w)], sorted(wheres)
 
 
 def test_every_report_derives_the_kernel_witnesses(instance_plans):
