@@ -232,16 +232,14 @@ class TruncatedSeries:
         return out
 
     @classmethod
-    def from_terms(cls, profile, pairs, precision, terms=None):
-        """The sum of the monomials c * t^a x^q given as (exponents, c)
-        pairs, added onto a copy of the terms dict `terms` if one is given.
+    def from_terms(cls, profile, pairs, precision):
+        """The sum of the monomials c * t^a x^q given as (exponents, c) pairs.
 
         A new vector is hashed once, as it is stored; only a repeated one is
         summed mod p, and dropped at zero, so the terms and their dict order
         are a running sum's.  The caller guarantees what `_trusted` asks of
         exponents and precision, and that no c is divisible by p."""
-        acc = _summed({} if terms is None else terms.copy(), pairs, profile.p)
-        return cls._trusted(profile, acc, precision)
+        return cls._trusted(profile, _summed({}, pairs, profile.p), precision)
 
     # -- inspection --------------------------------------------------------
 

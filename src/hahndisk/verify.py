@@ -19,6 +19,19 @@ substitution map.  This module has no map: it derives every image from
 the stage-term formula, so (b) holds by construction, and
 `division.run_division` checks (a) against the plan's map.
 
+A certificate or trace is read only once its plan passes, and three facts
+then follow from the stage checks, so no finding states them.  Put
+w = v_e + omega * gamma_x; the demand v_eps starts at 0 and only rises.
+(1) Stage k's own image term weighs v_eps/p^b + w, in [0, v_s) by growth
+(w > 0) and the window, or at stage 1 as b = 0, v_eps = 0 and w = v_e - lo
+lies in (0, v_s).  The term of a later stage l weighs v_eps/p^b +
+p^(b_l - b) w_l, past 1 + v_s by l's separation check as b <= top_b(l),
+and so does the precision v_eps/p^b + work_prec, as work_prec > stages + 1.
+(2) The preimage's t-exponents v_eps/p^b and (v_eps - d_j)/p^b, j < k, are
+>= 0, as v_eps is the largest of 0 and the d_j.
+(3) A band term of step m weighs >= m + v_s and the image leads below v_s,
+so each quotient, the part over the lead, weighs more than m.
+
 A finding keeps its message as a `str.format` template and the values the
 check passed, and renders it only when its `message`, or a report's
 `text`, first reads it: a passing report is seldom printed, and a check
@@ -67,19 +80,6 @@ class Finding:
 def _render(template: str, args: tuple) -> str:
     """A finding's message: the one place a template is formatted."""
     return template.format(*args)
-
-
-class _Ratio:
-    """A message argument n/d with d > 0, formatted as the Fraction it
-    reduces to, so a passing check builds no Fraction."""
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-
-    def __format__(self, spec: str) -> str:
-        return format(Fraction(self.n, self.d), spec)
 
 
 class Report:
@@ -143,8 +143,8 @@ def _fields_are(record: dict, want: frozenset, rep: Report, where: str) -> bool:
     return False
 
 
-#: The fields of a format-2 certificate.  The stage's three adapted facts
-#: are the plan verifier's; this checker compares image and preimage.
+#: The fields of a format-2 certificate.  The stage's adapted facts follow
+#: from the plan's checks; this checker compares image and preimage.
 _CERT_FIELDS = frozenset({"kind", "format", "plan", "m", "q", "preimage", "image"})
 #: The fields of a format-4 trace.  A step's index is its position, and its
 #: bounds follow from that; a step records only its quotients.
@@ -271,46 +271,6 @@ def _preimage_series(rows, idx, ring: TateRing) -> TruncatedSeries:
     return TruncatedSeries.from_terms(ring.profile, terms, EXACT)
 
 
-def _image_facts_closed_form(rows, v_s, guard, rep: Report):
-    """The adapted facts of every stage image without building the images.
-
-    Image term l >= idx of stage idx weighs v_eps/p^b + p^(b_l - b) * w_l.
-    Separation puts every l > idx past 1 + v_s > w, so the stage's own
-    term leads and no two terms share a key: the leading value is
-    v_eps/p^b + w, the leading x-exponent is omega (so that fact gets no
-    finding), and the rest of the image has valuation
-    v_eps/p^b + min(guard, min_{l>idx} p^(b_l - b) * w_l).
-    Only call this once the stage checks, separation included, all hold.
-    Each fact is decided on numerators; a Fraction is built only when a
-    finding's message is read.
-    """
-    # one pass from the last stage: min over l > idx of p^(b_l) * w_l, as a
-    # (numerator, denominator) pair
-    low, lows = None, [None]
-    for row in rows[:0:-1]:
-        wn, wd = row.w
-        n = row.scale * wn
-        if low is None or n * low[1] < low[0] * wd:
-            low = (n, wd)
-        lows.append(low)
-    sn, sd = v_s.numerator, v_s.denominator
-    bound = 1 + v_s
-    for m, (row, low) in enumerate(zip(rows, reversed(lows)), start=1):
-        scale, (wn, wd), (vn, vd) = row.scale, row.w, row.v_eps
-        # v_eps/p^b + w as w0n/w0d, then min(p^b * guard, low) as rn/rd
-        w0n, w0d = vn * wd + scale * wn * vd, scale * vd * wd
-        rn, rd = scale * guard.numerator, guard.denominator
-        if low is not None and low[0] * rd < rn * low[1]:
-            rn, rd = low
-        # the residual valuation v_eps/p^b + rn/(p^b rd)
-        res_n, res_d = vn * rd + rn * vd, scale * vd * rd
-        where = f"stage {m} image"
-        rep.check(0 <= w0n and w0n * sd < sn * w0d, where,
-                  "leading value {} inside [0, {})", _Ratio(w0n, w0d), v_s)
-        rep.check(res_n * sd > (sd + sn) * res_d, where,
-                  "residual valuation {} beyond {}", _Ratio(res_n, res_d), bound)
-
-
 # -- plan verification ----------------------------------------------------------
 
 
@@ -395,10 +355,6 @@ def _check_plan(doc, rep: Report):
         minimal = b == 0 or not _constraints_hold(
             wn, wd, demand, idx, b - 1, scale // p, top_b, p, v_s, guard, guarded)
         rep.check(minimal, where, "b = {} is minimal", b)
-
-    if rep.ok:
-        _image_facts_closed_form(rows, v_s, guard, rep)
-
     return plan
 
 
@@ -406,9 +362,9 @@ def _check_plan(doc, rep: Report):
 
 
 def verify_certificate(doc: dict) -> Report:
-    """Format 2: the embedded plan verifies, which reports the stage's three
-    adapted facts, and `image` and `preimage` are the rendered series the
-    plan gives for stage `m`."""
+    """Format 2: the embedded plan verifies, so the stage's image is adapted
+    and its preimage integral (see the module docstring), and `image` and
+    `preimage` are the rendered series the plan gives for stage `m`."""
     rep = Report()
     if not _document_is(doc, "certificate", 2, _CERT_FIELDS, rep):
         return rep
@@ -433,8 +389,6 @@ def verify_certificate(doc: dict) -> Report:
               where, "recorded image equals the transcript-derived image")
     rep.check(doc["preimage"] == render_series(preimage), where,
               "recorded preimage equals the transcript-derived preimage")
-    rep.check(all(exps[0] >= 0 for exps in preimage.terms), where,
-              "preimage lies in the unit-ball subring")
     return rep
 
 
@@ -497,10 +451,6 @@ def verify_trace(doc: dict) -> Report:
             image, lead_inv = images[idx]
             # part / lead is the quotient times t^m
             d = part * lead_inv
-            d_val = d.val_lower() - m
-            if not rep.check(d_val > 0, where,
-                             "quotient for exponent {} has valuation {} > 0", q, d_val):
-                return rep
             replayed.append([str(q), render_series(d)])
             product = d * image
             pairs.extend(product.terms.items())

@@ -37,8 +37,9 @@ from hahndisk.builder import (
 )
 from hahndisk.config import MAX_B_SEARCH, MAX_P
 from hahndisk.errors import ConfigError, HahndiskError
-from hahndisk.series import TruncatedSeries
+from hahndisk.series import TruncatedSeries, parse_series
 from hahndisk.division import normalize_target, run_division, trace_to_doc
+from hahndisk.tate import is_integral
 from hahndisk.valgroup import is_in_zp, smallest_zp_point
 from hahndisk.verify import (
     Report,
@@ -132,11 +133,11 @@ def reported_verdicts(doc, start):
 
 
 def built_image_findings(doc):
-    """The image facts of every stage read off its built image series: a
-    test-local copy of the image loop verify_plan ran before the closed form
-    (the image through the validating constructor, then its leading term
-    and the valuation of the rest).  The leading exponent is the stage
-    exponent on every built image."""
+    """The image facts of every stage read off its built image series (the
+    image through the validating constructor, then its leading term and
+    the valuation of the rest): the reference for what a passing plan
+    implies.  The leading exponent is the stage exponent on every built
+    image."""
     cfg = InstanceConfig.from_dict(doc["instance"])
     p, v_s, profile, guard = cfg.p, cfg.v_s, cfg.residue().profile, cfg.work_prec
     rows = derived_stages(doc)
@@ -162,17 +163,6 @@ def built_image_findings(doc):
              f"residual valuation {res_val} beyond {1 + v_s}"),
         ]
     return findings
-
-
-def findings_and_reference(doc):
-    """verify_plan's findings, and the same with the image facts taken from
-    built images in its order: plan and stage checks, then the image facts
-    once those all hold."""
-    got = [(f.ok, f.where, f.message) for f in verify_plan(doc).findings]
-    checks = [f for f in got if not f[1].endswith(" image")]
-    if all(ok for ok, _, _ in checks):
-        checks += built_image_findings(doc)
-    return got, checks
 
 
 class TestPlanVerification:
@@ -351,22 +341,25 @@ class TestPlanVerification:
             assert not [f.message for f in report.findings
                         if float_text.search(f.message)], (m, b, report.text())
 
-    def test_closed_form_image_facts_match_built_images(self, extended_plans, plan):
-        docs = [plan_to_doc(plan)]
-        docs += [plan_to_doc(extended) for extended in extended_plans]
-        for doc in docs:
-            got, want = findings_and_reference(doc)
-            assert got == want
-            assert sum(where.endswith(" image") for _, where, _ in got) == (
-                2 * len(doc["stages"]))
-        for extended in extended_plans:
-            doc = plan_to_doc(extended)
+    def test_passing_plans_have_adapted_built_images(self, extended_plans):
+        # the stage checks imply every image fact (see the verify module
+        # docstring), so verify_plan states none: wherever it passes, on an
+        # honest plan or one with a stage's b moved, each built image is
+        # adapted
+        golden = json.loads((DATA.parent / "golden" / "plan.json").read_text())
+        for doc in [golden] + [plan_to_doc(extended) for extended in extended_plans]:
+            variants = [doc]
             for k, stage in enumerate(doc["stages"]):
                 for moved in (stage["b"] - 1, stage["b"] + 1, 0):
                     tampered = copy.deepcopy(doc)
                     tampered["stages"][k]["b"] = moved
-                    got, want = findings_and_reference(tampered)
-                    assert got == want, (extended.config, k, moved)
+                    variants.append(tampered)
+            passed = [tampered for tampered in variants if verify_plan(tampered).ok]
+            assert passed[0] is doc
+            for tampered in passed:
+                facts = built_image_findings(tampered)
+                assert len(facts) == 2 * len(doc["stages"])
+                assert all(ok for ok, _, _ in facts), (doc["instance"], facts)
 
     def test_stage_index_is_gated_before_omega(self, plan, monkeypatch):
         # omega(m) computes the enumeration up to m, and a stage's index is
@@ -862,11 +855,17 @@ def test_document_mutation_sweep_never_raises():
 def test_reports_add_no_stage_findings_after_the_plan(instance_plans, extended_plans):
     # past the embedded plan's own findings, a certificate reports at
     # `certificate stage m` and a trace at `trace` and `step m`: neither
-    # adds a finding at a plan stage
+    # adds a finding at a plan stage.  No report states a fact its stage
+    # checks imply (see the verify module docstring): an image's adapted
+    # facts, an integral preimage or a positive quotient valuation
+    messages = set()
+
     def added(doc, report):
         plan = [(f.ok, f.where, f.message) for f in verify_plan(doc["plan"]).findings]
         got = [(f.ok, f.where, f.message) for f in report.findings]
         assert report.ok and got[1:1 + len(plan)] == plan, report.text()
+        assert not [w for _, w, _ in got if w.endswith(" image")], report.text()
+        messages.update(message for _, _, message in got)
         return [where for _, where, _ in got[1 + len(plan):]]
 
     wheres = set()
@@ -878,6 +877,9 @@ def test_reports_add_no_stage_findings_after_the_plan(instance_plans, extended_p
         doc = json.loads((DATA / name).read_text())
         wheres.update(added(doc, verify_trace(doc)))
     assert wheres and not [w for w in wheres if re.fullmatch(r"stage \d+", w)], sorted(wheres)
+    assert not [message for message in messages
+                if message == "preimage lies in the unit-ball subring"
+                or re.fullmatch(r"quotient for exponent \S+ has valuation \S+ > 0", message)]
 
 
 def test_every_report_derives_the_kernel_witnesses(instance_plans):
@@ -1027,11 +1029,10 @@ def test_messages_are_the_pinned_text(source, name):
 
 def test_each_stage_finding_names_its_own_values():
     # messages are rendered after the stage loop has moved on, so each must
-    # hold its own stage's exponent, b and leading value
+    # hold its own stage's exponent and b
     plan = build_plan(InstanceConfig(stages=24))
     report = verify_plan(plan_to_doc(plan))
     assert report.ok, report.text()
-    v_s = plan.config.v_s
     for m, st in enumerate(plan.stages, start=1):
         q, b = st.omega, st.b
         want = [f"exponent {q} lies in Z[1/3]",
@@ -1040,9 +1041,6 @@ def test_each_stage_finding_names_its_own_values():
         want += (["opening stage has Frobenius exponent 0"] if m == 1 else
                  [f"growth, window and separation hold at b = {b}", f"b = {b} is minimal"])
         assert [f.message for f in report.findings if f.where == f"stage {m}"] == want
-        lead = build_adapted(plan, m).image.val_lower()
-        assert [f.message for f in report.findings if f.where == f"stage {m} image"][0] == \
-            f"leading value {lead} inside [0, {v_s})"
 
 
 @st.composite
@@ -1073,3 +1071,11 @@ def test_random_instances_verify(config, data):
     for doc in docs:
         report = verify_document(doc)
         assert report.ok, report.text()
+    # the facts the verifier derives from its stage checks (see the verify
+    # module docstring) hold: each preimage is integral, and each step's d,
+    # t^m times the quotient, weighs more than m
+    for doc in docs[:2]:
+        assert is_integral(parse_series(config.tate().profile, doc["preimage"]))
+    for m, step in enumerate(docs[2]["steps"]):
+        for _, d in step:
+            assert plan.field.parse(d).val_lower() > m, (m, d)
