@@ -287,7 +287,7 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
     divisibility window and the separation constraint pin inside the
     adapted shape; each exponent is scaled by the root 1/p^b as made.  A
     stage appended after m clears the tail guard against a b at least
-    b_m, so its term lies past the image's precision and is not built.
+    b_m, so its term lies past the image's precision, where the loop stops.
     """
     if not 1 <= m <= len(plan.stages):
         raise StageUnavailableError(f"stage {m} is not committed")
@@ -306,11 +306,9 @@ def build_adapted(plan: AlphaPlan, m: int) -> AdaptedCertificate:
     # for k < l separation gives p^b_l w_l > p^b_k (1 + v_s) and the window
     # w_k < v_s, so p^b_l w_l strictly increases with l, and the terms below
     # the precision v_eps / p^b + work_prec are a prefix
-    bound = scale * cfg.work_prec
-    kept = takewhile(lambda later: field.profile.weight(plan.alpha_term_exps(later)) < bound,
-                     plan.stages[m - 1:max(m, cfg.stages)])
-    image = TruncatedSeries.from_terms(field.profile, ((key(later), 1) for later in kept),
-                                       Fraction(vn, vd * scale) + cfg.work_prec)
+    prec, weight = Fraction(vn, vd * scale) + cfg.work_prec, field.profile.weight
+    kept = takewhile(lambda e: weight(e) < prec, map(key, plan.stages[m - 1:]))
+    image = TruncatedSeries.from_terms(field.profile, ((e, 1) for e in kept), prec)
 
     lead = image.leading()
     if lead is None:

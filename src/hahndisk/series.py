@@ -33,19 +33,20 @@ term: a dict copy keeps its stored hashes, the precision filter deletes
 the dropped keys in place, and `from_terms` hashes a new vector once.
 Dict order is still that of a running sum over the operands' terms.
 
-Inside the closed operations a weight is a pair of integers.  A profile
-keeps its slot weights as integer numerators over one common
-denominator, and `WeightProfile._weigh` gives an exponent vector's
-weight as (numerator, positive denominator) from one integer dot
-product, with no gcd.  Every bound test compares such pairs
-cross-multiplied: `window`, the precision filter of `_trusted` and the
-pair filter of `*`; `val_lower` and `leading` pick the least pair the
-same way and build one `Fraction`, for the weight they return, as `*`
-does for its precision.  Each term is weighed at most once per
-operation: `*` stores the pairs its own filter kept without filtering
-them again, and `+` and `-` filter only the operand whose precision
-exceeds the result's.  `weight` still sums a `Fraction` for the
-validating constructor, `split` and the text order.
+A weight is computed one way.  A profile keeps its slot weights as
+integer numerators over one common denominator, and
+`WeightProfile._weigh` gives an exponent vector's weight as (numerator,
+positive denominator) from one integer dot product, with no gcd;
+`weight` is that pair as one `Fraction`, or the t-exponent itself when
+no variable weighs anything.  Every bound test compares such pairs
+cross-multiplied: `window`, the precision filter `_cut` of the
+validating constructor and of `_trusted`, and the pair filter of `*`;
+`val_lower` and `leading` pick the least pair the same way and build one
+`Fraction`, for the weight they return, as `*` does for its precision.
+`split` orders its parts by `val_lower`, and the text order sorts by
+`weight`.  Each term is weighed at most once per operation: `*` stores
+the pairs its own filter kept without filtering them again, and `+` and
+`-` filter only the operand whose precision exceeds the result's.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class WeightProfile:
     arbitrarily.
     """
 
-    __slots__ = ("p", "weights", "generic_radius", "_slots", "_den", "_int_slots")
+    __slots__ = ("p", "weights", "generic_radius", "_den", "_int_slots")
 
     def __init__(self, p: int, weights, generic_radius: bool = False):
         weights = tuple(as_fraction(w) for w in weights)
@@ -115,27 +116,24 @@ class WeightProfile:
         self.p = p
         self.weights = weights
         self.generic_radius = generic_radius
-        # (index, weight) of the variable slots that weigh anything: slot 0
-        # always weighs 1, and a Tate-ring variable weighs 0; _int_slots has
-        # each such weight as an integer numerator over the common
-        # denominator _den
-        self._slots = tuple((i, w) for i, w in enumerate(weights) if i and w)
+        # (index, weight) of the variable slots that weigh anything, each
+        # weight an integer numerator over the common denominator _den: slot
+        # 0 always weighs 1, and a Tate-ring variable weighs 0
         self._den = lcm(*(w.denominator for w in weights))
         self._int_slots = tuple((i, w.numerator * (self._den // w.denominator))
-                                for i, w in self._slots)
+                                for i, w in enumerate(weights) if i and w)
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
     def weight(self, exponents) -> Fraction:
-        """The weight as a Fraction, summed in Fraction arithmetic, for the
-        validating constructor, `split` and the text order; it equals the
-        pair `_weigh` gives the closed operations."""
-        total = exponents[0]
-        for i, w in self._slots:
-            total += w * exponents[i]
-        return total
+        """The weight as a Fraction: the pair `_weigh` gives, reduced, or
+        the t-exponent itself when no variable slot weighs anything (the
+        ground field and the Tate rings)."""
+        if not self._int_slots:
+            return exponents[0]
+        return Fraction(*self._weigh(exponents))
 
     def _weigh(self, exponents) -> tuple:
         """The weight of `exponents` as an unreduced pair (numerator,
@@ -188,11 +186,10 @@ class TruncatedSeries:
                 if not is_in_zp(e, profile.p):
                     raise ExponentError(f"exponent {e} is not in Z[1/{profile.p}]")
             c = int(coeff) % profile.p
-            if c == 0:
-                continue
-            if precision is not EXACT and profile.weight(exps) >= precision:
-                continue
-            tidy[exps] = c
+            if c:
+                tidy[exps] = c
+        if precision is not EXACT:
+            _cut(profile, tidy, precision)
         self.profile = profile
         self.terms = tidy
         self.precision = precision
@@ -305,10 +302,9 @@ class TruncatedSeries:
         groups = {}
         for exps, c in self.terms.items():
             groups.setdefault(exps[slot], {})[exps] = c
-        weight = self.profile.weight
-        order = sorted(groups, key=lambda q: (min(map(weight, groups[q])), q))
-        return [(q, TruncatedSeries._trusted(self.profile, groups[q], self.precision))
-                for q in order]
+        parts = [(q, TruncatedSeries._trusted(self.profile, part, self.precision, cut=False))
+                 for q, part in groups.items()]
+        return sorted(parts, key=lambda qp: (qp[1].val_lower(), qp[0]))
 
     def _check_profile(self, other):
         if not isinstance(other, TruncatedSeries) or (

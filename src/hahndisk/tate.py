@@ -87,7 +87,8 @@ def is_integral(f: TruncatedSeries) -> bool:
 def disk_seminorm(f: TruncatedSeries, rho) -> Fraction:
     """Additive seminorm of f at the disk point with radius values rho.
 
-    The value is min over terms of (coefficient valuation + sum q_i rho_i).
+    The value is the least term weight under the profile (1, rho): the
+    coefficient valuation plus sum q_i rho_i.
     It is exact whenever that minimum lies below the precision floor, since
     unresolved tail terms have coefficient valuation >= precision and the
     variable contribution is nonnegative.
@@ -103,9 +104,7 @@ def disk_seminorm(f: TruncatedSeries, rho) -> Fraction:
         raise IndeterminateFromPrecisionError(
             f"no term resolved below precision {f.precision}"
         )
-    value = min(
-        exps[0] + sum(q * r for q, r in zip(exps[1:], rho)) for exps in f.terms
-    )
+    value = min(map(WeightProfile(f.profile.p, (1, *rho)).weight, f.terms))
     if f.precision is not EXACT and value >= f.precision:
         raise IndeterminateFromPrecisionError(
             f"seminorm candidate {value} is not below the precision floor "

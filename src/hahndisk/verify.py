@@ -232,12 +232,13 @@ def _constraints_hold(wn, wd, v_eps, idx, b, scale, top_b, p, v_s, guard, guarde
 # -- formula-level reconstruction ----------------------------------------------
 
 
-def _image_series(rows, idx, guard, base, field: ResidueField) -> TruncatedSeries:
+def _image_series(rows, idx, guard, field: ResidueField) -> TruncatedSeries:
     """The certificate image of stage idx+1, straight from the transcript:
     scaled committed stage terms from this stage on, bounded below by the
-    tail guard for everything not committed.  A stage past this one and the
-    `base` base stages clears the guard, so its term lies past the
-    precision and is skipped: call this once the plan checks pass."""
+    tail guard for everything not committed.  An appended stage past this
+    one clears the guard against a b at least this stage's, so its term
+    lies past the precision, where the loop stops: call this once the plan
+    checks pass."""
     row = rows[idx]
     scale, (vn, vd) = row.scale, row.v_eps
 
@@ -251,7 +252,7 @@ def _image_series(rows, idx, guard, base, field: ResidueField) -> TruncatedSerie
     # (see `builder.build_adapted`): terms with p^b_l w_l < p^b guard are a prefix
     gn, gd = guard.numerator, guard.denominator
     kept = takewhile(lambda later: later.scale * later.w[0] * gd < scale * gn * later.w[1],
-                     rows[idx:max(idx + 1, base)])
+                     rows[idx:])
     return TruncatedSeries.from_terms(field.profile, ((key(later), 1) for later in kept),
                                       Fraction(vn, vd * scale) + guard)
 
@@ -384,7 +385,7 @@ def verify_certificate(doc: dict) -> Report:
         return rep
     rep.check(q == rows[m - 1].omega, where, "exponent {} matches stage exponent", q)
     preimage = _preimage_series(rows, m - 1, config.tate())
-    image = _image_series(rows, m - 1, config.work_prec, config.stages, field)
+    image = _image_series(rows, m - 1, config.work_prec, field)
     rep.check(doc["image"] == render_series(image),
               where, "recorded image equals the transcript-derived image")
     rep.check(doc["preimage"] == render_series(preimage), where,
@@ -445,7 +446,7 @@ def verify_trace(doc: dict) -> Report:
                 rep.fail(where, "no committed stage for exponent {}", q)
                 return rep
             if idx not in images:
-                image = _image_series(rows, idx, guard, config.stages, field)
+                image = _image_series(rows, idx, guard, field)
                 _, lexps, lcoeff = image.leading()
                 images[idx] = image, field.monomial(lcoeff, *lexps).invert()
             image, lead_inv = images[idx]

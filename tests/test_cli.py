@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import random
 from pathlib import Path
@@ -16,6 +17,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # Transcripts beside the default build; tests/golden holds exactly the
 # files a default build writes.
 DATA = Path(__file__).parent / "data"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def run(*argv):
@@ -284,6 +286,19 @@ class TestRecordedTranscripts:
             "step 2: residual valuation >= 27\n"
             "step 3: residual valuation >= 27\n"
             "final residual valuation >= 27 (bound 9/2)\n")
+
+    #: What `scripts/transcript_hash.py` prints.  A change meant to move
+    #: output bytes updates it and gives the reason in CHANGES.md.
+    TRANSCRIPT_HASH = "382a8fb04fac92b5e407a193abebf5a402b8ac305fd184167b4168475170d52f"
+
+    def test_transcript_hash(self):
+        # build, adapted, divide and verify --verbose at every instance of
+        # INSTANCES write and print the same bytes
+        spec = importlib.util.spec_from_file_location(
+            "transcript_hash", SCRIPTS / "transcript_hash.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.transcript_hash() == self.TRANSCRIPT_HASH
 
 
 class TestClassify:

@@ -516,6 +516,11 @@ def test_closed_operations_are_running_sums(case):
         running_sum(profile, pairs, cut)
     assert listed(TruncatedSeries.from_terms(profile, pairs, None)) == \
         running_sum(profile, pairs, None)
+    # the validating constructor's own precision filter keeps the same terms
+    given = dict(pairs)
+    for prec in (cut, None):
+        assert listed(TruncatedSeries(profile, given, prec)) == \
+            running_sum(profile, given.items(), prec)
     both = min_precision(f.precision, g.precision)
     assert listed(f + g) == running_sum(profile, fs + gs, both)
     assert listed(f - g) == running_sum(profile, fs + [(e, -c) for e, c in gs], both)
