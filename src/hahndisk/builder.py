@@ -23,7 +23,9 @@ above plus a tail guard: every appended stage must clear `work_prec`
 prefix, and enforces the guard, so certificates issued against the shorter
 plan stay valid verbatim.  A plan derives its residue field, R_3, v_c and
 substitution map once, on first use, so no caller passes them; an
-extended plan shares the first three and builds its own map.
+extended plan shares the first three and builds its own map.  `build_plan`
+returns one shared, verified plan per config in a process, so code writes
+a derived slot through `vars()` only on a `dataclasses.replace` copy.
 
 A plan document (format 3) records only the free choices: the instance and
 each stage's omega and b.  v_c, each stage's index, v_e and v_eps follow
@@ -43,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import takewhile
 
 from .config import MAX_B_SEARCH, InstanceConfig
@@ -187,22 +189,23 @@ def _append_stage(plan: AlphaPlan, q: Fraction, base: bool) -> AlphaPlan:
         b = _minimal_b(plan, m, wn, wd, v_eps, base)  # w = v_e + q * gamma_x
     st = PlanStage(m=m, omega=q, v_e=Fraction(en, ed), b=b, v_eps=v_eps)
     grown = replace(plan, stages=plan.stages + (st,))
-    # field, ring and v_c follow from the config alone, and the stage
-    # index grows by the new stage
-    for name in ("field", "ring", "v_c"):
-        if name in vars(plan):
-            vars(grown)[name] = vars(plan)[name]
+    # v_c follows from the config alone (the field and ring are the
+    # config's own), and the stage index grows by the new stage
+    if "v_c" in vars(plan):
+        vars(grown)["v_c"] = plan.v_c
     if "stage_index" in vars(plan):
         vars(grown)["stage_index"] = {**plan.stage_index, q: st}
     return grown
 
 
+@cache
 def build_plan(config: InstanceConfig) -> AlphaPlan:
     """Commit the configured number of stages along the fixed enumeration.
 
     Base stages use the minimal Frobenius exponent meeting growth, window
     and separation; the constraints are re-verified on the finished plan by
-    the independent checker.
+    the independent checker.  The plan is built once per config: a failed
+    check raises, and nothing is cached.
     """
     plan = AlphaPlan(config=config, stages=())
     for m in range(1, config.stages + 1):

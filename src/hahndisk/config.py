@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .errors import ConfigError, FormatError
@@ -77,9 +78,11 @@ class InstanceConfig:
     def ground(self) -> GroundField:
         return GroundField(self.p)
 
+    @cache
     def residue(self) -> ResidueField:
         return ResidueField(self.ground(), self.gamma_x)
 
+    @cache
     def tate(self) -> TateRing:
         """R_3, the ring the construction maps from."""
         return TateRing(self.ground(), 3)

@@ -20,14 +20,15 @@ from hahndisk.builder import (
     build_adapted,
     build_plan,
     certificate_to_doc,
+    dump_doc,
     extend,
     kernel_witness,
     plan_to_doc,
 )
-from hahndisk.errors import StageUnavailableError
+from hahndisk.errors import ContractViolationError, StageUnavailableError
 from hahndisk.tate import SubstitutionMap, is_integral
 from hahndisk.valgroup import smallest_zp_point
-from hahndisk import InstanceConfig
+from hahndisk import InstanceConfig, verify
 
 F = Fraction
 
@@ -169,8 +170,42 @@ class TestBuildPlan:
         assert [set(st) for st in doc["stages"]] == [{"omega", "b"}] * len(plan.stages)
 
     def test_determinism(self, cfg, plan):
-        again = build_plan(cfg)
-        assert plan_to_doc(again) == plan_to_doc(plan)
+        # build_plan hands out one shared plan per config, so compare it
+        # with a fresh build that bypasses the cache
+        again = build_plan.__wrapped__(cfg)
+        assert again is not plan
+        assert dump_doc(plan_to_doc(again)) == dump_doc(plan_to_doc(plan))
+
+
+class TestSharedPlan:
+    """`build_plan`, `InstanceConfig.residue` and `.tate` build once per
+    config in a process, and a plan is cached only once it has passed the
+    plan verifier."""
+
+    def test_equal_configs_share_one_plan(self):
+        a = InstanceConfig(gamma_x="1/2", v_s="1/4")
+        b = InstanceConfig(gamma_x=F(1, 2), v_s=F(1, 4), work_prec=26)
+        assert a is not b and a == b
+        assert build_plan(a) is build_plan(b)
+        assert a.residue() is a.residue() is b.residue()
+        assert a.tate() is a.tate() is b.tate()
+        assert build_plan(a).field is a.residue() and build_plan(a).ring is a.tate()
+        assert build_plan(InstanceConfig(stages=11)) is not build_plan(a)
+
+    def test_a_failed_build_is_not_cached(self, cfg, monkeypatch):
+        build_plan.cache_clear()
+        rejected = verify.Report()
+        rejected.fail("plan", "rejected on purpose")
+        monkeypatch.setattr(verify, "verify_plan", lambda doc: rejected)
+        with pytest.raises(ContractViolationError, match="rejected on purpose"):
+            build_plan(cfg)
+        # the next call builds and verifies afresh, then serves the cache
+        monkeypatch.undo()
+        checked, real = [], verify.verify_plan
+        monkeypatch.setattr(verify, "verify_plan", lambda doc: checked.append(doc) or real(doc))
+        plan = build_plan(cfg)
+        assert checked == [plan_to_doc(plan)]
+        assert build_plan(cfg) is plan and len(checked) == 1
 
 
 class TestAssembleAlpha:

@@ -2,11 +2,12 @@ import copy
 import importlib.util
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hahndisk import InstanceConfig, builder, cli
+from hahndisk import InstanceConfig, builder, cli, verify
 from hahndisk.cli import main, make_parser
 from hahndisk.config import MAX_P
 from hahndisk.series import render_series
@@ -638,6 +639,29 @@ def test_selftest(capsys):
 def test_selftest_seed(capsys):
     assert run("selftest", "--seed", "5") == 0
     assert "PASS: selftest" in capsys.readouterr().out
+
+
+class TestPlanReuse:
+    """In one process, `build_plan` builds and verifies one plan per
+    config; each `verify` call still checks the plan it reads."""
+
+    def test_build_then_adapted_verify_the_plan_once(self, tmp_path, monkeypatch, capsys):
+        builder.build_plan.cache_clear()
+        calls = Counter()
+        for name in ("verify_plan", "_check_plan"):
+            def spy(*args, name=name, real=getattr(verify, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(verify, name, spy)
+        assert run("build", "--out", str(tmp_path / "build")) == 0
+        paths = [tmp_path / "build" / "plan.json"]
+        for j, q in enumerate(("-1/3", "5/9", "-7")):  # on, off, off the enumeration
+            assert run("adapted", "--out", str(tmp_path / f"a{j}"), "--", q) == 0
+            paths += (tmp_path / f"a{j}").glob("adapted_*.json")
+        assert calls == {"verify_plan": 1, "_check_plan": 1}
+        for path in paths:
+            assert run("verify", str(path)) == 0
+        assert calls == {"verify_plan": 2, "_check_plan": 5}
 
 
 class TestParserReuse:

@@ -321,8 +321,9 @@ class TestConsistencyCheck:
     def test_corrupted_divisor_identity_is_caught(self, i, corrupt, m, cfg, residue):
         # fact (a) is read off the images of x1 and x2: with one of them
         # corrupted, the first stage whose divisor monomial uses it fails,
-        # stage 2 (omega = 1) for x1 and stage 3 (omega = -1) for x2
-        plan = build_plan(cfg)
+        # stage 2 (omega = 1) for x1 and stage 3 (omega = -1) for x2; the
+        # map is corrupted on a private copy, not on the shared plan
+        plan = dataclasses.replace(build_plan(cfg))
         images = list(plan.substitution.images)
         images[i] = corrupt(plan.field, plan.v_c)
         vars(plan)["substitution"] = SubstitutionMap(plan.ring, plan.field, images)
@@ -364,8 +365,10 @@ class TestConsistencyCheck:
 
     def test_stage_appended_mid_division(self, cfg, residue, built_maps):
         # t^1 is divided at step 0 by stage 1; t x^(5/9) lies in band 1 and
-        # its exponent is off the enumeration, so step 1 appends a stage
-        plan = build_plan(cfg)
+        # its exponent is off the enumeration, so step 1 appends a stage.  A
+        # private copy of the shared plan has no map yet, so the check below
+        # sees whether the run builds one for it
+        plan = dataclasses.replace(build_plan(cfg))
         beta = residue.monomial(1, 1, 0) + residue.monomial(2, 1, F(5, 9))
         n0 = len(plan.stages)
         trace = run_division(plan, beta, 3)
